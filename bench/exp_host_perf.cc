@@ -3,8 +3,8 @@
  * Host-side performance of the simulator itself (not of the modeled
  * machine): wall-time for the Table-1 model sweep run serially vs on
  * the SweepRunner thread pool, raw event-kernel throughput
- * (events/second) for the calendar queue vs the reference binary
- * heap, a per-event-type self-profile of where the simulator's own
+ * (events/second) at several pending-event populations, a
+ * per-event-type self-profile of where the simulator's own
  * wall-time goes, and the sweep pool's work-stealing balance.
  * Results go to stdout and to a JSON file for CI tracking.
  *
@@ -116,14 +116,11 @@ class ChurnEvent : public Event
     uint64_t left_;
 };
 
-/** Events/second for one kernel implementation at a given pending-
- *  event population (the heap's cost grows with the population; the
- *  calendar ring's does not). */
+/** Event-kernel events/second at a given pending-event population. */
 double
-timeEventKernel(EventQueue::Impl impl, uint64_t total_events,
-                unsigned population)
+timeEventKernel(uint64_t total_events, unsigned population)
 {
-    EventQueue eq(impl);
+    EventQueue eq;
     std::vector<std::unique_ptr<ChurnEvent>> events;
     for (unsigned i = 0; i < population; ++i) {
         events.push_back(std::make_unique<ChurnEvent>(
@@ -222,21 +219,17 @@ runHostPerf(const exp::Context &ctx)
                                      : 0.0);
     }
 
-    // The population sweep shows where the calendar ring pays off:
-    // the heap's per-event cost grows with the pending-event count,
-    // the ring's does not.
+    // The population sweep: the calendar ring's per-event cost should
+    // not grow with the pending-event count.
     static const unsigned pops[] = {64, 512, 4096};
-    double cal[3], heap[3];
-    timeEventKernel(EventQueue::Impl::calendar, events / 10, 64);
+    double cal[3];
+    timeEventKernel(events / 10, 64);
     for (size_t i = 0; i < 3; ++i) {
-        cal[i] = timeEventKernel(EventQueue::Impl::calendar, events,
-                                 pops[i]);
-        heap[i] = timeEventKernel(EventQueue::Impl::binaryHeap,
-                                  events, pops[i]);
-        std::printf("Event kernel (%llu events, %u pending): calendar "
-                    "%.2fM ev/s, binary heap %.2fM ev/s (%.2fx)\n",
+        cal[i] = timeEventKernel(events, pops[i]);
+        std::printf("Event kernel (%llu events, %u pending): "
+                    "%.2fM ev/s\n",
                     static_cast<unsigned long long>(events), pops[i],
-                    cal[i] / 1e6, heap[i] / 1e6, cal[i] / heap[i]);
+                    cal[i] / 1e6);
     }
 
     // Scheduler overhead of the sharded engine on the same churn: the
@@ -302,9 +295,7 @@ runHostPerf(const exp::Context &ctx)
     sec << "{\"events\":" << events << ",\"populations\":[";
     for (size_t i = 0; i < 3; ++i) {
         sec << (i ? ",\n" : "\n") << "{\"pending\":" << pops[i]
-            << ",\"calendarEventsPerSec\":" << cal[i]
-            << ",\"heapEventsPerSec\":" << heap[i]
-            << ",\"calendarVsHeap\":" << cal[i] / heap[i] << "}";
+            << ",\"calendarEventsPerSec\":" << cal[i] << "}";
     }
     sec << "],\"sharded\":[";
     for (size_t i = 0; i < 2; ++i) {

@@ -42,7 +42,6 @@
 
 #include "common/jsonio.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "cost/table1.hh"
 #include "experiments.hh"

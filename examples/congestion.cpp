@@ -20,8 +20,9 @@
  *
  * Observability: run with TCPNI_TRACE=NI,NOC to watch the queue
  * thresholds assert and the mesh backpressure engage cycle by cycle;
- * pass --json FILE to dump the per-node NI statistics (including the
- * time-weighted queue occupancies) as JSON.
+ * pass --json FILE to write the flood's counters from the metrics
+ * registry (including the exact queue occupancy integrals) in the
+ * tcpni-metrics-1 JSON schema.
  */
 
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "metrics/metrics.hh"
 #include "msg/kernels.hh"
 #include "msg/protocol.hh"
 #include "ni/placement_policy.hh"
@@ -138,16 +140,24 @@ runVariant(const ni::Model &server_model, unsigned flood)
     return r;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Outcome of the threshold / stall-on-full flood. */
+struct FloodResult
 {
-    std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_file = argv[++i];
-    }
+    bool quiesced = false;
+    Word slow = 0;        //!< messages served by the normal handler
+    Word fast = 0;        //!< messages served by the iafull variant
+    uint64_t stalls = 0;  //!< sender SEND-stall cycles
+};
+
+/** Flood node 1 from node 0; with @p collector non-null, the
+ *  machine's counters are deposited there. */
+FloodResult
+runFlood(metrics::Collector *collector)
+{
+    // Declared before the machine, so the scope outlives (and
+    // collects) every group the machine registers.
+    metrics::TaskScope telemetry(collector, 0, "congestion");
+
     sys::NodeConfig sender_cfg;
     sender_cfg.ni.placement = ni::Placement::registerFile;
     sender_cfg.ni.outputQueueDepth = 4;
@@ -236,28 +246,45 @@ main(int argc, char **argv)
     )");
     machine.node(0).boot(sender, sender.addrOf("entry"));
 
-    bool quiesced = machine.run(100000);
+    FloodResult r;
+    r.quiesced = machine.run(100000);
+    r.slow = machine.node(1).mem().read(0x600);
+    r.fast = machine.node(1).mem().read(0x604);
+    r.stalls = machine.node(0).cpu().niStallCycles();
+    return r;
+}
 
-    Word slow_count = machine.node(1).mem().read(0x600);
-    Word fast_count = machine.node(1).mem().read(0x604);
-    uint64_t stalls = machine.node(0).cpu().niStallCycles();
+} // namespace
 
-    std::printf("quiesced: %s\n", quiesced ? "yes" : "no");
+int
+main(int argc, char **argv)
+{
+    std::string json_file;
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
+            json_file = argv[++i];
+    }
+
+    metrics::Collector collector(0);
+    FloodResult r = runFlood(json_file.empty() ? nullptr : &collector);
+
+    std::printf("quiesced: %s\n", r.quiesced ? "yes" : "no");
     std::printf("messages served by the normal handler:  %u\n",
-                slow_count);
+                r.slow);
     std::printf("messages served by the iafull variant:  %u\n",
-                fast_count);
+                r.fast);
     std::printf("sender SEND-stall cycles (full output queue): %llu\n",
-                static_cast<unsigned long long>(stalls));
+                static_cast<unsigned long long>(r.stalls));
 
     if (!json_file.empty()) {
         std::ofstream os(json_file);
-        machine.dumpStatsJson(os);
-        std::printf("wrote NI statistics to %s\n", json_file.c_str());
+        collector.writeJson(os);
+        std::printf("wrote metrics telemetry to %s\n",
+                    json_file.c_str());
     }
 
-    bool ok = quiesced && slow_count + fast_count == 40 &&
-              fast_count > 0 && slow_count > 0 && stalls > 0;
+    bool ok = r.quiesced && r.slow + r.fast == 40 &&
+              r.fast > 0 && r.slow > 0 && r.stalls > 0;
     std::printf("%s\n",
                 ok ? "OK: thresholds, handler variants, and "
                      "stall-on-full all engaged"

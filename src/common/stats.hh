@@ -1,198 +1,19 @@
 /**
  * @file
- * A small statistics package in the spirit of gem5's stats framework.
- *
- * Simulation objects register named statistics in a StatGroup.  Scalar
- * counts, per-bucket vectors, distributions, and derived formulas are
- * supported, together with a text dump that the benchmark harnesses use
- * to report results.
+ * JSON formatting helpers shared by the benchmark writers and the
+ * metrics collector.  Counters themselves live in the metrics
+ * registry (metrics/metrics.hh); this header only renders values.
  */
 
 #ifndef TCPNI_COMMON_STATS_HH
 #define TCPNI_COMMON_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <ostream>
 #include <string>
-#include <vector>
-
-#include "metrics/histogram.hh"
-#include "sim/types.hh"
 
 namespace tcpni
 {
 namespace stats
 {
-
-/** A named scalar counter. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(int64_t v) { value_ += v; return *this; }
-    Scalar &operator=(int64_t v) { value_ = v; return *this; }
-
-    int64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    int64_t value_ = 0;
-};
-
-/** A named vector of counters indexed by a small integer. */
-class Vector
-{
-  public:
-    explicit Vector(size_t size = 0) : values_(size, 0) {}
-
-    /** Grow (never shrink) to at least @p size buckets. */
-    void resize(size_t size);
-
-    int64_t &operator[](size_t i);
-    int64_t at(size_t i) const;
-    size_t size() const { return values_.size(); }
-    int64_t total() const;
-    void reset();
-
-  private:
-    std::vector<int64_t> values_;
-};
-
-/** A sampled distribution with mean/min/max/stddev and linear buckets. */
-class Distribution
-{
-  public:
-    /** Bucket samples into @p nbuckets buckets spanning [lo, hi). */
-    Distribution(double lo = 0, double hi = 100, size_t nbuckets = 10);
-
-    void sample(double v, int64_t count = 1);
-
-    int64_t count() const { return count_; }
-    double mean() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    const std::vector<int64_t> &buckets() const { return buckets_; }
-    int64_t underflow() const { return underflow_; }
-    int64_t overflow() const { return overflow_; }
-    void reset();
-
-  private:
-    double lo_, hi_, bucketSize_;
-    std::vector<int64_t> buckets_;
-    int64_t underflow_ = 0, overflow_ = 0;
-    int64_t count_ = 0;
-    double sum_ = 0, squares_ = 0;
-    double min_ = 0, max_ = 0;
-};
-
-/**
- * A time-weighted level statistic (e.g. queue occupancy).
- *
- * Call update(level, now) whenever the tracked level changes; the time
- * integral of the level is accumulated so avg() is the true
- * time-weighted mean, not a per-sample mean (a queue that sits full
- * for 1000 cycles and empty for one update counts as full, unlike a
- * sample-weighted Distribution).
- */
-class TimeWeighted
-{
-  public:
-    TimeWeighted() = default;
-
-    /** Record that the level is @p level as of @p now. */
-    void
-    update(uint64_t level, Tick now)
-    {
-        if (now > last_) {
-            area_ += static_cast<double>(cur_) *
-                     static_cast<double>(now - last_);
-            last_ = now;
-        }
-        cur_ = level;
-        if (level > max_)
-            max_ = level;
-    }
-
-    /** Time-weighted mean level over [0, lastUpdate()]. */
-    double
-    avg() const
-    {
-        return last_ > 0 ? area_ / static_cast<double>(last_)
-                         : static_cast<double>(cur_);
-    }
-
-    uint64_t max() const { return max_; }
-    uint64_t current() const { return cur_; }
-    Tick lastUpdate() const { return last_; }
-
-    void
-    reset()
-    {
-        cur_ = max_ = 0;
-        area_ = 0;
-        last_ = 0;
-    }
-
-  private:
-    uint64_t cur_ = 0;
-    uint64_t max_ = 0;
-    double area_ = 0;
-    Tick last_ = 0;
-};
-
-/**
- * A group of named statistics that can be dumped as text.
- *
- * Ownership: the group stores pointers to statistics owned by the
- * registering object; the object must outlive the group dump.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addScalar(const std::string &name, const Scalar *stat,
-                   const std::string &desc = "");
-    void addVector(const std::string &name, const Vector *stat,
-                   const std::string &desc = "");
-    void addDistribution(const std::string &name, const Distribution *stat,
-                         const std::string &desc = "");
-    void addTimeWeighted(const std::string &name, const TimeWeighted *stat,
-                         const std::string &desc = "");
-    void addHistogram(const std::string &name,
-                      const metrics::Histogram *stat,
-                      const std::string &desc = "");
-
-    const std::string &name() const { return name_; }
-
-    /** Write "group.stat value # desc" lines to @p os. */
-    void dump(std::ostream &os) const;
-
-    /**
-     * Write the group as one JSON object:
-     * {"name":"...","stats":{...}} -- scalars as numbers, vectors as
-     * {"values":[...],"total":n}, distributions as
-     * {"count","mean","stddev","min","max","underflow","overflow",
-     * "buckets"}, time-weighted stats as {"avg","max"}.
-     */
-    void dumpJson(std::ostream &os) const;
-
-  private:
-    struct Entry
-    {
-        enum class Kind { scalar, vector, dist, timeWeighted,
-                          histogram } kind;
-        const void *stat;
-        std::string desc;
-    };
-
-    std::string name_;
-    std::vector<std::pair<std::string, Entry>> entries_;
-};
 
 /** Escape a string for inclusion in a JSON string literal. */
 std::string jsonEscape(const std::string &s);

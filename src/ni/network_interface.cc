@@ -36,45 +36,24 @@ NetworkInterface::NetworkInterface(std::string name, EventQueue &eq,
         return acceptFromNetwork(m);
     });
 
-    statGroup().addScalar("sent", &sent_, "messages injected");
-    statGroup().addScalar("received", &received_, "messages accepted");
-    statGroup().addScalar("refused", &refused_,
-                          "deliveries refused (input queue full)");
-    statGroup().addScalar("overflowExc", &overflowExc_,
-                          "output-overflow exceptions raised");
-    statGroup().addScalar("privReceived", &privReceived_,
-                          "privileged/PIN-mismatched messages queued");
-    statGroup().addScalar("interrupts", &interrupts_,
-                          "message-arrival interrupts delivered");
-    statGroup().addHistogram("e2eLatency", &e2eLatency_,
-                             "send-enqueue to dispatch (cycles)");
-    statGroup().addHistogram("netLatency", &netLatency_,
-                             "send-enqueue to arrival (cycles)");
-    statGroup().addHistogram("queueLatency", &queueLatency_,
-                             "arrival to dispatch (cycles)");
-    statGroup().addTimeWeighted("inputOccupancy", &inputOcc_,
-                                "time-weighted input queue depth");
-    statGroup().addTimeWeighted("outputOccupancy", &outputOcc_,
-                                "time-weighted output queue depth");
-
     if (auto *r = metrics::registry()) {
         mgroup_ = r->addGroup(this->name(), eq);
-        mgroup_->addCounter("sent", [this] { return sent_.value(); },
+        mgroup_->addCounter("sent", [this] { return sent_; },
                             "messages injected");
         mgroup_->addCounter("received",
-                            [this] { return received_.value(); },
+                            [this] { return received_; },
                             "messages accepted");
         mgroup_->addCounter("refused",
-                            [this] { return refused_.value(); },
+                            [this] { return refused_; },
                             "deliveries refused (input queue full)");
         mgroup_->addCounter("overflow_exc",
-                            [this] { return overflowExc_.value(); },
+                            [this] { return overflowExc_; },
                             "output-overflow exceptions raised");
         mgroup_->addCounter("priv_received",
-                            [this] { return privReceived_.value(); },
+                            [this] { return privReceived_; },
                             "privileged/PIN-mismatched messages");
         mgroup_->addCounter("interrupts",
-                            [this] { return interrupts_.value(); },
+                            [this] { return interrupts_; },
                             "message-arrival interrupts delivered");
         mgroup_->addCounter("oq.stall_cycles",
                             [this] { return oqStallCycles_; },
@@ -122,11 +101,6 @@ void
 NetworkInterface::noteQueueLevels()
 {
     const Tick now = curTick();
-    inputOcc_.update(inputQueue_.size(), now);
-    outputOcc_.update(outputQueue_.size(), now);
-    // Exact integer occupancy integrals (the TimeWeighted stats above
-    // keep doubles for the text dump; the serve experiment wants
-    // lossless counters it can difference and merge).
     if (now > occTick_) {
         iqOccTicks_ += static_cast<uint64_t>(occIqLevel_) *
                        (now - occTick_);

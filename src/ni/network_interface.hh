@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "isa/isa.hh"
 #include "metrics/metrics.hh"
 #include "ni/config.hh"
@@ -162,27 +161,19 @@ class NetworkInterface : public SimObject
     bool msgValid() const { return inputValid_; }
     uint8_t currentType() const { return currentType_; }
     ExcCode pendingException() const { return excCode_; }
-    uint64_t numSent() const { return sent_.value(); }
-    uint64_t numReceived() const { return received_.value(); }
+    uint64_t numSent() const { return sent_; }
+    uint64_t numReceived() const { return received_; }
     /** Trace id of the message currently in the input registers. */
     uint64_t currentTraceId() const { return currentTraceId_; }
     /** @} */
 
-    /** @{ Latency and occupancy statistics (see the stat
-     *     descriptions registered in the constructor). */
+    /** @{ Latency statistics (see the metric descriptions registered
+     *     in the constructor). */
     const metrics::Histogram &e2eLatency() const { return e2eLatency_; }
     const metrics::Histogram &netLatency() const { return netLatency_; }
     const metrics::Histogram &queueLatency() const
     {
         return queueLatency_;
-    }
-    const stats::TimeWeighted &inputOccupancy() const
-    {
-        return inputOcc_;
-    }
-    const stats::TimeWeighted &outputOccupancy() const
-    {
-        return outputOcc_;
     }
     /** @} */
 
@@ -270,8 +261,8 @@ class NetworkInterface : public SimObject
     /** Record an exceptional condition (first pending wins). */
     void raise(ExcCode code);
 
-    /** Fold the current queue depths into the time-weighted
-     *  occupancy stats (call after any queue size change). */
+    /** Fold the current queue depths into the exact occupancy
+     *  integrals (call after any queue size change). */
     void noteQueueLevels();
 
     /** Figure-7 case analysis for an arbitrary "current" message. */
@@ -322,12 +313,12 @@ class NetworkInterface : public SimObject
     PumpEvent pumpEvent_;
     std::function<void(Word)> interruptSink_;
 
-    stats::Scalar sent_;
-    stats::Scalar interrupts_;
-    stats::Scalar received_;
-    stats::Scalar refused_;
-    stats::Scalar overflowExc_;
-    stats::Scalar privReceived_;
+    uint64_t sent_ = 0;
+    uint64_t interrupts_ = 0;
+    uint64_t received_ = 0;
+    uint64_t refused_ = 0;
+    uint64_t overflowExc_ = 0;
+    uint64_t privReceived_ = 0;
 
     /** @{ Message-latency histograms (cycles), recorded when a
      *     message advances into the input registers; HDR-bucketed so
@@ -336,11 +327,6 @@ class NetworkInterface : public SimObject
     metrics::Histogram e2eLatency_;    //!< send -> dispatch
     metrics::Histogram netLatency_;    //!< send -> arrival
     metrics::Histogram queueLatency_;  //!< arrival -> dispatch
-    /** @} */
-
-    /** @{ Time-weighted input/output queue occupancy. */
-    stats::TimeWeighted inputOcc_;
-    stats::TimeWeighted outputOcc_;
     /** @} */
 
     /** @{ Hardware-style event counters (always maintained; the cost

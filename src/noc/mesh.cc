@@ -57,9 +57,6 @@ MeshNetwork::initPartitions(const ShardPlan &plan, ShardedEngine *engine)
 void
 MeshNetwork::registerMetrics()
 {
-    statGroup().addHistogram("latency", &latency_,
-                             "end-to-end message latency (cycles)");
-
     if (auto *reg = metrics::registry()) {
         mgroup_ = reg->addGroup(this->name(), eventq());
         mgroup_->addCounter("injected", [this] { return injected_; },

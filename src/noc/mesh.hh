@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "metrics/metrics.hh"
 #include "noc/network.hh"
 #include "sim/shards.hh"

@@ -37,6 +37,11 @@ constexpr unsigned nodeShift = 24;
 /** Number of node-id bits in a global word. */
 constexpr unsigned nodeBits = 8;
 
+/** Largest machine whose node ids a global word can carry.  Kernels
+ *  address nodes through global words, so booting one on a larger
+ *  machine is rejected (envelope-routed traffic has no such limit). */
+constexpr unsigned maxAddressableNodes = 1u << nodeBits;
+
 /** Compose a global word from a node id and a local value. */
 constexpr Word
 globalWord(NodeId node, Word local)

@@ -62,27 +62,24 @@ Event::~Event()
     // destructor.
 }
 
-EventQueue::EventQueue(Impl impl)
-    : impl_(impl), queueId_(nextQueueId.fetch_add(1)),
-      profile_(evprof::enabled())
+EventQueue::EventQueue()
+    : queueId_(nextQueueId.fetch_add(1)), profile_(evprof::enabled())
 {
-    if (impl_ == Impl::calendar) {
-        ring_.resize(ringSize_);
-        // Pre-reserve every bucket to the keep threshold (~2 MB per
-        // queue): stores at or below it never retire, so without
-        // this a bucket's first growth past its construction-time
-        // capacity could land mid-run with nothing circulating in
-        // the pool to serve it -- a heap allocation the steady-state
-        // guarantee (tests/system/alloc_test.cc) forbids.  Above
-        // the threshold every store retires on drain, so larger
-        // capacity is always in circulation once first reached.
-        for (auto &b : ring_)
-            b.reserve(bucketKeepCap_);
-        // maxTick never appears as a ring entry's tick (the window is
-        // exclusive of it), so it doubles as "never sorted".
-        ringSortedAt_.assign(ringSize_, maxTick);
-        ringCapHint_.assign(ringSize_, 0);
-    }
+    ring_.resize(ringSize_);
+    // Pre-reserve every bucket to the keep threshold (~2 MB per
+    // queue): stores at or below it never retire, so without this a
+    // bucket's first growth past its construction-time capacity could
+    // land mid-run with nothing circulating in the pool to serve it --
+    // a heap allocation the steady-state guarantee
+    // (tests/system/alloc_test.cc) forbids.  Above the threshold every
+    // store retires on drain, so larger capacity is always in
+    // circulation once first reached.
+    for (auto &b : ring_)
+        b.reserve(bucketKeepCap_);
+    // maxTick never appears as a ring entry's tick (the window is
+    // exclusive of it), so it doubles as "never sorted".
+    ringSortedAt_.assign(ringSize_, maxTick);
+    ringCapHint_.assign(ringSize_, 0);
 }
 
 void
@@ -101,9 +98,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
     Entry e{when, ev->priority_, ev->seq_, ev};
-    if (impl_ == Impl::binaryHeap)
-        heap_.push(e);
-    else if (when < windowEnd())
+    if (when < windowEnd())
         ringInsert(e);
     else
         overflow_.push(e);
@@ -270,26 +265,7 @@ EventQueue::migrateOverflow()
 }
 
 bool
-EventQueue::popNextHeap(Tick bound, Entry &out)
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (!live(top)) {
-            heap_.pop();
-            continue;
-        }
-        if (top.when > bound)
-            return false;
-        out = top;
-        heap_.pop();
-        curTick_ = out.when;
-        return true;
-    }
-    return false;
-}
-
-bool
-EventQueue::popNextCalendar(Tick bound, Entry &out)
+EventQueue::popNext(Tick bound, Entry &out)
 {
     // Migrate overflow entries whose tick has entered the ring window.
     migrateOverflow();
@@ -328,6 +304,7 @@ EventQueue::popNextCalendar(Tick bound, Entry &out)
         if (b.empty() && b.capacity() > bucketKeepCap_)
             retireStore(b, idx);
         curTick_ = t;
+        peekValid_ = false;
         return true;
     }
 
@@ -344,32 +321,14 @@ EventQueue::popNextCalendar(Tick bound, Entry &out)
         out = top;
         overflow_.pop();
         curTick_ = out.when;
+        peekValid_ = false;
         return true;
     }
     return false;
 }
 
-bool
-EventQueue::popNext(Tick bound, Entry &out)
-{
-    const bool ok = impl_ == Impl::binaryHeap
-                        ? popNextHeap(bound, out)
-                        : popNextCalendar(bound, out);
-    if (ok)
-        peekValid_ = false;
-    return ok;
-}
-
 Tick
-EventQueue::peekHeap()
-{
-    while (!heap_.empty() && !live(heap_.top()))
-        heap_.pop();
-    return heap_.empty() ? maxTick : heap_.top().when;
-}
-
-Tick
-EventQueue::peekCalendar()
+EventQueue::peek()
 {
     migrateOverflow();
 
@@ -400,8 +359,7 @@ EventQueue::nextEventTick()
     if (nscheduled_ == 0)
         return maxTick;
     if (!peekValid_) {
-        peekCache_ = impl_ == Impl::binaryHeap ? peekHeap()
-                                               : peekCalendar();
+        peekCache_ = peek();
         peekValid_ = true;
     }
     return peekCache_;

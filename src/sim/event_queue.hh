@@ -7,19 +7,13 @@
  * the order they were scheduled, which keeps multi-node simulations
  * deterministic.
  *
- * Two interchangeable internal implementations provide exactly the
- * same firing order:
- *
- *  - Impl::calendar (the default): a two-tier calendar queue.  A ring
- *    of per-tick buckets covers the near future
- *    [curTick, curTick + ringSize); events beyond the window go to an
- *    overflow binary heap and migrate into the ring as time advances.
- *    Most simulator events are scheduled a handful of ticks ahead, so
- *    scheduling and firing are O(1) amortized instead of O(log n).
- *
- *  - Impl::binaryHeap: the classic std::priority_queue kernel.  Kept
- *    selectable so differential property tests can check the calendar
- *    path against it, and for A/B host-performance measurements.
+ * The queue is a two-tier calendar queue.  A ring of per-tick buckets
+ * covers the near future [curTick, curTick + ringSize); events beyond
+ * the window go to an overflow binary heap and migrate into the ring
+ * as time advances.  Most simulator events are scheduled a handful of
+ * ticks ahead, so scheduling and firing are O(1) amortized instead of
+ * O(log n).  The differential fuzz (tests/sim/event_kernel_fuzz_test.cc)
+ * checks its firing order against a test-only binary-heap reference.
  *
  * Each EventQueue also allocates the message trace ids for its
  * simulation (see nextTraceId()), so independent simulations -- e.g.
@@ -122,7 +116,7 @@ class Event
     friend class EventQueue;
 
     Tick when_ = 0;
-    /** Sequence number of the latest schedule() of this event; heap
+    /** Sequence number of the latest schedule() of this event; queue
      *  entries carrying an older number are stale and skipped. */
     uint64_t seq_ = 0;
     int priority_;
@@ -149,17 +143,7 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    /** Selectable internal ordering structure; both produce the same
-     *  firing order. */
-    enum class Impl
-    {
-        calendar,       //!< per-tick bucket ring + overflow heap
-        binaryHeap,     //!< single std::priority_queue
-    };
-
-    explicit EventQueue(Impl impl = Impl::calendar);
-
-    Impl impl() const { return impl_; }
+    EventQueue();
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -261,6 +245,7 @@ class EventQueue
         Event *ev;
     };
 
+    /** Min-heap order for the overflow heap. */
     struct Cmp
     {
         bool operator()(const Entry &a, const Entry &b) const
@@ -284,7 +269,7 @@ class EventQueue
         }
     };
 
-    /** True when a popped heap entry still refers to a live schedule. */
+    /** True when a queued entry still refers to a live schedule. */
     static bool
     live(const Entry &e)
     {
@@ -352,15 +337,13 @@ class EventQueue
      * On success curTick_ has been advanced to the entry's tick.
      */
     bool popNext(Tick bound, Entry &out);
-    bool popNextHeap(Tick bound, Entry &out);
-    bool popNextCalendar(Tick bound, Entry &out);
 
-    Tick peekHeap();
-    Tick peekCalendar();
+    /** Tick of the earliest live entry, or maxTick; prunes stale
+     *  entries in passing. */
+    Tick peek();
 
     void fire(const Entry &e);
 
-    Impl impl_;
     uint64_t queueId_;
     /** Latched evprof::enabled() at construction (hot-path guard). */
     bool profile_;
@@ -376,13 +359,9 @@ class EventQueue
     Tick peekCache_ = 0;
     bool peekValid_ = false;
 
-    // --- Impl::binaryHeap state.
-    std::priority_queue<Entry, std::vector<Entry>, Cmp> heap_;
-
-    // --- Impl::calendar state.  Bucket t & ringMask_ holds the
-    // entries of tick t; all ring entries satisfy
-    // curTick_ <= when < windowEnd().  ringCount_ counts physical
-    // ring entries, stale included.
+    // Bucket t & ringMask_ holds the entries of tick t; all ring
+    // entries satisfy curTick_ <= when < windowEnd().  ringCount_
+    // counts physical ring entries, stale included.
     //
     // Buckets fill as cheap unsorted push_backs and are sorted once,
     // lazily, on the first pop at their tick (descending BucketCmp,

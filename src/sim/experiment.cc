@@ -3,9 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -66,6 +69,20 @@ printUsage(const Experiment &e, const char *prog)
                          ? ""
                          : (" (default " + p.def + ")").c_str());
     }
+}
+
+/** Can @p path be opened for writing?  The probe appends nothing and
+ *  truncates nothing, and removes the file again if it created it. */
+bool
+writable(const std::string &path)
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app))
+        return false;
+    if (!existed)
+        std::filesystem::remove(path, ec);
+    return true;
 }
 
 } // namespace
@@ -194,6 +211,32 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
         }
     }
 
+    if (metrics_on && metrics_out.empty()) {
+        metrics_out = ctx.jsonFile.empty() ? "metrics"
+                                           : ctx.jsonFile + ".metrics";
+    }
+
+    // Fail before the run, not after it: every file the run will
+    // write must be writable now.
+    std::vector<std::pair<std::string, std::string>> outputs;
+    if (!ctx.jsonFile.empty())
+        outputs.emplace_back("--json", ctx.jsonFile);
+    if (!ctx.traceFile.empty())
+        outputs.emplace_back("--trace", ctx.traceFile);
+    if (metrics_on) {
+        outputs.emplace_back("--metrics-out", metrics_out + ".json");
+        outputs.emplace_back("--metrics-out", metrics_out + ".csv");
+    }
+    if (findParam(*e, "--out") && !ctx.values["--out"].empty())
+        outputs.emplace_back("--out", ctx.values["--out"]);
+    for (const auto &[flag, path] : outputs) {
+        if (!writable(path)) {
+            std::fprintf(stderr, "cannot open %s file '%s'\n",
+                         flag.c_str(), path.c_str());
+            return 1;
+        }
+    }
+
     trace::TraceSink lifecycle_sink;
     if (!ctx.traceFile.empty()) {
         // The lifecycle sink is thread-local: tracing needs every
@@ -204,11 +247,6 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
 
     std::unique_ptr<metrics::Collector> collector;
     if (metrics_on) {
-        if (metrics_out.empty()) {
-            metrics_out = ctx.jsonFile.empty()
-                              ? "metrics"
-                              : ctx.jsonFile + ".metrics";
-        }
         collector =
             std::make_unique<metrics::Collector>(sample_interval);
         ctx.metricsCollector = collector.get();

@@ -7,13 +7,15 @@
  * An experiment is a named definition: a description, the parameters
  * it accepts, whether it supports --json / --trace, and a run
  * function.  Definitions register in an ExperimentRegistry; the
- * shared driver (`tcpni_bench <name> [flags]`) and the thin
- * compatibility wrappers (`table1`, `figure12`, ...) both dispatch
- * through runExperiment(), so every experiment gets uniform
+ * shared driver (`tcpni_bench <name> [flags]`) dispatches through
+ * runExperiment(), so every experiment gets uniform
  * `--jobs/--json/--trace` handling for free.
  *
- * Invariants the driver maintains (matching the legacy binaries
- * byte-for-byte):
+ * Invariants the driver maintains:
+ *  - Every output file the run will write (`--json`, `--trace`, the
+ *    `--metrics-out` pair, and an experiment's own `--out`) is checked
+ *    for writability before run() starts; a bad path exits 1 before
+ *    any work.
  *  - `--trace FILE` installs a thread-local lifecycle sink and forces
  *    --jobs 1 before run() starts; after run() returns, the driver
  *    writes the Chrome trace and prints the standard epilogue line.

@@ -7,12 +7,12 @@
 namespace tcpni
 {
 
-ShardedEngine::ShardedEngine(unsigned shards, EventQueue::Impl impl)
+ShardedEngine::ShardedEngine(unsigned shards)
 {
     tcpni_assert(shards >= 1);
     queues_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        queues_.push_back(std::make_unique<EventQueue>(impl));
+        queues_.push_back(std::make_unique<EventQueue>());
         if (shards > 1)
             queues_.back()->setTraceIdLane(s + 1, shards);
     }

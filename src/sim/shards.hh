@@ -92,9 +92,7 @@ struct ShardPlan
 class ShardedEngine
 {
   public:
-    explicit ShardedEngine(unsigned shards = 1,
-                           EventQueue::Impl impl =
-                               EventQueue::Impl::calendar);
+    explicit ShardedEngine(unsigned shards = 1);
 
     unsigned
     numShards() const

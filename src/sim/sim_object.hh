@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "common/stats.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -18,15 +17,14 @@ namespace tcpni
 /**
  * A named component attached to an event queue.
  *
- * SimObjects expose a StatGroup for their counters and share the
- * simulation's EventQueue.
+ * SimObjects share the simulation's EventQueue; their counters live
+ * in the metrics registry (metrics/metrics.hh).
  */
 class SimObject
 {
   public:
     SimObject(std::string name, EventQueue &eq)
-        : name_(std::move(name)), eventq_(eventQueueRef(eq)),
-          statGroup_(name_)
+        : name_(std::move(name)), eventq_(eq)
     {}
 
     virtual ~SimObject() = default;
@@ -38,15 +36,9 @@ class SimObject
     EventQueue &eventq() { return eventq_; }
     Tick curTick() const { return eventq_.curTick(); }
 
-    stats::StatGroup &statGroup() { return statGroup_; }
-    const stats::StatGroup &statGroup() const { return statGroup_; }
-
   private:
-    static EventQueue &eventQueueRef(EventQueue &eq) { return eq; }
-
     std::string name_;
     EventQueue &eventq_;
-    stats::StatGroup statGroup_;
 };
 
 } // namespace tcpni

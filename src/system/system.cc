@@ -10,7 +10,7 @@ namespace sys
 
 Node::Node(const std::string &name, EventQueue &eq, NodeId id,
            Network &net, const NodeConfig &cfg)
-    : id_(id)
+    : id_(id), machineNodes_(net.numNodes())
 {
     cfg.ni.validate();
     mem_ = std::make_unique<Memory>(cfg.memBytes);
@@ -18,7 +18,6 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
                                                  net, cfg.ni);
     if (cfg.ni.transport.policy != "naive") {
         tpolicy_ = transport::makePolicy(cfg.ni.transport);
-        tpolicy_->initStats(name + ".transport");
         tpolicy_->attachMetrics(name + ".transport", eq);
         ni_->setTransportPolicy(tpolicy_.get());
     }
@@ -33,8 +32,22 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
 }
 
 void
+Node::checkAddressable() const
+{
+    // Kernels name nodes through global words, whose node field holds
+    // nodeBits bits: on a larger machine node ids would silently wrap
+    // (node 300 reads back as node 44).
+    if (machineNodes_ > maxAddressableNodes) {
+        fatal("cannot boot a kernel on node %u of a %u-node machine: "
+              "global words address at most %u nodes",
+              id_, machineNodes_, maxAddressableNodes);
+    }
+}
+
+void
 Node::boot(const isa::Program &prog, Addr entry)
 {
+    checkAddressable();
     if (hpu_) {
         hpu_->loadProgram(prog);
         hpu_->reset(entry);
@@ -49,30 +62,29 @@ Node::boot(const isa::Program &prog, Addr entry)
 void
 Node::bootHost(const isa::Program &prog, Addr entry)
 {
+    checkAddressable();
     cpu_->loadProgram(prog);
     cpu_->reset(entry);
     cpu_->start();
 }
 
 System::System(std::string name, unsigned width, unsigned height,
-               const NodeConfig &cfg, EventQueue::Impl eq_impl)
+               const NodeConfig &cfg)
     : System(std::move(name), width, height,
-             std::vector<NodeConfig>(width * height, cfg), eq_impl)
+             std::vector<NodeConfig>(width * height, cfg))
 {
 }
 
 System::System(std::string name, unsigned width, unsigned height,
-               const std::vector<NodeConfig> &cfgs,
-               EventQueue::Impl eq_impl)
-    : System(std::move(name), width, height, cfgs, 1, eq_impl)
+               const std::vector<NodeConfig> &cfgs)
+    : System(std::move(name), width, height, cfgs, 1)
 {
 }
 
 System::System(std::string name, unsigned width, unsigned height,
-               const std::vector<NodeConfig> &cfgs, unsigned shards,
-               EventQueue::Impl eq_impl)
+               const std::vector<NodeConfig> &cfgs, unsigned shards)
     : plan_(ShardPlan::rows(width, height, shards)),
-      engine_(plan_.shards, eq_impl)
+      engine_(plan_.shards)
 {
     tcpni_assert(cfgs.size() == static_cast<size_t>(width) * height);
     mesh_ = std::make_unique<MeshNetwork>(name + ".mesh", engine_,
@@ -83,7 +95,6 @@ System::System(std::string name, unsigned width, unsigned height,
             engine_.shard(plan_.shardOfNode(id)), id, *mesh_,
             cfgs[id]));
     }
-    booted_.assign(nodes_.size(), false);
 
     // Wire the credit-return fabric when any node runs a
     // credit-consuming transport policy.  Every interface reports
@@ -131,40 +142,6 @@ System::run(Tick max_ticks)
     if (!mesh_->idle())
         quiesced = false;
     return quiesced;
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    for (const auto &n : nodes_) {
-        n->ni().statGroup().dump(os);
-        if (auto *p = n->transportPolicy())
-            p->statGroup()->dump(os);
-    }
-    mesh_->statGroup().dump(os);
-}
-
-void
-System::dumpStatsJson(std::ostream &os) const
-{
-    os << "{\"ticks\":" << engine_.curTick() << ",\"groups\":[";
-    bool first = true;
-    for (const auto &n : nodes_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n";
-        n->ni().statGroup().dumpJson(os);
-        if (auto *p = n->transportPolicy()) {
-            os << ",\n";
-            p->statGroup()->dumpJson(os);
-        }
-    }
-    if (!first)
-        os << ",";
-    os << "\n";
-    mesh_->statGroup().dumpJson(os);
-    os << "\n]}\n";
 }
 
 } // namespace sys

@@ -67,16 +67,21 @@ class Node
      * Load a program and prepare the node's handler engine to run
      * from @p entry: the CPU normally, the HPU on On-NI nodes (where
      * the handler loop belongs to the interface; use bootHost() for
-     * the CPU-side program).
+     * the CPU-side program).  Fatal on a machine of more than
+     * maxAddressableNodes nodes, whose ids a global word cannot carry.
      */
     void boot(const isa::Program &prog, Addr entry);
 
     /** Load a program onto the host CPU explicitly (On-NI nodes run
-     *  the proxy service loop -- or anything else -- here). */
+     *  the proxy service loop -- or anything else -- here).  Fatal
+     *  under the same condition as boot(). */
     void bootHost(const isa::Program &prog, Addr entry);
 
   private:
+    void checkAddressable() const;
+
     NodeId id_;
+    unsigned machineNodes_;
     std::unique_ptr<Memory> mem_;
     std::unique_ptr<ni::NetworkInterface> ni_;
     std::unique_ptr<transport::Policy> tpolicy_;
@@ -99,21 +104,16 @@ class System
 {
   public:
     System(std::string name, unsigned width, unsigned height,
-           const NodeConfig &cfg,
-           EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
+           const NodeConfig &cfg);
 
-    /** Same configuration on every node except where overridden.
-     *  @p eq_impl selects the event-kernel structure (the calendar
-     *  queue by default; the binary heap for A/B testing). */
+    /** Same configuration on every node except where overridden. */
     System(std::string name, unsigned width, unsigned height,
-           const std::vector<NodeConfig> &cfgs,
-           EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
+           const std::vector<NodeConfig> &cfgs);
 
     /** Sharded construction: @p shards event queues (clamped to
      *  [1, height]) advanced by the engine's lookahead scheduler. */
     System(std::string name, unsigned width, unsigned height,
-           const std::vector<NodeConfig> &cfgs, unsigned shards,
-           EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
+           const std::vector<NodeConfig> &cfgs, unsigned shards);
 
     unsigned numNodes() const
     {
@@ -153,21 +153,12 @@ class System
      */
     bool run(Tick max_ticks = 10'000'000);
 
-    /** Dump every component's statistics (gem5-style name/value
-     *  lines): per-node NI counters and the mesh latency profile. */
-    void dumpStats(std::ostream &os) const;
-
-    /** Dump the same statistics as machine-readable JSON:
-     *  {"ticks":N,"groups":[{"name":...,"stats":{...}}, ...]}. */
-    void dumpStatsJson(std::ostream &os) const;
-
   private:
     ShardPlan plan_;
     ShardedEngine engine_;
     std::unique_ptr<MeshNetwork> mesh_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<transport::CreditFabric> creditFabric_;
-    std::vector<bool> booted_;
 };
 
 } // namespace sys

@@ -53,9 +53,7 @@ class PacedPolicy : public Policy
     explicit PacedPolicy(const TransportConfig &cfg)
         : Policy(cfg), rate_(cfg.paceRate),
           tokens_(static_cast<uint64_t>(cfg.paceBurst) * rateOne)
-    {
-        rateFp_ = static_cast<int64_t>(rate_);
-    }
+    {}
 
     // The metrics lambdas below read members of THIS class; retire
     // them before those members are destroyed.
@@ -126,7 +124,6 @@ class PacedPolicy : public Policy
         if (congested && now >= lastDelayMd_ + cfg_.paceAiInterval) {
             settle(now);
             rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            rateFp_ = rate_;
             ++mdEvents_;
             lastDelayMd_ = now;
             aiAnchor_ = holdoffAnchor(now);
@@ -140,7 +137,6 @@ class PacedPolicy : public Policy
         settle(now);
         if (asserted) {
             rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            rateFp_ = rate_;
             ++mdEvents_;
             oafullNow_ = true;
             aiAnchor_ = holdoffAnchor(now);
@@ -155,22 +151,12 @@ class PacedPolicy : public Policy
 
   protected:
     void
-    addStats(stats::StatGroup &g) override
-    {
-        g.addScalar("mdEvents", &mdEvents_,
-                    "multiplicative decreases (oafull rising edges)");
-        g.addScalar("aiSteps", &aiSteps_,
-                    "additive-increase steps applied");
-        g.addScalar("rateFp", &rateFp_,
-                    "pacing rate, rateOne fixed point per tick");
-    }
-
-    void
     addMetrics(metrics::Group &g) override
     {
-        g.addCounter("md_events",
-                     [this] { return mdEvents_.value(); },
+        g.addCounter("md_events", [this] { return mdEvents_; },
                      "multiplicative decreases");
+        g.addCounter("ai_steps", [this] { return aiSteps_; },
+                     "additive-increase steps applied");
         g.addGauge("rate_fp", [this] { return rate_; },
                    "pacing rate, rateOne fixed point per tick");
         g.addGauge("tokens_fp", [this] { return tokens_; },
@@ -253,11 +239,8 @@ class PacedPolicy : public Policy
         tokens_ = p.tokens;
         aiAnchor_ = p.aiAnchor;
         lastSettle_ = std::max(lastSettle_, now);
-        if (p.aiSteps || p.mdSteps) {
-            aiSteps_ += static_cast<int64_t>(p.aiSteps);
-            mdEvents_ += static_cast<int64_t>(p.mdSteps);
-            rateFp_ = rate_;
-        }
+        aiSteps_ += p.aiSteps;
+        mdEvents_ += p.mdSteps;
     }
 
     /** Delivery delay considered congested, in baselines. */
@@ -276,9 +259,8 @@ class PacedPolicy : public Policy
     std::map<NodeId, uint64_t> minDelay_;
     Tick lastDelayMd_ = 0;
 
-    stats::Scalar mdEvents_;
-    stats::Scalar aiSteps_;
-    stats::Scalar rateFp_;
+    uint64_t mdEvents_ = 0;  //!< multiplicative decreases
+    uint64_t aiSteps_ = 0;   //!< additive-increase steps applied
 };
 
 } // namespace

@@ -38,36 +38,21 @@ Policy::onCredit(NodeId, uint32_t count, Tick)
 }
 
 void
-Policy::initStats(const std::string &group_name)
-{
-    sgroup_ = std::make_unique<stats::StatGroup>(group_name);
-    sgroup_->addScalar("holds", &holds_,
-                       "send attempts held by the policy");
-    sgroup_->addScalar("admits", &admits_,
-                       "messages admitted to the output queue");
-    sgroup_->addScalar("creditsReturned", &creditsReturned_,
-                       "delivery credits folded in");
-    sgroup_->addScalar("oafullEdges", &oafullEdges_,
-                       "oafull edges observed");
-    addStats(*sgroup_);
-}
-
-void
 Policy::attachMetrics(const std::string &name, EventQueue &eq)
 {
     auto *r = metrics::registry();
     if (!r)
         return;
     mgroup_ = r->addGroup(name, eq);
-    mgroup_->addCounter("holds", [this] { return holds_.value(); },
+    mgroup_->addCounter("holds", [this] { return holds_; },
                         "send attempts held by the policy");
-    mgroup_->addCounter("admits", [this] { return admits_.value(); },
+    mgroup_->addCounter("admits", [this] { return admits_; },
                         "messages admitted to the output queue");
     mgroup_->addCounter("credits",
-                        [this] { return creditsReturned_.value(); },
+                        [this] { return creditsReturned_; },
                         "delivery credits folded in");
     mgroup_->addCounter("oafull_edges",
-                        [this] { return oafullEdges_.value(); },
+                        [this] { return oafullEdges_; },
                         "oafull edges observed");
     addMetrics(*mgroup_);
 }

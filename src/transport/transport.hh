@@ -56,7 +56,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -149,29 +148,20 @@ class Policy
 
     /** @{ Base accounting, maintained by the hook default impls
      *     (overriders must call the base). */
-    int64_t holds() const { return holds_.value(); }
-    int64_t admits() const { return admits_.value(); }
-    int64_t creditsReturned() const { return creditsReturned_.value(); }
-    int64_t oafullEdges() const { return oafullEdges_.value(); }
+    int64_t holds() const { return holds_; }
+    int64_t admits() const { return admits_; }
+    int64_t creditsReturned() const { return creditsReturned_; }
+    int64_t oafullEdges() const { return oafullEdges_; }
     /** @} */
 
     /** Count one hold verdict; policies call this from gate(). */
     void countHold() { ++holds_; }
-
-    /** Build the stat group (dumped by System::dumpStats) and let the
-     *  policy add its own entries. */
-    void initStats(const std::string &group_name);
-
-    stats::StatGroup *statGroup() { return sgroup_.get(); }
-    const stats::StatGroup *statGroup() const { return sgroup_.get(); }
 
     /** Register a metrics group when a registry is installed (inert
      *  otherwise), mirroring the NI's telemetry pattern. */
     void attachMetrics(const std::string &name, EventQueue &eq);
 
   protected:
-    /** Policy-specific stat entries. */
-    virtual void addStats(stats::StatGroup &) {}
     /** Policy-specific metrics series. */
     virtual void addMetrics(metrics::Group &) {}
 
@@ -187,13 +177,12 @@ class Policy
 
     TransportConfig cfg_;
 
-    stats::Scalar holds_;           //!< gate() hold verdicts
-    stats::Scalar admits_;          //!< messages admitted
-    stats::Scalar creditsReturned_; //!< delivery credits folded in
-    stats::Scalar oafullEdges_;     //!< oafull edges observed
+    int64_t holds_ = 0;           //!< gate() hold verdicts
+    int64_t admits_ = 0;          //!< messages admitted
+    int64_t creditsReturned_ = 0; //!< delivery credits folded in
+    int64_t oafullEdges_ = 0;     //!< oafull edges observed
 
   private:
-    std::unique_ptr<stats::StatGroup> sgroup_;
     std::shared_ptr<metrics::Group> mgroup_;
 };
 

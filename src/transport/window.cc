@@ -22,6 +22,7 @@
  * event queue.
  */
 
+#include <algorithm>
 #include <map>
 
 #include "common/logging.hh"
@@ -89,27 +90,17 @@ class WindowPolicy : public Policy
 
   protected:
     void
-    addStats(stats::StatGroup &g) override
-    {
-        g.addScalar("exhaustedDstTicks", &exhaustedDstTicks_,
-                    "time integral of destinations at the window "
-                    "limit (destination-ticks)");
-        g.addScalar("peakExhaustedDsts", &peakExhausted_,
-                    "most destinations simultaneously at the limit");
-    }
-
-    void
     addMetrics(metrics::Group &g) override
     {
         g.addCounter("exhausted_dst_ticks",
-                     [this] {
-                         return static_cast<uint64_t>(
-                             exhaustedDstTicks_.value());
-                     },
+                     [this] { return exhaustedDstTicks_; },
                      "destination-ticks spent at the window limit");
         g.addGauge("exhausted_dsts",
                    [this] { return exhausted_; },
                    "destinations currently at the window limit");
+        g.addGauge("peak_exhausted_dsts",
+                   [this] { return peakExhausted_; },
+                   "most destinations simultaneously at the limit");
     }
 
   private:
@@ -117,21 +108,18 @@ class WindowPolicy : public Policy
     setExhausted(int delta, Tick now)
     {
         if (now > lastLevelTick_) {
-            exhaustedDstTicks_ +=
-                static_cast<int64_t>(exhausted_) *
-                static_cast<int64_t>(now - lastLevelTick_);
+            exhaustedDstTicks_ += exhausted_ * (now - lastLevelTick_);
             lastLevelTick_ = now;
         }
         exhausted_ += delta;
-        if (static_cast<int64_t>(exhausted_) > peakExhausted_.value())
-            peakExhausted_ = exhausted_;
+        peakExhausted_ = std::max(peakExhausted_, exhausted_);
     }
 
     std::map<NodeId, uint32_t> inFlight_;
     uint64_t exhausted_ = 0;   //!< destinations at the window limit
     Tick lastLevelTick_ = 0;
-    stats::Scalar exhaustedDstTicks_;
-    stats::Scalar peakExhausted_;
+    uint64_t exhaustedDstTicks_ = 0;  //!< time integral of exhausted_
+    uint64_t peakExhausted_ = 0;      //!< most destinations at the limit
 };
 
 } // namespace

@@ -1,209 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <limits>
 
 #include "common/stats.hh"
 
 using namespace tcpni;
 using namespace tcpni::stats;
-
-TEST(Scalar, IncrementAndAssign)
-{
-    Scalar s;
-    EXPECT_EQ(s.value(), 0);
-    ++s;
-    ++s;
-    EXPECT_EQ(s.value(), 2);
-    s += 10;
-    EXPECT_EQ(s.value(), 12);
-    s = 5;
-    EXPECT_EQ(s.value(), 5);
-    s.reset();
-    EXPECT_EQ(s.value(), 0);
-}
-
-TEST(Vector, GrowsOnDemand)
-{
-    Vector v;
-    v[3] = 7;
-    EXPECT_EQ(v.size(), 4u);
-    EXPECT_EQ(v.at(3), 7);
-    EXPECT_EQ(v.at(0), 0);
-    EXPECT_EQ(v.at(100), 0);    // out-of-range reads as 0
-}
-
-TEST(Vector, Total)
-{
-    Vector v(4);
-    v[0] = 1;
-    v[1] = 2;
-    v[3] = 4;
-    EXPECT_EQ(v.total(), 7);
-    v.reset();
-    EXPECT_EQ(v.total(), 0);
-}
-
-TEST(Distribution, MeanAndBounds)
-{
-    Distribution d(0, 100, 10);
-    d.sample(10);
-    d.sample(20);
-    d.sample(30);
-    EXPECT_EQ(d.count(), 3);
-    EXPECT_DOUBLE_EQ(d.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(d.min(), 10.0);
-    EXPECT_DOUBLE_EQ(d.max(), 30.0);
-}
-
-TEST(Distribution, Stddev)
-{
-    Distribution d(0, 100, 10);
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(v);
-    // Known sample stddev of this set is ~2.138 (n-1 denominator).
-    EXPECT_NEAR(d.stddev(), 2.138, 0.01);
-}
-
-TEST(Distribution, Buckets)
-{
-    Distribution d(0, 10, 10);
-    d.sample(0.5);
-    d.sample(5.5);
-    d.sample(5.7);
-    d.sample(9.9);
-    EXPECT_EQ(d.buckets()[0], 1);
-    EXPECT_EQ(d.buckets()[5], 2);
-    EXPECT_EQ(d.buckets()[9], 1);
-}
-
-TEST(Distribution, OverflowUnderflow)
-{
-    Distribution d(10, 20, 5);
-    d.sample(5);
-    d.sample(25);
-    d.sample(15);
-    EXPECT_EQ(d.underflow(), 1);
-    EXPECT_EQ(d.overflow(), 1);
-    EXPECT_EQ(d.count(), 3);
-}
-
-TEST(Distribution, EmptyIsWellDefined)
-{
-    Distribution d(0, 100, 10);
-    EXPECT_EQ(d.count(), 0);
-    // No samples: the moments must be 0, never NaN or a division by
-    // zero.
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    EXPECT_FALSE(std::isnan(d.mean()));
-    EXPECT_FALSE(std::isnan(d.stddev()));
-}
-
-TEST(Distribution, SingleSampleStddevIsZero)
-{
-    Distribution d(0, 100, 10);
-    d.sample(42.0);
-    // count < 2: the n-1 denominator would divide by zero; the guard
-    // must return 0 instead.
-    EXPECT_EQ(d.count(), 1);
-    EXPECT_DOUBLE_EQ(d.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    EXPECT_FALSE(std::isnan(d.stddev()));
-}
-
-TEST(TimeWeighted, TimeWeightedAverage)
-{
-    TimeWeighted tw;
-    tw.update(4, 0);        // level 4 from tick 0
-    tw.update(0, 10);       // ...until tick 10, then empty
-    tw.update(0, 20);       // stays empty until tick 20
-    // 4*10 + 0*10 over 20 ticks = 2.0, even though 2 of the 3 samples
-    // were 0 (a sample-weighted mean would say 1.33).
-    EXPECT_DOUBLE_EQ(tw.avg(), 2.0);
-    EXPECT_EQ(tw.max(), 4u);
-    EXPECT_EQ(tw.current(), 0u);
-}
-
-TEST(TimeWeighted, NoTimeElapsed)
-{
-    TimeWeighted tw;
-    EXPECT_DOUBLE_EQ(tw.avg(), 0.0);
-    tw.update(3, 0);
-    EXPECT_DOUBLE_EQ(tw.avg(), 3.0);    // degenerate: current level
-    EXPECT_EQ(tw.max(), 3u);
-}
-
-TEST(Distribution, WeightedSamples)
-{
-    Distribution d(0, 10, 10);
-    d.sample(2.0, 3);
-    EXPECT_EQ(d.count(), 3);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
-TEST(StatGroup, DumpFormat)
-{
-    Scalar s;
-    s = 42;
-    StatGroup g("node0.ni");
-    g.addScalar("sent", &s, "messages sent");
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("node0.ni.sent"), std::string::npos);
-    EXPECT_NE(out.find("42"), std::string::npos);
-    EXPECT_NE(out.find("messages sent"), std::string::npos);
-}
-
-TEST(StatGroup, DumpVector)
-{
-    Vector v(2);
-    v[0] = 1;
-    v[1] = 2;
-    StatGroup g("g");
-    g.addVector("counts", &v);
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("g.counts[0]"), std::string::npos);
-    EXPECT_NE(out.find("g.counts.total"), std::string::npos);
-}
-
-TEST(StatGroup, DumpJson)
-{
-    Scalar s;
-    s = 7;
-    Vector v(2);
-    v[0] = 1;
-    v[1] = 2;
-    Distribution d(0, 10, 2);
-    d.sample(1);
-    d.sample(9);
-    TimeWeighted tw;
-    tw.update(2, 0);
-    tw.update(0, 4);
-
-    StatGroup g("node0.ni");
-    g.addScalar("sent", &s, "messages sent");
-    g.addVector("byType", &v);
-    g.addDistribution("latency", &d);
-    g.addTimeWeighted("occupancy", &tw);
-
-    std::ostringstream os;
-    g.dumpJson(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("\"name\":\"node0.ni\""), std::string::npos);
-    EXPECT_NE(out.find("\"sent\":7"), std::string::npos);
-    EXPECT_NE(out.find("\"total\":3"), std::string::npos);
-    EXPECT_NE(out.find("\"count\":2"), std::string::npos);
-    EXPECT_NE(out.find("\"mean\":5"), std::string::npos);
-    EXPECT_NE(out.find("\"avg\":2"), std::string::npos);
-    // Must be one syntactically balanced object.
-    EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
-              std::count(out.begin(), out.end(), '}'));
-}
 
 TEST(JsonEscape, SpecialCharacters)
 {
@@ -211,4 +13,13 @@ TEST(JsonEscape, SpecialCharacters)
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
     EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+}
+
+TEST(JsonNum, FormatsFiniteAndCollapsesNonFinite)
+{
+    EXPECT_EQ(jsonNum(3), "3");
+    EXPECT_EQ(jsonNum(0.5), "0.5");
+    EXPECT_EQ(jsonNum(1.0 / 3), "0.3333333333");
+    EXPECT_EQ(jsonNum(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(jsonNum(std::numeric_limits<double>::quiet_NaN()), "0");
 }

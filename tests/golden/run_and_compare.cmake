@@ -7,8 +7,9 @@
 #
 # Regenerating goldens (after an intentional change to the measured
 # numbers or the JSON schema):
-#   build/bench/table1 --json tests/golden/table1.json
-#   build/bench/figure12 --n 8 --particles 2 --json tests/golden/figure12.json
+#   build/bench/tcpni_bench table1 --json tests/golden/table1.json
+#   build/bench/tcpni_bench figure12 --n 8 --particles 2 \
+#       --json tests/golden/figure12.json
 
 separate_arguments(ARGS)
 

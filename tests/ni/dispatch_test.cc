@@ -180,11 +180,15 @@ TEST_F(MsgIpDispatch, BasicInterfaceHasNoMsgIp)
 }
 
 // Parameterized sweep over the full (type x iafull x oafull) dispatch
-// space: every combination must land in its own slot.
+// space: every combination must land in its own slot.  gtest names each
+// case by the bytes of its parameter, so the two trailing bytes are
+// explicit zeros rather than padding: uninitialized padding would make
+// the test names differ from run to run.
 struct DispatchCase
 {
     unsigned type;
     bool ia, oa;
+    unsigned char pad[2] = {0, 0};
 };
 
 class DispatchMatrix : public ::testing::TestWithParam<DispatchCase>
@@ -193,7 +197,9 @@ class DispatchMatrix : public ::testing::TestWithParam<DispatchCase>
 
 TEST_P(DispatchMatrix, SlotFormula)
 {
-    auto [type, ia, oa] = GetParam();
+    const unsigned type = GetParam().type;
+    const bool ia = GetParam().ia;
+    const bool oa = GetParam().oa;
     Word addr = dispatch::handlerAddr(0x10000, type, ia, oa);
     Word expect = 0x10000u | (type << 7) | (ia ? 1u << 12 : 0) |
                   (oa ? 1u << 11 : 0);

@@ -3,20 +3,22 @@
  * Differential property test for the event kernel: randomized
  * (tick, priority) event streams -- including in-process()
  * reschedules, deschedules, and cross-scheduling -- are driven
- * through both EventQueue implementations (the calendar/bucket queue
- * and the reference binary heap), which must produce bit-identical
- * firing orders.  The corpus forces same-tick/same-priority ties,
- * far-future overflow traffic, ring-window boundary crossings, and
- * maxTick edges.
+ * through the calendar EventQueue and the test-only binary-heap
+ * ReferenceQueue (reference_queue.hh), which must produce
+ * bit-identical firing orders.  The corpus forces same-tick/
+ * same-priority ties, far-future overflow traffic, ring-window
+ * boundary crossings, and maxTick edges.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/random.hh"
+#include "reference_queue.hh"
 #include "sim/event_queue.hh"
 
 using namespace tcpni;
@@ -24,12 +26,14 @@ using namespace tcpni;
 namespace
 {
 
+template <class Queue>
 struct World;
 
+template <class Queue>
 class FuzzEvent : public Event
 {
   public:
-    FuzzEvent(World &w, int id, int pri)
+    FuzzEvent(World<Queue> &w, int id, int pri)
         : Event(pri), world_(w), id_(id)
     {}
 
@@ -40,23 +44,23 @@ class FuzzEvent : public Event
     }
 
   private:
-    World &world_;
+    World<Queue> &world_;
     int id_;
 };
 
-/** One queue implementation plus its identically-seeded decision
- *  stream and firing log. */
+/** One queue plus its identically-seeded decision stream and firing
+ *  log. */
+template <class Queue>
 struct World
 {
-    World(EventQueue::Impl impl, uint64_t seed, size_t nevents,
-          size_t budget)
-        : eq(impl), rng(seed), budget_(budget)
+    World(uint64_t seed, size_t nevents, size_t budget)
+        : rng(seed), budget_(budget)
     {
         // Priority pool: the simulator's bands plus odd stragglers,
         // repeated so same-priority ties are common.
         static const int pris[] = {10, 10, 20, 30, 50, 50, 90, 7, 50};
         for (size_t i = 0; i < nevents; ++i) {
-            events.push_back(std::make_unique<FuzzEvent>(
+            events.push_back(std::make_unique<FuzzEvent<Queue>>(
                 *this, static_cast<int>(i),
                 pris[i % (sizeof(pris) / sizeof(pris[0]))]));
         }
@@ -65,8 +69,19 @@ struct World
     ~World()
     {
         for (auto &ev : events)
-            if (ev->scheduled())
+            if (scheduled(*ev))
                 eq.deschedule(ev.get());
+    }
+
+    /** The reference queue keeps this bookkeeping itself rather than
+     *  in the Event. */
+    bool
+    scheduled(const Event &ev) const
+    {
+        if constexpr (std::is_same_v<Queue, ReferenceQueue>)
+            return eq.scheduled(&ev);
+        else
+            return ev.scheduled();
     }
 
     /** Initial schedule: clustered near ticks (ties), sprinkled
@@ -98,19 +113,20 @@ struct World
         return true;
     }
 
-    EventQueue eq;
+    Queue eq;
     Random rng;
-    std::vector<std::unique_ptr<FuzzEvent>> events;
+    std::vector<std::unique_ptr<FuzzEvent<Queue>>> events;
     std::vector<std::pair<int, Tick>> log;
 
   private:
     size_t budget_;
 };
 
+template <class Queue>
 void
-FuzzEvent::process()
+FuzzEvent<Queue>::process()
 {
-    World &w = world_;
+    World<Queue> &w = world_;
     w.log.emplace_back(id_, w.eq.curTick());
 
     if (!w.spendBudget())
@@ -127,21 +143,21 @@ FuzzEvent::process()
     } else if (action < 7) {
         // Schedule an idle peer (possibly for the current tick, which
         // must fire later this tick in seq order).
-        FuzzEvent &p = *w.events[w.rng.uniform(
+        FuzzEvent<Queue> &p = *w.events[w.rng.uniform(
             0, static_cast<uint32_t>(w.events.size()) - 1)];
-        if (!p.scheduled())
+        if (!w.scheduled(p))
             w.eq.schedule(&p, now + w.rng.uniform(0, 6));
     } else if (action < 9) {
         // Deschedule a random scheduled peer (stale-entry pressure).
-        FuzzEvent &p = *w.events[w.rng.uniform(
+        FuzzEvent<Queue> &p = *w.events[w.rng.uniform(
             0, static_cast<uint32_t>(w.events.size()) - 1)];
-        if (&p != this && p.scheduled())
+        if (&p != this && w.scheduled(p))
             w.eq.deschedule(&p);
     } else {
         // Deschedule + immediately reschedule (seq bump).
-        FuzzEvent &p = *w.events[w.rng.uniform(
+        FuzzEvent<Queue> &p = *w.events[w.rng.uniform(
             0, static_cast<uint32_t>(w.events.size()) - 1)];
-        if (&p != this && p.scheduled())
+        if (&p != this && w.scheduled(p))
             w.eq.reschedule(&p, now + w.rng.uniform(0, 100));
     }
 }
@@ -151,8 +167,8 @@ FuzzEvent::process()
 void
 runDifferential(uint64_t seed, size_t nevents, size_t budget)
 {
-    World cal(EventQueue::Impl::calendar, seed, nevents, budget);
-    World heap(EventQueue::Impl::binaryHeap, seed, nevents, budget);
+    World<EventQueue> cal(seed, nevents, budget);
+    World<ReferenceQueue> heap(seed, nevents, budget);
     cal.seedSchedule();
     heap.seedSchedule();
 
@@ -203,76 +219,95 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventKernelFuzz,
                                            0xdeadbeefULL,
                                            0x1234567890ULL));
 
-TEST(EventKernelEdge, MaxTickEventsFire)
+namespace
+{
+
+template <class Queue>
+void
+maxTickEventsFire()
 {
     // maxTick is a legal schedule target; the calendar queue must park
     // it in the overflow heap (the ring window saturates) and still
     // fire it last, in (priority, seq) order.
-    for (auto impl :
-         {EventQueue::Impl::calendar, EventQueue::Impl::binaryHeap}) {
-        EventQueue eq(impl);
-        std::vector<int> order;
-        LambdaEvent near([&] { order.push_back(0); });
-        LambdaEvent atMax1([&] { order.push_back(1); },
-                           Event::defaultPri);
-        LambdaEvent atMax2([&] { order.push_back(2); },
-                           Event::networkPri);
-        eq.schedule(&near, 10);
-        eq.schedule(&atMax1, maxTick);
-        eq.schedule(&atMax2, maxTick);
-        eq.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-        EXPECT_EQ(eq.curTick(), maxTick);
-        EXPECT_TRUE(eq.empty());
-    }
+    Queue eq;
+    std::vector<int> order;
+    LambdaEvent near([&] { order.push_back(0); });
+    LambdaEvent atMax1([&] { order.push_back(1); }, Event::defaultPri);
+    LambdaEvent atMax2([&] { order.push_back(2); }, Event::networkPri);
+    eq.schedule(&near, 10);
+    eq.schedule(&atMax1, maxTick);
+    eq.schedule(&atMax2, maxTick);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+    EXPECT_EQ(eq.curTick(), maxTick);
+    EXPECT_TRUE(eq.empty());
 }
 
-TEST(EventKernelEdge, BoundedRunStopsBeforeLaterEvents)
+template <class Queue>
+void
+boundedRunStopsBeforeLaterEvents()
 {
     // run(max_tick) must not fire events past the bound, must not
     // advance curTick to the bound, and must resume correctly -- both
     // for ring-window events and overflow events.
-    for (auto impl :
-         {EventQueue::Impl::calendar, EventQueue::Impl::binaryHeap}) {
-        EventQueue eq(impl);
-        std::vector<int> order;
-        LambdaEvent a([&] { order.push_back(0); });
-        LambdaEvent b([&] { order.push_back(1); });
-        LambdaEvent c([&] { order.push_back(2); });
-        eq.schedule(&a, 100);
-        eq.schedule(&b, 2000);      // beyond the first ring window
-        eq.schedule(&c, 100000);    // overflow
-        EXPECT_EQ(eq.run(99), 0u);
-        EXPECT_TRUE(order.empty());
-        EXPECT_EQ(eq.run(100), 100u);
-        EXPECT_EQ(order, (std::vector<int>{0}));
-        EXPECT_EQ(eq.run(99999), 2000u);
-        EXPECT_EQ(order, (std::vector<int>{0, 1}));
-        eq.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-        EXPECT_EQ(eq.curTick(), 100000u);
+    Queue eq;
+    std::vector<int> order;
+    LambdaEvent a([&] { order.push_back(0); });
+    LambdaEvent b([&] { order.push_back(1); });
+    LambdaEvent c([&] { order.push_back(2); });
+    eq.schedule(&a, 100);
+    eq.schedule(&b, 2000);      // beyond the first ring window
+    eq.schedule(&c, 100000);    // overflow
+    EXPECT_EQ(eq.run(99), 0u);
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(eq.run(100), 100u);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(eq.run(99999), 2000u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.curTick(), 100000u);
+}
+
+template <class Queue>
+void
+ringBoundaryTies()
+{
+    // Events straddling the 1024-tick ring boundary with equal
+    // priorities keep insertion order per tick.
+    Queue eq;
+    std::vector<int> order;
+    std::vector<std::unique_ptr<LambdaEvent>> evs;
+    // Interleave schedule ticks 1023, 1024, 1025 repeatedly; all
+    // equal priority, so per-tick order must follow seq.
+    for (int i = 0; i < 12; ++i) {
+        evs.push_back(std::make_unique<LambdaEvent>(
+            [&order, i] { order.push_back(i); }));
+        eq.schedule(evs.back().get(), 1023 + static_cast<Tick>(i % 3));
     }
+    eq.run();
+    std::vector<int> expect{0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11};
+    EXPECT_EQ(order, expect);
+}
+
+} // namespace
+
+// Each edge runs on the calendar queue and on the reference, so the
+// oracle itself is pinned at the edges it arbitrates.
+TEST(EventKernelEdge, MaxTickEventsFire)
+{
+    maxTickEventsFire<EventQueue>();
+    maxTickEventsFire<ReferenceQueue>();
+}
+
+TEST(EventKernelEdge, BoundedRunStopsBeforeLaterEvents)
+{
+    boundedRunStopsBeforeLaterEvents<EventQueue>();
+    boundedRunStopsBeforeLaterEvents<ReferenceQueue>();
 }
 
 TEST(EventKernelEdge, RingBoundaryTies)
 {
-    // Events straddling the 1024-tick ring boundary with equal
-    // priorities keep insertion order per tick.
-    for (auto impl :
-         {EventQueue::Impl::calendar, EventQueue::Impl::binaryHeap}) {
-        EventQueue eq(impl);
-        std::vector<int> order;
-        std::vector<std::unique_ptr<LambdaEvent>> evs;
-        // Interleave schedule ticks 1023, 1024, 1025 repeatedly; all
-        // equal priority, so per-tick order must follow seq.
-        for (int i = 0; i < 12; ++i) {
-            evs.push_back(std::make_unique<LambdaEvent>(
-                [&order, i] { order.push_back(i); }));
-            eq.schedule(evs.back().get(),
-                        1023 + static_cast<Tick>(i % 3));
-        }
-        eq.run();
-        std::vector<int> expect{0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11};
-        EXPECT_EQ(order, expect);
-    }
+    ringBoundaryTies<EventQueue>();
+    ringBoundaryTies<ReferenceQueue>();
 }

@@ -119,7 +119,7 @@ TEST(EventQueue, Reschedule)
 
 TEST(EventQueue, RescheduleAfterSquashReuses)
 {
-    // Deschedule then reschedule the same event: the squashed heap
+    // Deschedule then reschedule the same event: the squashed queue
     // entry must not cause a double fire.
     EventQueue eq;
     std::vector<int> log;

@@ -196,18 +196,15 @@ TEST(EventQueuePeek, NextEventTickTracksSchedule)
 
 TEST(EventQueuePeek, NextEventTickSkipsDescheduled)
 {
-    for (auto impl :
-         {EventQueue::Impl::calendar, EventQueue::Impl::binaryHeap}) {
-        EventQueue eq(impl);
-        std::vector<int> log;
-        Recorder a(log, 1), b(log, 2);
-        eq.schedule(&a, 5);
-        eq.schedule(&b, 9);
-        eq.deschedule(&a);
-        EXPECT_EQ(eq.nextEventTick(), 9u);
-        eq.run();
-        EXPECT_EQ(log, (std::vector<int>{2}));
-    }
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder a(log, 1), b(log, 2);
+    eq.schedule(&a, 5);
+    eq.schedule(&b, 9);
+    eq.deschedule(&a);
+    EXPECT_EQ(eq.nextEventTick(), 9u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2}));
 }
 
 TEST(EventQueueRunWindow, StopsAtBoundInclusive)

@@ -205,29 +205,25 @@ TEST(AllocSteadyState, SystemIsAllocationFreeFourShards)
 
 TEST(AllocSteadyState, EventKernelChurnIsAllocationFree)
 {
-    for (auto impl :
-         {EventQueue::Impl::calendar, EventQueue::Impl::binaryHeap}) {
-        EventQueue eq(impl);
-        std::vector<std::unique_ptr<Churn>> events;
-        for (unsigned i = 0; i < 64; ++i) {
-            events.push_back(std::make_unique<Churn>(
-                eq, 0x9e3779b97f4a7c15ULL * (i + 1)));
-            eq.schedule(events[i].get(), 1 + i % 8);
-        }
-        eq.run(20'000);   // warm the bucket ring / heap storage
-
-        uint64_t count;
-        {
-            CountScope scope;
-            eq.run(40'000);
-            count = scope.count();
-        }
-        EXPECT_EQ(count, 0u)
-            << count << " allocations in event-kernel churn";
-        for (auto &e : events)
-            if (e->scheduled())
-                eq.deschedule(e.get());
+    EventQueue eq;
+    std::vector<std::unique_ptr<Churn>> events;
+    for (unsigned i = 0; i < 64; ++i) {
+        events.push_back(std::make_unique<Churn>(
+            eq, 0x9e3779b97f4a7c15ULL * (i + 1)));
+        eq.schedule(events[i].get(), 1 + i % 8);
     }
+    eq.run(20'000);   // warm the bucket ring storage
+
+    uint64_t count;
+    {
+        CountScope scope;
+        eq.run(40'000);
+        count = scope.count();
+    }
+    EXPECT_EQ(count, 0u) << count << " allocations in event-kernel churn";
+    for (auto &e : events)
+        if (e->scheduled())
+            eq.deschedule(e.get());
 }
 
 TEST(AllocSteadyState, CountersActuallyCount)

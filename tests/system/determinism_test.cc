@@ -1,8 +1,9 @@
 /**
  * @file
  * Determinism regression tests: the same System configuration must
- * produce bit-identical statistics JSON and an identical message
- * trace-id sequence on every run -- serially, and for every copy of
+ * produce a bit-identical metrics fingerprint (every registered
+ * counter, gauge and histogram) and an identical message trace-id
+ * sequence on every run -- serially, and for every copy of
  * the simulation when several run concurrently under SweepRunner.
  * This is the contract that makes the parallel sweep engine's output
  * byte-equal to a serial run's.
@@ -10,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "msg/kernels.hh"
 #include "msg/protocol.hh"
 #include "sim/sweep.hh"
+#include "metrics_fingerprint.hh"
 #include "system/system.hh"
 
 using namespace tcpni;
@@ -28,7 +29,7 @@ namespace
 
 struct RunFingerprint
 {
-    std::string statsJson;
+    std::string metrics;
     /** Message trace ids in lifecycle-event record order, with the
      *  stage at which each was recorded. */
     std::vector<std::pair<uint64_t, trace::Stage>> idSequence;
@@ -36,7 +37,7 @@ struct RunFingerprint
     bool
     operator==(const RunFingerprint &o) const
     {
-        return statsJson == o.statsJson && idSequence == o.idSequence;
+        return metrics == o.metrics && idSequence == o.idSequence;
     }
 };
 
@@ -46,17 +47,19 @@ struct RunFingerprint
  * exercise the NIs, the mesh, dispatch, and replies.
  */
 RunFingerprint
-runWorkload(EventQueue::Impl impl = EventQueue::Impl::calendar)
+runWorkload()
 {
-    // The lifecycle sink is thread-local: each SweepRunner worker
-    // installs its own and unhooks before returning.
+    // The lifecycle sink and the metrics registry are thread-local:
+    // each SweepRunner worker installs its own and unhooks before
+    // returning.
     trace::TraceSink sink;
     trace::setSink(&sink);
+    MetricsFingerprint metrics;
 
     NodeConfig cfg;
     cfg.ni.placement = ni::Placement::registerFile;
     cfg.ni.features = ni::Features::optimized();
-    System machine("det", 2, 2, cfg, impl);
+    System machine("det", 2, 2, cfg);
 
     ni::Model model{ni::Placement::registerFile, true};
     isa::Program server =
@@ -112,9 +115,7 @@ runWorkload(EventQueue::Impl impl = EventQueue::Impl::calendar)
     EXPECT_EQ(machine.node(0).mem().read(0x200), 60u);
 
     RunFingerprint fp;
-    std::ostringstream os;
-    machine.dumpStatsJson(os);
-    fp.statsJson = os.str();
+    fp.metrics = metrics.take(machine.curTick());
     for (const trace::LifecycleEvent &e : sink.events())
         fp.idSequence.emplace_back(e.id, e.stage);
 
@@ -128,9 +129,9 @@ TEST(Determinism, RepeatedSerialRunsAreBitIdentical)
 {
     RunFingerprint a = runWorkload();
     RunFingerprint b = runWorkload();
-    ASSERT_FALSE(a.statsJson.empty());
+    ASSERT_NE(a.metrics.find("det.node0.cpu."), std::string::npos);
     ASSERT_FALSE(a.idSequence.empty());
-    EXPECT_EQ(a.statsJson, b.statsJson);
+    EXPECT_EQ(a.metrics, b.metrics);
     EXPECT_EQ(a.idSequence, b.idSequence);
 }
 
@@ -152,20 +153,9 @@ TEST(Determinism, ParallelSweepCopiesMatchSerialRun)
     std::vector<RunFingerprint> copies = sweep.map<RunFingerprint>(
         4, [](size_t) { return runWorkload(); });
     for (size_t i = 0; i < copies.size(); ++i) {
-        EXPECT_EQ(copies[i].statsJson, serial.statsJson)
-            << "stats diverged in parallel copy " << i;
+        EXPECT_EQ(copies[i].metrics, serial.metrics)
+            << "metrics diverged in parallel copy " << i;
         EXPECT_EQ(copies[i].idSequence, serial.idSequence)
             << "trace ids diverged in parallel copy " << i;
     }
-}
-
-TEST(Determinism, CalendarAndHeapKernelsProduceIdenticalRuns)
-{
-    // The full machine under the calendar event kernel must be
-    // indistinguishable -- stats, ticks, and message ids -- from the
-    // same machine under the reference binary heap.
-    RunFingerprint cal = runWorkload(EventQueue::Impl::calendar);
-    RunFingerprint heap = runWorkload(EventQueue::Impl::binaryHeap);
-    EXPECT_EQ(cal.statsJson, heap.statsJson);
-    EXPECT_EQ(cal.idSequence, heap.idSequence);
 }

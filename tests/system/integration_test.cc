@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/logging.hh"
+#include "metrics_fingerprint.hh"
 #include "msg/kernels.hh"
 #include "ni/model_registry.hh"
 #include "msg/protocol.hh"
@@ -324,6 +323,7 @@ TEST(SystemIntegration, MeshLatencyVisibleEndToEnd)
 
 TEST(SystemIntegration, StatsDumpContainsComponents)
 {
+    MetricsFingerprint metrics;
     NodeConfig cfg = nodeCfg(ni::Placement::registerFile, true);
     System machine("statsy", 2, 1, cfg);
 
@@ -337,23 +337,36 @@ TEST(SystemIntegration, StatsDumpContainsComponents)
     machine.node(0).boot(client, client.addrOf("entry"));
     machine.run(10000);
 
-    std::ostringstream os;
-    machine.dumpStats(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("statsy.node0.ni.sent"), std::string::npos);
-    EXPECT_NE(out.find("statsy.node1.ni.received"), std::string::npos);
-    EXPECT_NE(out.find("statsy.mesh.latency"), std::string::npos);
-    // The two sends show up in the sender's counter line.
-    std::istringstream lines(out);
-    std::string line;
-    bool found = false;
-    while (std::getline(lines, line)) {
-        if (line.find("node0.ni.sent") != std::string::npos) {
-            EXPECT_NE(line.find(" 2"), std::string::npos) << line;
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
+    std::string out = metrics.take(machine.curTick());
+    // The two sends show up in the sender's counter.
+    EXPECT_NE(out.find("\nstatsy.node0.ni.sent 2\n"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\nstatsy.node1.ni.received "), std::string::npos);
+    EXPECT_NE(out.find("\nstatsy.mesh.latency count "),
+              std::string::npos);
+}
+
+TEST(SystemIntegration, BootRejectsNodeIdsBeyondGlobalWords)
+{
+    // A global word carries nodeBits node bits, so on a larger machine
+    // node ids wrap (node 300 reads back as node 44).  Booting a
+    // kernel there must fail loudly instead of simulating wrongly.
+    ASSERT_EQ(nodeOf(globalWord(300, 0)), 44u);
+    NodeConfig cfg;
+    cfg.memBytes = 1 << 12;
+    isa::Program prog = msg::assembleKernel("entry:\n    halt\n");
+
+    System big("big", maxAddressableNodes + 1, 1, cfg);
+    EXPECT_THROW(big.node(0).boot(prog, prog.addrOf("entry")),
+                 FatalError);
+    EXPECT_THROW(big.node(0).bootHost(prog, prog.addrOf("entry")),
+                 FatalError);
+
+    // The largest addressable machine still boots.
+    System edge("edge", 16, 16, cfg);
+    ASSERT_EQ(edge.numNodes(), maxAddressableNodes);
+    EXPECT_NO_THROW(edge.node(maxAddressableNodes - 1)
+                        .boot(prog, prog.addrOf("entry")));
 }
 
 TEST(SystemIntegration, GangTimeSliceWithNetworkDrain)

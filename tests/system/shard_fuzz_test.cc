@@ -3,19 +3,19 @@
  * The sharded-vs-single differential suite: on randomly configured
  * meshes under random synthetic traffic, a sharded run must produce
  * exactly the same final state as the single-queue run -- same final
- * tick, same per-node NI statistics, same mesh statistics, byte for
- * byte.  This is the determinism contract of ShardedEngine checked
+ * tick and the same metrics fingerprint (every NI, mesh, per-link and
+ * CPU series), byte for byte.  This is the determinism contract of ShardedEngine checked
  * end-to-end through System, MeshNetwork, NetworkInterface, and
  * TrafficGen.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "metrics_fingerprint.hh"
 #include "system/system.hh"
 #include "system/traffic.hh"
 
@@ -31,7 +31,7 @@ struct RunResult
     uint64_t sent = 0;
     uint64_t drained = 0;
     unsigned shards = 0;
-    std::string statsJson;
+    std::string metrics;
 };
 
 struct FuzzCase
@@ -70,6 +70,7 @@ RunResult
 runCase(const FuzzCase &c, unsigned shards)
 {
     unsigned nodes = c.width * c.height;
+    MetricsFingerprint metrics;
     sys::System machine("fuzz", c.width, c.height,
                         std::vector<sys::NodeConfig>(nodes, c.cfg),
                         shards);
@@ -88,9 +89,7 @@ runCase(const FuzzCase &c, unsigned shards)
         r.sent += g->sent();
         r.drained += g->drained();
     }
-    std::ostringstream os;
-    machine.dumpStatsJson(os);
-    r.statsJson = os.str();
+    r.metrics = metrics.take(r.ticks);
     return r;
 }
 
@@ -120,9 +119,10 @@ TEST(ShardDifferential, TenSeedsAllShardCountsIdentical)
             EXPECT_EQ(sharded.ticks, base.ticks);
             EXPECT_EQ(sharded.sent, base.sent);
             EXPECT_EQ(sharded.drained, base.drained);
-            // The whole statistics dump -- every NI counter, latency
-            // histogram, and mesh stat -- must match byte for byte.
-            EXPECT_EQ(sharded.statsJson, base.statsJson);
+            // The whole metrics fingerprint -- every NI counter and
+            // occupancy integral, latency histogram, mesh and per-link
+            // counter, CPU counter -- must match byte for byte.
+            EXPECT_EQ(sharded.metrics, base.metrics);
         }
     }
 }
@@ -135,5 +135,5 @@ TEST(ShardDifferential, RerunIsBitIdentical)
     RunResult a = runCase(c, 4);
     RunResult b = runCase(c, 4);
     EXPECT_EQ(a.ticks, b.ticks);
-    EXPECT_EQ(a.statsJson, b.statsJson);
+    EXPECT_EQ(a.metrics, b.metrics);
 }

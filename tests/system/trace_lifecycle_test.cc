@@ -156,9 +156,11 @@ TEST_F(LifecycleTest, LatencyStatsMatchLifecycle)
                          ni1.queueLatency().mean(),
                      ni1.e2eLatency().mean());
 
-    // Occupancy stats saw the queues become non-empty.
-    EXPECT_GE(ni1.inputOccupancy().max(), 1u);
-    EXPECT_GE(ni0.outputOccupancy().max(), 1u);
+    // Exact occupancy integrals (messages x ticks): the message sat
+    // one tick in node 0's output queue before the pump injected it,
+    // and advanced into node 1's input registers the tick it arrived.
+    EXPECT_EQ(ni0.outputOccTicks(), 1u);
+    EXPECT_EQ(ni1.inputOccTicks(), 0u);
 }
 
 } // namespace
