@@ -188,7 +188,7 @@ regionSum(const std::map<std::string, uint64_t> &regions,
 
 CollResult
 runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
-         Phase phase, unsigned shards)
+         Phase phase)
 {
     sys::TreeTopology tree(nodes, arity);
     const unsigned participants = tree.participants();
@@ -220,7 +220,7 @@ runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
     unsigned height = nodes / width;
     std::vector<sys::NodeConfig> cfgs(size_t(width) * height, part_cfg);
     cfgs[0] = driver_cfg;
-    sys::System machine("coll", width, height, cfgs, shards);
+    sys::System machine("coll", width, height, cfgs);
 
     isa::Program server = msg::assembleKernel(
         msg::handlerProgram(model, false, false, true));
@@ -327,10 +327,6 @@ runCollective(const exp::Context &ctx)
     const unsigned arity = static_cast<unsigned>(ctx.num("--arity"));
     if (arity < 1)
         fatal("exp_collective: --arity must be >= 1");
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
-    if (shards < 1)
-        fatal("exp_collective: --shards must be >= 1");
 
     std::vector<ni::ModelInfo> infos = ni::registeredModels();
     // --paper-six pins the model set independent of
@@ -360,7 +356,7 @@ runCollective(const exp::Context &ctx)
             auto ms = ctx.taskMetrics(idx, label);
             std::fprintf(stderr, "  running %s...\n", label.c_str());
             return runPhase(infos[mi].model, sizes[si], arity,
-                            phases[pi], shards);
+                            phases[pi]);
         });
     auto at = [&](size_t mi, size_t si, size_t pi) -> CollResult & {
         return results[(mi * sizes.size() + si) * n_phase + pi];
@@ -441,9 +437,6 @@ registerCollective(exp::ExperimentRegistry &reg)
              "node counts to sweep (driver + participants)",
              "4,64,256", false},
             {"--arity", "K", "combining-tree arity", "4", false},
-            {"--shards", "S",
-             "event-queue shards per machine (clamped to the mesh "
-             "height; identical results at any count)", "1", false},
             {"--paper-six", "",
              "restrict to the paper's six models (build-independent "
              "output)", "", true},

@@ -29,7 +29,6 @@
 #include "experiments.hh"
 #include "ni/model_registry.hh"
 #include "sim/event_queue.hh"
-#include "sim/shards.hh"
 #include "sim/sweep.hh"
 #include "tam/expand.hh"
 
@@ -134,32 +133,19 @@ timeEventKernel(uint64_t total_events, unsigned population)
     return static_cast<double>(eq.numProcessed()) / sec;
 }
 
-/** The same churn workload spread round-robin over a ShardedEngine's
- *  queues: events never cross shards, so this isolates the lookahead
- *  scheduler's bookkeeping cost relative to a single queue. */
-double
-timeShardedKernel(unsigned shards, uint64_t total_events,
-                  unsigned population)
-{
-    ShardedEngine engine(shards);
-    std::vector<std::unique_ptr<ChurnEvent>> events;
-    for (unsigned i = 0; i < population; ++i) {
-        EventQueue &eq = engine.shard(i % shards);
-        events.push_back(std::make_unique<ChurnEvent>(
-            eq, 0x9e3779b97f4a7c15ULL * (i + 1),
-            total_events / population));
-        eq.schedule(events.back().get(), i % 8);
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    engine.run();
-    double sec = seconds(t0);
-    return static_cast<double>(engine.numProcessed()) / sec;
-}
+/** Pending-event populations of the kernel throughput sweep. */
+constexpr unsigned churnPops[] = {64, 512, 4096};
 
 int
 runHostPerf(const exp::Context &ctx)
 {
     uint64_t events = static_cast<uint64_t>(ctx.num("--events"));
+    // Each churn event fires events / population times: a budget of
+    // 0 would never run out.
+    if (ctx.num("--events") < long(churnPops[2]))
+        fatal("host_perf: --events must be at least %u (the largest "
+              "churn population), got %ld",
+              churnPops[2], ctx.num("--events"));
     std::string out_file = ctx.str("--out");
     const unsigned hw_threads = SweepRunner::defaultJobs();
     const bool degraded = hw_threads < 2;
@@ -221,29 +207,14 @@ runHostPerf(const exp::Context &ctx)
 
     // The population sweep: the calendar ring's per-event cost should
     // not grow with the pending-event count.
-    static const unsigned pops[] = {64, 512, 4096};
     double cal[3];
-    timeEventKernel(events / 10, 64);
+    timeEventKernel(events / 10, churnPops[0]);
     for (size_t i = 0; i < 3; ++i) {
-        cal[i] = timeEventKernel(events, pops[i]);
+        cal[i] = timeEventKernel(events, churnPops[i]);
         std::printf("Event kernel (%llu events, %u pending): "
                     "%.2fM ev/s\n",
-                    static_cast<unsigned long long>(events), pops[i],
-                    cal[i] / 1e6);
-    }
-
-    // Scheduler overhead of the sharded engine on the same churn: the
-    // shards never interact, so any gap to the 1-shard row is pure
-    // lookahead bookkeeping.
-    static const unsigned shard_counts[] = {1, 4};
-    double sharded[2];
-    for (size_t i = 0; i < 2; ++i) {
-        sharded[i] = timeShardedKernel(shard_counts[i], events, 512);
-        std::printf("Sharded kernel (%llu events, 512 pending, %u "
-                    "shard%s): %.2fM ev/s\n",
                     static_cast<unsigned long long>(events),
-                    shard_counts[i], shard_counts[i] == 1 ? "" : "s",
-                    sharded[i] / 1e6);
+                    churnPops[i], cal[i] / 1e6);
     }
 
     // Splice our sections into --out, preserving anything another
@@ -254,6 +225,7 @@ runHostPerf(const exp::Context &ctx)
 
     sec << "{\"hardwareConcurrency\":" << hw_threads << ",\"jobs\":"
         << jobs << ",\"degraded\":" << (degraded ? "true" : "false")
+        << ",\"provenance\":" << provenanceJson(ctx, "host_perf")
         << "}";
     jsonio::upsert(out, "host", sec.str());
 
@@ -294,13 +266,8 @@ runHostPerf(const exp::Context &ctx)
     sec.str("");
     sec << "{\"events\":" << events << ",\"populations\":[";
     for (size_t i = 0; i < 3; ++i) {
-        sec << (i ? ",\n" : "\n") << "{\"pending\":" << pops[i]
+        sec << (i ? ",\n" : "\n") << "{\"pending\":" << churnPops[i]
             << ",\"calendarEventsPerSec\":" << cal[i] << "}";
-    }
-    sec << "],\"sharded\":[";
-    for (size_t i = 0; i < 2; ++i) {
-        sec << (i ? "," : "") << "{\"shards\":" << shard_counts[i]
-            << ",\"eventsPerSec\":" << sharded[i] << "}";
     }
     sec << "]}";
     jsonio::upsert(out, "eventKernel", sec.str());

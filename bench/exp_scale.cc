@@ -1,10 +1,10 @@
 /**
  * @file
- * The scaling experiment: how far the sharded simulation core takes
- * one host -- meshes from 64 to 65536 nodes under synthetic
- * uniform-random and hotspot traffic (system/traffic.hh), reporting
- * simulator throughput (events/second), memory footprint (peak RSS
- * and bytes per event), and the sharded scheduler's self-metrics.
+ * The scaling experiment: how far the simulation core takes one host
+ * -- meshes from 64 to 65536 nodes under synthetic uniform-random and
+ * hotspot traffic (system/traffic.hh), reporting simulator throughput
+ * (events/second) and memory footprint (peak RSS and bytes per
+ * event).
  *
  * Every point is one System with per-node TrafficGen drivers: no
  * programs execute, so the cost measured is the simulation core
@@ -19,7 +19,8 @@
  * row's own machine.
  *
  * Results append to the shared BENCH_host.json (the "scale" section;
- * host_perf owns the others) via jsonio section splicing.
+ * host_perf owns the others) via jsonio section splicing, with the
+ * provenance of the run that produced them.
  */
 
 #include <sys/resource.h>
@@ -65,7 +66,6 @@ struct ScalePoint
 {
     unsigned nodes = 0;
     std::string pattern;
-    unsigned shards = 0;       //!< effective (clamped) shard count
     bool ok = false;
     uint64_t events = 0;
     uint64_t ticks = 0;
@@ -76,9 +76,6 @@ struct ScalePoint
     uint64_t stallRetries = 0;
     uint64_t peakRss = 0;
     double bytesPerEvent = 0;
-    uint64_t rounds = 0;
-    uint64_t soloWindows = 0;
-    uint64_t crossPushes = 0;
 };
 
 /** Near-square mesh dimensions covering @p nodes exactly. */
@@ -94,15 +91,11 @@ meshDims(unsigned nodes, unsigned &width, unsigned &height)
 }
 
 ScalePoint
-runPoint(unsigned nodes, unsigned shards_req,
-         const sys::TrafficConfig &tc, const std::string &pattern)
+runPoint(unsigned nodes, const sys::TrafficConfig &tc,
+         const std::string &pattern)
 {
     unsigned width, height;
     meshDims(nodes, width, height);
-    // 0 = auto: one shard per row up to 8 (row bands stay large
-    // enough that lockstep rounds amortize).
-    unsigned shards =
-        shards_req ? shards_req : (height < 8 ? height : 8);
 
     sys::NodeConfig cfg;
     // Nothing executes, so node memory only has to exist; 4 KiB keeps
@@ -115,7 +108,7 @@ runPoint(unsigned nodes, unsigned shards_req,
 
     auto machine = std::make_unique<sys::System>(
         "scale", width, height,
-        std::vector<sys::NodeConfig>(nodes, cfg), shards);
+        std::vector<sys::NodeConfig>(nodes, cfg));
 
     std::vector<std::unique_ptr<sys::TrafficGen>> gens;
     gens.reserve(nodes);
@@ -128,7 +121,6 @@ runPoint(unsigned nodes, unsigned shards_req,
     ScalePoint p;
     p.nodes = nodes;
     p.pattern = pattern;
-    p.shards = machine->engine().numShards();
 
     auto t0 = std::chrono::steady_clock::now();
     bool quiesced = machine->run(50'000'000);
@@ -136,7 +128,7 @@ runPoint(unsigned nodes, unsigned shards_req,
                     std::chrono::steady_clock::now() - t0)
                     .count();
 
-    p.events = machine->engine().numProcessed();
+    p.events = machine->eventq().numProcessed();
     p.ticks = machine->curTick();
     p.eventsPerSec =
         p.wallSec > 0 ? static_cast<double>(p.events) / p.wallSec : 0;
@@ -145,9 +137,6 @@ runPoint(unsigned nodes, unsigned shards_req,
         p.drained += g->drained();
         p.stallRetries += g->stallRetries();
     }
-    p.rounds = machine->engine().rounds();
-    p.soloWindows = machine->engine().soloWindows();
-    p.crossPushes = machine->engine().crossShardPushes();
     p.ok = quiesced && p.sent == uint64_t(nodes) * tc.messages &&
            p.drained == p.sent;
 
@@ -183,8 +172,6 @@ int
 runScale(const exp::Context &ctx)
 {
     const std::vector<unsigned> sizes = parseSizes(ctx.str("--sizes"));
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
     const unsigned hotspot =
         static_cast<unsigned>(ctx.num("--hotspot-permille"));
     sys::TrafficConfig tc;
@@ -218,12 +205,12 @@ runScale(const exp::Context &ctx)
             std::fprintf(stderr, "  running %s...\n", label.c_str());
             sys::TrafficConfig ptc = tc;
             ptc.hotspotPermille = pat.permille;
-            points.push_back(runPoint(n, shards, ptc, pat.name));
+            points.push_back(runPoint(n, ptc, pat.name));
         }
     }
 
     TextTable tt;
-    tt.header({"Nodes", "Pattern", "Shards", "Events", "Ticks",
+    tt.header({"Nodes", "Pattern", "Events", "Ticks",
                "Wall (s)", "Mev/s", "Peak RSS", "B/event", "Result"});
     char buf[64];
     for (const ScalePoint &p : points) {
@@ -237,30 +224,28 @@ runScale(const exp::Context &ctx)
         std::snprintf(buf, sizeof(buf), "%.1f", p.bytesPerEvent);
         std::string bpe = buf;
         tt.row({std::to_string(p.nodes), p.pattern,
-                std::to_string(p.shards), fmtK(double(p.events)),
+                fmtK(double(p.events)),
                 std::to_string(p.ticks), wall, mevs, rss, bpe,
                 p.ok ? "ok" : "FAILED"});
     }
     tt.print(std::cout);
 
     std::ostringstream sec;
-    sec << "{\"config\":{\"msgsPerNode\":" << tc.messages
+    sec << "{\"provenance\":" << provenanceJson(ctx, "scale")
+        << ",\n\"config\":{\"msgsPerNode\":" << tc.messages
         << ",\"meanGap\":" << tc.meanGap << ",\"hotspotPermille\":"
         << hotspot << ",\"seed\":" << tc.seed << "},\n\"points\":[";
     for (size_t i = 0; i < points.size(); ++i) {
         const ScalePoint &p = points[i];
         sec << (i ? ",\n" : "\n") << "{\"nodes\":" << p.nodes
-            << ",\"pattern\":\"" << p.pattern << "\",\"shards\":"
-            << p.shards << ",\"ok\":" << (p.ok ? "true" : "false")
+            << ",\"pattern\":\"" << p.pattern << "\",\"ok\":"
+            << (p.ok ? "true" : "false")
             << ",\"events\":" << p.events << ",\"ticks\":" << p.ticks
             << ",\"wallSec\":" << p.wallSec << ",\"eventsPerSec\":"
             << p.eventsPerSec << ",\"sent\":" << p.sent
             << ",\"drained\":" << p.drained << ",\"stallRetries\":"
             << p.stallRetries << ",\"peakRssBytes\":" << p.peakRss
-            << ",\"bytesPerEvent\":" << p.bytesPerEvent
-            << ",\"engine\":{\"rounds\":" << p.rounds
-            << ",\"soloWindows\":" << p.soloWindows
-            << ",\"crossShardPushes\":" << p.crossPushes << "}}";
+            << ",\"bytesPerEvent\":" << p.bytesPerEvent << "}";
     }
     sec << "]}";
     if (!jsonio::upsertSection(out_file, "scale", sec.str()))
@@ -280,14 +265,11 @@ registerScale(exp::ExperimentRegistry &reg)
 {
     reg.add({
         "scale",
-        "Simulation-core scaling: sharded-engine throughput and "
-        "footprint on growing meshes",
+        "Simulation-core scaling: event throughput and footprint on "
+        "growing meshes",
         {
             {"--sizes", "N,N,...", "mesh node counts (ascending)",
              "64,4096,65536", false},
-            {"--shards", "S",
-             "event-queue shards (0: auto, min(height, 8))", "0",
-             false},
             {"--msgs", "N", "messages sent per node", "16", false},
             {"--gap", "T", "mean inter-send gap in ticks", "20",
              false},

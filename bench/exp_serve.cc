@@ -26,7 +26,7 @@
  * offered vs delivered throughput, SEND stall retries, and the
  * transport policy's own accounting.  All quantities are integers and
  * every simulation input is seeded, so `--json` output is byte-stable
- * across --jobs and shard counts (pinned under tests/golden/).
+ * across --jobs (pinned under tests/golden/).
  *
  * Results also splice into the shared BENCH_host.json ("serve"
  * section) when --out is given.
@@ -126,8 +126,8 @@ runServe(const ni::Model &model, const std::string &policy,
          const Scenario &sc, Tick service_time, Tick mean_gap,
          const sys::TrafficConfig &base_tc,
          const transport::TransportConfig &base_xc,
-         unsigned width, unsigned height, unsigned shards,
-         Tick max_ticks, unsigned oafull_threshold)
+         unsigned width, unsigned height, Tick max_ticks,
+         unsigned oafull_threshold)
 {
     const unsigned nodes = width * height;
 
@@ -145,8 +145,7 @@ runServe(const ni::Model &model, const std::string &policy,
         cfg.ni.outputThreshold = oafull_threshold;
 
     sys::System machine("serve", width, height,
-                        std::vector<sys::NodeConfig>(nodes, cfg),
-                        shards);
+                        std::vector<sys::NodeConfig>(nodes, cfg));
 
     sys::TrafficConfig tc = base_tc;
     tc.arrival = sc.arrival;
@@ -249,10 +248,6 @@ runServeExp(const exp::Context &ctx)
     const unsigned height = static_cast<unsigned>(ctx.num("--height"));
     if (width < 1 || height < 1 || width * height < 2)
         fatal("exp_serve: mesh must have at least 2 nodes");
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
-    if (shards < 1)
-        fatal("exp_serve: --shards must be >= 1");
     const Tick max_ticks = static_cast<Tick>(ctx.num("--max-ticks"));
 
     sys::TrafficConfig tc;
@@ -335,7 +330,7 @@ runServeExp(const exp::Context &ctx)
                                : (Tick(clients) * svc[mi] * 10 + 8) / 9;
             }
             return runServe(models[mi], policies[pi], sc, svc[mi],
-                            mean_gap, tc, xc, width, height, shards,
+                            mean_gap, tc, xc, width, height,
                             max_ticks, oafull_threshold);
         });
     auto at = [&](size_t si, size_t pi, size_t mi) -> ServeResult & {
@@ -376,9 +371,9 @@ runServeExp(const exp::Context &ctx)
            << ",\"paceAiInterval\":" << xc.paceAiInterval
            << ",\"paceAiHoldoff\":" << xc.paceAiHoldoff
            << ",\"oafullThreshold\":" << oafull_threshold
-           // Deliberately no engine knobs (--shards, --jobs) here:
-           // the sharded and parallel-sweep goldens pin the SAME
-           // bytes, so nothing engine-side may show through.
+           // Deliberately no engine knob (--jobs) here: the serial
+           // and parallel-sweep goldens pin the SAME bytes, so
+           // nothing engine-side may show through.
            << "},\n\"scenarios\":{";
         for (size_t si = 0; si < scenarios.size(); ++si) {
             os << (si ? ",\n" : "\n") << "\"" << scenarios[si].name
@@ -479,9 +474,6 @@ registerServe(exp::ExperimentRegistry &reg)
             {"--oafull-threshold", "N",
              "output-queue oafull threshold programmed into every NI "
              "(0: model default)", "0", false},
-            {"--shards", "S",
-             "event-queue shards per machine (identical results at "
-             "any count)", "1", false},
             {"--max-ticks", "T", "per-run tick budget", "4000000",
              false},
             {"--seed", "S", "workload seed", "1", false},

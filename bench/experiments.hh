@@ -11,6 +11,8 @@
 #ifndef TCPNI_BENCH_EXPERIMENTS_HH
 #define TCPNI_BENCH_EXPERIMENTS_HH
 
+#include <string>
+
 #include "sim/experiment.hh"
 
 namespace tcpni
@@ -27,6 +29,14 @@ void registerOnNi(exp::ExperimentRegistry &reg);
 void registerCollective(exp::ExperimentRegistry &reg);
 void registerScale(exp::ExperimentRegistry &reg);
 void registerServe(exp::ExperimentRegistry &reg);
+
+/**
+ * How a BENCH_host.json section was produced, as a JSON object:
+ * `git describe` of the source tree, build type, compiler, hardware
+ * threads and the command line of @p experiment.
+ */
+std::string provenanceJson(const exp::Context &ctx,
+                           const std::string &experiment);
 
 /** Register every benchmark experiment. */
 inline void

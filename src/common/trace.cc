@@ -193,7 +193,7 @@ setSink(TraceSink *s)
 
 void
 TraceSink::record(uint64_t id, Stage stage, NodeId node, Tick tick,
-                  uint8_t type)
+                  uint8_t type, uint64_t sim)
 {
     if (events_.size() >= limit_) {
         if (dropped_++ == 0)
@@ -201,36 +201,43 @@ TraceSink::record(uint64_t id, Stage stage, NodeId node, Tick tick,
                  "events dropped", limit_);
         return;
     }
-    events_.push_back({id, stage, node, tick, type});
+    events_.push_back({id, stage, node, tick, type, sim});
 }
 
+namespace
+{
+
+bool
+byTickThenStage(const LifecycleEvent &a, const LifecycleEvent &b)
+{
+    if (a.tick != b.tick)
+        return a.tick < b.tick;
+    return static_cast<uint8_t>(a.stage) < static_cast<uint8_t>(b.stage);
+}
+
+} // namespace
+
 std::vector<LifecycleEvent>
-TraceSink::lifecycle(uint64_t id) const
+TraceSink::lifecycle(uint64_t id, uint64_t sim) const
 {
     std::vector<LifecycleEvent> out;
     for (const LifecycleEvent &e : events_) {
-        if (e.id == id)
+        if (e.id == id && e.sim == sim)
             out.push_back(e);
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const LifecycleEvent &a, const LifecycleEvent &b) {
-                         if (a.tick != b.tick)
-                             return a.tick < b.tick;
-                         return static_cast<uint8_t>(a.stage) <
-                                static_cast<uint8_t>(b.stage);
-                     });
+    std::stable_sort(out.begin(), out.end(), byTickThenStage);
     return out;
 }
 
 size_t
 TraceSink::completeLifecycles() const
 {
-    std::map<uint64_t, unsigned> seen;
+    std::map<std::pair<uint64_t, uint64_t>, unsigned> seen;
     for (const LifecycleEvent &e : events_) {
         if (e.stage == Stage::inject || e.stage == Stage::arrive)
-            seen[e.id] |= 1;
+            seen[{e.sim, e.id}] |= 1;
         if (e.stage == Stage::dispatch)
-            seen[e.id] |= 2;
+            seen[{e.sim, e.id}] |= 2;
     }
     size_t n = 0;
     for (const auto &[id, mask] : seen) {
@@ -251,12 +258,17 @@ TraceSink::clear()
 void
 TraceSink::writeChromeTrace(std::ostream &os) const
 {
-    // Group events per message, ordered by time.
-    std::map<uint64_t, std::vector<LifecycleEvent>> byId;
-    std::map<NodeId, bool> nodes;
+    // Number the simulations in order of first appearance, then group
+    // events per message -- (pid, id) -- ordered by time.
+    std::map<uint64_t, unsigned> pidOf;
+    std::map<std::pair<unsigned, uint64_t>, std::vector<LifecycleEvent>>
+        byMsg;
+    std::map<std::pair<unsigned, NodeId>, bool> tracks;
     for (const LifecycleEvent &e : events_) {
-        byId[e.id].push_back(e);
-        nodes[e.node] = true;
+        const unsigned pid =
+            pidOf.emplace(e.sim, unsigned(pidOf.size())).first->second;
+        byMsg[{pid, e.id}].push_back(e);
+        tracks[{pid, e.node}] = true;
     }
 
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -268,27 +280,42 @@ TraceSink::writeChromeTrace(std::ostream &os) const
         os << "\n";
     };
 
-    // One named track per node.
-    for (const auto &[node, unused] : nodes) {
+    // One process per simulation, one named track per node.
+    for (unsigned pid = 0; pid < pidOf.size(); ++pid) {
+        sep();
+        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+           << ",\"args\":{\"name\":\"sim " << pid << "\"}}";
+    }
+    for (const auto &[track, unused] : tracks) {
         (void)unused;
         sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-           << "\"tid\":" << node << ",\"args\":{\"name\":\"node "
-           << node << "\"}}";
+        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
+           << track.first << ",\"tid\":" << track.second
+           << ",\"args\":{\"name\":\"node " << track.second << "\"}}";
     }
 
-    auto slice = [&](const char *phase, Tick start, Tick end, NodeId tid,
-                     uint64_t id, uint8_t type) {
-        sep();
-        os << "{\"name\":\"" << phase << "\",\"cat\":\"msg\","
-           << "\"ph\":\"X\",\"ts\":" << start << ",\"dur\":"
-           << (end - start) << ",\"pid\":0,\"tid\":" << tid
-           << ",\"args\":{\"id\":" << id << ",\"type\":"
-           << unsigned(type) << "}}";
-    };
+    for (auto &[msg, evs] : byMsg) {
+        const auto [pid, id] = msg;
+        auto slice = [&, pid = pid, id = id](const char *phase,
+                                             Tick start, Tick end,
+                                             NodeId tid, uint8_t type) {
+            sep();
+            os << "{\"name\":\"" << phase << "\",\"cat\":\"msg\","
+               << "\"ph\":\"X\",\"ts\":" << start << ",\"dur\":"
+               << (end - start) << ",\"pid\":" << pid
+               << ",\"tid\":" << tid << ",\"args\":{\"id\":" << id
+               << ",\"type\":" << unsigned(type) << "}}";
+        };
+        auto instant = [&, pid = pid, id = id](const char *name,
+                                               const LifecycleEvent &e) {
+            sep();
+            os << "{\"name\":\"" << name << "\",\"cat\":\"msg\","
+               << "\"ph\":\"i\",\"ts\":" << e.tick << ",\"pid\":" << pid
+               << ",\"tid\":" << e.node << ",\"s\":\"t\",\"args\":{"
+               << "\"id\":" << id << "}}";
+        };
 
-    for (const auto &[id, raw] : byId) {
-        std::vector<LifecycleEvent> evs = lifecycle(id);
+        std::stable_sort(evs.begin(), evs.end(), byTickThenStage);
         const LifecycleEvent *inject = nullptr, *arrive = nullptr;
         const LifecycleEvent *dispatch = nullptr, *done = nullptr;
         const LifecycleEvent *hpu_start = nullptr, *hpu_end = nullptr;
@@ -302,37 +329,23 @@ TraceSink::writeChromeTrace(std::ostream &os) const
                 if (!hpu_start) hpu_start = &e;
                 break;
               case Stage::hpuEnd: if (!hpu_end) hpu_end = &e; break;
-              case Stage::hpuOverrun: {
-                sep();
-                os << "{\"name\":\"budget_overrun\",\"cat\":\"msg\","
-                   << "\"ph\":\"i\",\"ts\":" << e.tick
-                   << ",\"pid\":0,\"tid\":" << e.node
-                   << ",\"s\":\"t\",\"args\":{\"id\":" << id << "}}";
-                break;
-              }
-              case Stage::hop: {
-                // Instant event on the router's track.
-                sep();
-                os << "{\"name\":\"hop\",\"cat\":\"msg\",\"ph\":\"i\","
-                   << "\"ts\":" << e.tick << ",\"pid\":0,\"tid\":"
-                   << e.node << ",\"s\":\"t\",\"args\":{\"id\":" << id
-                   << "}}";
-                break;
-              }
+              case Stage::hpuOverrun: instant("budget_overrun", e); break;
+              // Instant event on the router's track.
+              case Stage::hop: instant("hop", e); break;
             }
         }
         uint8_t type = evs.empty() ? 0 : evs.front().type;
         if (hpu_start && hpu_end)
             slice("hpu_handler", hpu_start->tick, hpu_end->tick,
-                  hpu_end->node, id, type);
+                  hpu_end->node, type);
         if (inject && arrive)
             slice("network", inject->tick, arrive->tick, arrive->node,
-                  id, type);
+                  type);
         if (arrive && dispatch)
             slice("queued", arrive->tick, dispatch->tick, dispatch->node,
-                  id, type);
+                  type);
         if (dispatch && done)
-            slice("handler", dispatch->tick, done->tick, done->node, id,
+            slice("handler", dispatch->tick, done->tick, done->node,
                   type);
     }
 

@@ -128,13 +128,16 @@ struct LifecycleEvent
     NodeId node;    //!< where the event happened
     Tick tick;
     uint8_t type;   //!< 4-bit message type
+    uint64_t sim;   //!< recording simulation (EventQueue::queueId())
 };
 
 /**
  * Collector of message-lifecycle events.
  *
  * Install with setSink(); components then record() their lifecycle
- * points.  Recording is bounded (see setLimit) so that multi-million
+ * points.  Trace ids are a per-queue sequence that restarts with
+ * every simulation, so a message is identified by (sim, id), where
+ * sim is the recording queue's queueId().  Recording is bounded (see setLimit) so that multi-million
  * message benchmark runs cannot exhaust host memory; overflow is
  * counted, reported in the Chrome trace metadata, and warned about.
  */
@@ -144,15 +147,16 @@ class TraceSink
     TraceSink() = default;
 
     void record(uint64_t id, Stage stage, NodeId node, Tick tick,
-                uint8_t type);
+                uint8_t type, uint64_t sim = 0);
 
     const std::vector<LifecycleEvent> &events() const { return events_; }
 
     /** Events of one message, ordered by (tick, stage). */
-    std::vector<LifecycleEvent> lifecycle(uint64_t id) const;
+    std::vector<LifecycleEvent> lifecycle(uint64_t id,
+                                          uint64_t sim = 0) const;
 
-    /** Number of distinct ids with both an inject (or arrive) and a
-     *  dispatch event -- i.e. complete deliveries. */
+    /** Number of distinct messages with both an inject (or arrive)
+     *  and a dispatch event -- i.e. complete deliveries. */
     size_t completeLifecycles() const;
 
     /** Events not recorded because the limit was reached. */
@@ -164,10 +168,11 @@ class TraceSink
     void clear();
 
     /**
-     * Write the events as Chrome trace-event JSON: one named track
-     * per node (tid = node id), duration slices for the network /
-     * queued / handler phases of each message, and instant events for
-     * individual hops.
+     * Write the events as Chrome trace-event JSON: one process per
+     * simulation (pid = its order of first appearance), one named
+     * track per node (tid = node id), duration slices for the
+     * network / queued / handler phases of each message, and instant
+     * events for individual hops.
      */
     void writeChromeTrace(std::ostream &os) const;
 

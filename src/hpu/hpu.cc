@@ -232,7 +232,7 @@ Hpu::beginHandler()
                 static_cast<unsigned long long>(handlerTraceId_));
     if (trace::TraceSink *s = trace::sink()) {
         s->record(handlerTraceId_, trace::Stage::hpuStart, ni_.node(),
-                  curTick(), handlerType_);
+                  curTick(), handlerType_, eventq().queueId());
     }
 }
 
@@ -250,7 +250,7 @@ Hpu::endHandler()
                 static_cast<unsigned long long>(handlerCycles_));
     if (trace::TraceSink *s = trace::sink()) {
         s->record(handlerTraceId_, trace::Stage::hpuEnd, ni_.node(),
-                  end, handlerType_);
+                  end, handlerType_, eventq().queueId());
     }
     if (budget_ && handlerCycles_ > budget_) {
         ++budgetOverruns_;
@@ -262,7 +262,8 @@ Hpu::endHandler()
                     static_cast<unsigned long long>(handlerTraceId_));
         if (trace::TraceSink *s = trace::sink()) {
             s->record(handlerTraceId_, trace::Stage::hpuOverrun,
-                      ni_.node(), end, handlerType_);
+                      ni_.node(), end, handlerType_,
+                      eventq().queueId());
         }
     }
     handlerActive_ = false;

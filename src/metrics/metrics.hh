@@ -14,10 +14,11 @@
  *    uninstrumented build.
  *
  *  - **Sampler** (one per simulation, created automatically by the
- *    Registry when a sample interval is configured).  A SimObject at
- *    statsPri that snapshots every live counter/gauge of its
- *    simulation on a fixed tick interval, producing the time-series
- *    rows behind the per-link utilization heatmap.
+ *    Registry when a sample interval is configured).  The queue's
+ *    passive observer (never an event) that snapshots every live
+ *    counter/gauge of its simulation on a fixed tick interval and at
+ *    the end of the run, producing the time-series rows behind the
+ *    per-link utilization heatmap.
  *
  *  - **Collector / TaskScope** (per experiment run).  A TaskScope is
  *    an RAII guard a sweep task holds for its whole body: it installs
@@ -174,8 +175,7 @@ struct TaskMetrics
  * group registered against a never-before-seen queue starts a new
  * simulation index and (when a sample interval is configured) spawns a
  * Sampler on that queue; later groups registered against the same
- * queue join its simulation regardless of registration order (a
- * sharded machine interleaves registrations across its shard queues).
+ * queue join its simulation regardless of registration order.
  */
 class Registry
 {

@@ -9,37 +9,31 @@ namespace metrics
 
 Sampler::Sampler(const std::string &name, EventQueue &eq,
                  Registry &owner, uint64_t queue_id, Tick interval)
-    : SimObject(name, eq), owner_(owner), queueId_(queue_id),
-      interval_(interval),
-      sampleEvent_([this] { fire(); }, Event::statsPri)
+    : SimObject(name, eq), owner_(owner), queueId_(queue_id)
 {
     group_ = owner_.addGroup(name, eq);
     group_->addCounter("processed", [this] { return processed_; },
                        "events processed (as of last sample)");
     group_->addGauge("size", [this] { return qsize_; },
                      "scheduled events (as of last sample)");
-    eventq().schedule(&sampleEvent_, curTick() + interval_);
+    eq.observe(this, interval);
 }
 
 Sampler::~Sampler()
 {
-    // Deliberately no deschedule: the owning Registry outlives the
-    // simulation, so the queue (and any still-pending sample event
-    // entry) is already gone by the time the Sampler is destroyed.
+    // Deliberately no detach: the owning Registry outlives the
+    // simulation, so the queue is already gone by the time the
+    // Sampler is destroyed.
     if (group_)
         group_->retire();
 }
 
 void
-Sampler::fire()
+Sampler::observe()
 {
     qsize_ = eventq().size();
     processed_ = eventq().numProcessed();
     owner_.sampleNow(queueId_, curTick());
-    // Reschedule only while the simulation still has work: the
-    // sampler must never keep the queue from draining.
-    if (!eventq().empty())
-        eventq().schedule(&sampleEvent_, curTick() + interval_);
 }
 
 } // namespace metrics

@@ -389,7 +389,7 @@ NetworkInterface::enqueueSend(Message msg)
     msg.injectTick = curTick();
     if (auto *s = trace::sink())
         s->record(msg.traceId, trace::Stage::inject, node_, curTick(),
-                  msg.type);
+                  msg.type, eventq().queueId());
     TCPNI_TRACE(NI, "SEND id=%llu %s",
                 static_cast<unsigned long long>(msg.traceId),
                 msg.toString().c_str());
@@ -482,7 +482,7 @@ NetworkInterface::doNext()
         // The handler is finished with the current message.
         if (auto *s = trace::sink())
             s->record(currentTraceId_, trace::Stage::done, node_,
-                      curTick(), currentType_);
+                      curTick(), currentType_, eventq().queueId());
         TCPNI_TRACE(NI, "NEXT retires id=%llu type=%u",
                     static_cast<unsigned long long>(currentTraceId_),
                     currentType_);
@@ -521,7 +521,7 @@ NetworkInterface::refill()
     if (m.traceId != 0) {
         if (auto *s = trace::sink())
             s->record(m.traceId, trace::Stage::dispatch, node_,
-                      curTick(), currentType_);
+                      curTick(), currentType_, eventq().queueId());
     }
     TCPNI_TRACE(DISPATCH, "dispatch id=%llu type=%u MsgIp=0x%08x",
                 static_cast<unsigned long long>(m.traceId),
@@ -641,7 +641,7 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
     netLatency_.record(curTick() - m.injectTick);
     if (auto *s = trace::sink())
         s->record(m.traceId, trace::Stage::arrive, node_, curTick(),
-                  m.type);
+                  m.type, eventq().queueId());
     TCPNI_TRACE(NI, "RX id=%llu %s",
                 static_cast<unsigned long long>(m.traceId),
                 m.toString().c_str());

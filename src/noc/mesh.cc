@@ -11,47 +11,15 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
                          unsigned cycles_per_word)
     : Network(std::move(name), eq, width * height), width_(width),
       height_(height), bufferDepth_(buffer_depth),
-      cyclesPerWord_(cycles_per_word), routers_(width * height)
-{
-    initPartitions(ShardPlan::rows(width, height, 1), nullptr);
-    registerMetrics();
-}
-
-MeshNetwork::MeshNetwork(std::string name, ShardedEngine &engine,
-                         const ShardPlan &plan, unsigned buffer_depth,
-                         unsigned cycles_per_word)
-    : Network(std::move(name), engine.shard(0),
-              plan.width * plan.height),
-      width_(plan.width), height_(plan.height),
-      bufferDepth_(buffer_depth), cyclesPerWord_(cycles_per_word),
-      routers_(plan.width * plan.height)
-{
-    initPartitions(plan, &engine);
-    registerMetrics();
-}
-
-void
-MeshNetwork::initPartitions(const ShardPlan &plan, ShardedEngine *engine)
+      cyclesPerWord_(cycles_per_word), routers_(width * height),
+      tickEvent_(*this)
 {
     tcpni_assert(width_ > 0 && height_ > 0);
     tcpni_assert(bufferDepth_ > 0);
-    engine_ = engine;
-
     for (auto &router : routers_)
         for (auto &q : router.inq)
             q.reset(bufferDepth_);
-
-    partOf_.resize(numNodes());
-    parts_.reserve(plan.shards);
-    for (unsigned s = 0; s < plan.shards; ++s) {
-        const NodeId first = plan.firstRow(s) * width_;
-        const NodeId end = plan.firstRow(s + 1) * width_;
-        EventQueue &q = engine ? engine->shard(s) : eventq();
-        parts_.push_back(
-            std::make_unique<Partition>(*this, s, q, first, end));
-        for (NodeId r = first; r < end; ++r)
-            partOf_[r] = s;
-    }
+    registerMetrics();
 }
 
 void
@@ -61,8 +29,7 @@ MeshNetwork::registerMetrics()
         mgroup_ = reg->addGroup(this->name(), eventq());
         mgroup_->addCounter("injected", [this] { return injected_; },
                             "messages accepted into the fabric");
-        mgroup_->addGauge("occupied",
-                          [this] { return occupiedTotal(); },
+        mgroup_->addGauge("occupied", [this] { return occupied_; },
                           "messages resident in router queues");
         mgroup_->addHistogram("latency", &latency_,
                               "inject to eject (cycles)");
@@ -166,15 +133,6 @@ MeshNetwork::queueDepth(NodeId node, Port port) const
     return routers_.at(node).inq[static_cast<unsigned>(port)].size();
 }
 
-uint64_t
-MeshNetwork::occupiedTotal() const
-{
-    uint64_t n = 0;
-    for (const auto &p : parts_)
-        n += p->occupied;
-    return n;
-}
-
 bool
 MeshNetwork::offer(NodeId src, const Message &msg)
 {
@@ -183,8 +141,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
         panic("message addressed to nonexistent node %u: %s", msg.dest(),
               msg.toString().c_str());
     }
-    Partition &part = *parts_[partOf_[src]];
-    const Tick now = part.eq->curTick();
+    const Tick now = curTick();
     auto &q = routers_[src].inq[static_cast<unsigned>(Port::local)];
     if (q.size() >= bufferDepth_) {
         TCPNI_TRACE(NOC, "refuse injection at node %u (buffer full)",
@@ -196,16 +153,16 @@ MeshNetwork::offer(NodeId src, const Message &msg)
                 msg.dest());
     q.push_back({msg, now, now});
     ++injected_;
-    ++part.occupied;
-    if (!part.tick.scheduled())
-        part.eq->schedule(&part.tick, now + 1);
+    ++occupied_;
+    if (!tickEvent_.scheduled())
+        eventq().schedule(&tickEvent_, now + 1);
     return true;
 }
 
 bool
 MeshNetwork::idle() const
 {
-    return occupiedTotal() == 0;
+    return occupied_ == 0;
 }
 
 bool
@@ -226,15 +183,14 @@ MeshNetwork::hasWaiter(const RouterState &router, NodeId r, Port out,
 }
 
 void
-MeshNetwork::tick(unsigned part_idx)
+MeshNetwork::tick()
 {
-    Partition &part = *parts_[part_idx];
-    // The partition's own queue carries its clock; SimObject::curTick()
-    // would read shard 0's, which may differ while another shard runs.
-    const Tick now = part.eq->curTick();
+    const Tick now = curTick();
 
-    for (NodeId r = part.firstRouter; r < part.endRouter; ++r) {
+    for (NodeId r = 0; r < numNodes(); ++r) {
         RouterState &router = routers_[r];
+        if (router.empty())
+            continue;
         // Consider each output port in a fixed order; each forwards at
         // most one message per cycle.
         static const Port outputs[] = {Port::local, Port::north,
@@ -278,7 +234,7 @@ MeshNetwork::tick(unsigned part_idx)
                                     static_cast<unsigned long long>(
                                         now - head.injectTick));
                         q.pop_front();
-                        --part.occupied;
+                        --occupied_;
                         moved = true;
                     }
                 } else {
@@ -291,24 +247,12 @@ MeshNetwork::tick(unsigned part_idx)
                         m.movedAt = now;
                         if (auto *s = trace::sink())
                             s->record(m.msg.traceId, trace::Stage::hop,
-                                      dst, now, m.msg.type);
+                                      dst, now, m.msg.type,
+                                      eventq().queueId());
                         TCPNI_TRACE(NOC, "hop id=%llu node %u -> %u",
                                     static_cast<unsigned long long>(
                                         m.msg.traceId), r, dst);
                         dq.push_back(std::move(m));
-                        const uint32_t pd = partOf_[dst];
-                        if (pd != part_idx) {
-                            // Cross-shard link push: hand the message
-                            // to the neighbour partition and wake its
-                            // tick one link latency later.
-                            --part.occupied;
-                            Partition &dp = *parts_[pd];
-                            ++dp.occupied;
-                            if (!dp.tick.scheduled())
-                                dp.eq->schedule(&dp.tick, now + 1);
-                            if (engine_)
-                                engine_->noteCrossShardPush();
-                        }
                         moved = true;
                     }
                 }
@@ -339,8 +283,8 @@ MeshNetwork::tick(unsigned part_idx)
         }
     }
 
-    if (part.occupied > 0)
-        part.eq->schedule(&part.tick, now + 1);
+    if (occupied_ > 0)
+        eventq().schedule(&tickEvent_, now + 1);
 }
 
 } // namespace tcpni

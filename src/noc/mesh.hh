@@ -19,14 +19,12 @@
  * architecture interacts with: finite buffering with backpressure and
  * in-order delivery per source-destination pair.
  *
- * Sharding: the mesh can be split into row-contiguous partitions, one
- * per shard of a ShardedEngine.  Each partition ticks its own routers
- * on its own event queue; a hop whose downstream router belongs to a
- * different partition is a cross-shard link push -- it lands in the
- * neighbour partition's buffer, wakes that partition's tick event at
- * now + 1, and notifies the engine so any solo lookahead window
- * collapses.  Router buffers are fixed-capacity rings, so the
- * forwarding path performs no heap allocation.
+ * One tick event walks every router each cycle while any message is
+ * in flight, skipping routers whose five input queues are empty (an
+ * empty router changes no arbitration pointer, link reservation or
+ * link counter, so the skip is exact).  Router buffers are
+ * fixed-capacity rings, so the forwarding path performs no heap
+ * allocation.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
@@ -38,7 +36,6 @@
 #include "common/ring.hh"
 #include "metrics/metrics.hh"
 #include "noc/network.hh"
-#include "sim/shards.hh"
 
 namespace tcpni
 {
@@ -63,15 +60,6 @@ class MeshNetwork : public Network
                 unsigned height, unsigned buffer_depth = 4,
                 unsigned cycles_per_word = 0);
 
-    /**
-     * Sharded construction: one row-contiguous partition per shard of
-     * @p engine (per @p plan), each ticking on its own event queue.
-     * With plan.shards == 1 this is exactly the single-queue mesh.
-     */
-    MeshNetwork(std::string name, ShardedEngine &engine,
-                const ShardPlan &plan, unsigned buffer_depth = 4,
-                unsigned cycles_per_word = 0);
-
     ~MeshNetwork() override;
 
     bool offer(NodeId src, const Message &msg) override;
@@ -89,9 +77,6 @@ class MeshNetwork : public Network
 
     uint64_t injected() const { return injected_; }
     const metrics::Histogram &latencyDist() const { return latency_; }
-
-    /** Messages resident in router buffers, all partitions. */
-    uint64_t occupiedTotal() const;
 
   private:
     static constexpr unsigned numPorts = 5;
@@ -115,43 +100,33 @@ class MeshNetwork : public Network
         unsigned rr[numPorts] = {0, 0, 0, 0, 0};
         // Link serialization: the output port is busy until this tick.
         Tick busyUntil[numPorts] = {0, 0, 0, 0, 0};
+
+        bool
+        empty() const
+        {
+            for (const auto &q : inq)
+                if (!q.empty())
+                    return false;
+            return true;
+        }
     };
 
     class TickEvent : public Event
     {
       public:
-        TickEvent(MeshNetwork &net, unsigned part)
-            : Event(networkPri), net_(net), part_(part)
+        explicit TickEvent(MeshNetwork &net)
+            : Event(networkPri), net_(net)
         {}
-        void process() override { net_.tick(part_); }
+        void process() override { net_.tick(); }
         std::string name() const override { return "mesh-tick"; }
 
       private:
         MeshNetwork &net_;
-        unsigned part_;
     };
 
-    /** One row-contiguous shard of the mesh: routers
-     *  [firstRouter, endRouter) ticking on their own queue. */
-    struct Partition
-    {
-        Partition(MeshNetwork &net, unsigned idx, EventQueue &q,
-                  NodeId first, NodeId end)
-            : tick(net, idx), eq(&q), firstRouter(first),
-              endRouter(end)
-        {}
-
-        TickEvent tick;
-        EventQueue *eq;
-        NodeId firstRouter;
-        NodeId endRouter;
-        uint64_t occupied = 0; //!< messages buffered in this partition
-    };
-
-    void initPartitions(const ShardPlan &plan, ShardedEngine *engine);
     void registerMetrics();
 
-    void tick(unsigned part);
+    void tick();
     NodeId neighbor(NodeId here, Port out) const;
     static Port inputPortFor(Port out);
 
@@ -164,11 +139,9 @@ class MeshNetwork : public Network
     unsigned cyclesPerWord_;
     std::vector<RouterState> routers_;
 
-    std::vector<std::unique_ptr<Partition>> parts_;
-    /** Partition index of each router. */
-    std::vector<uint32_t> partOf_;
-    /** Non-null only for the sharded constructor. */
-    ShardedEngine *engine_ = nullptr;
+    TickEvent tickEvent_;
+    /** Messages resident in router buffers. */
+    uint64_t occupied_ = 0;
 
     uint64_t injected_ = 0;
     metrics::Histogram latency_;

@@ -103,9 +103,6 @@ EventQueue::schedule(Event *ev, Tick when)
     else
         overflow_.push(e);
     ++nscheduled_;
-    // A new earliest event only lowers the memoized peek.
-    if (peekValid_ && when < peekCache_)
-        peekCache_ = when;
 }
 
 void
@@ -119,9 +116,6 @@ EventQueue::deschedule(Event *ev)
     // until then).
     ev->scheduled_ = false;
     --nscheduled_;
-    // The memoized peek may have named this event's tick.
-    if (peekValid_ && ev->when_ == peekCache_)
-        peekValid_ = false;
 }
 
 void
@@ -304,7 +298,6 @@ EventQueue::popNext(Tick bound, Entry &out)
         if (b.empty() && b.capacity() > bucketKeepCap_)
             retireStore(b, idx);
         curTick_ = t;
-        peekValid_ = false;
         return true;
     }
 
@@ -321,15 +314,16 @@ EventQueue::popNext(Tick bound, Entry &out)
         out = top;
         overflow_.pop();
         curTick_ = out.when;
-        peekValid_ = false;
         return true;
     }
     return false;
 }
 
 Tick
-EventQueue::peek()
+EventQueue::nextEventTick()
 {
+    if (nscheduled_ == 0)
+        return maxTick;
     migrateOverflow();
 
     const Tick end = windowEnd();
@@ -353,21 +347,35 @@ EventQueue::peek()
     return overflow_.empty() ? maxTick : overflow_.top().when;
 }
 
-Tick
-EventQueue::nextEventTick()
+void
+EventQueue::observe(QueueObserver *obs, Tick interval)
 {
-    if (nscheduled_ == 0)
-        return maxTick;
-    if (!peekValid_) {
-        peekCache_ = peek();
-        peekValid_ = true;
+    tcpni_assert(obs != nullptr && interval > 0);
+    observer_ = obs;
+    observeInterval_ = interval;
+    nextObserve_ = curTick_ + interval;
+}
+
+void
+EventQueue::observeBefore(Tick t)
+{
+    const Tick now = curTick_;
+    while (nextObserve_ < t) {
+        // Nothing happens between the last event before t and t, so
+        // the state seen here is the state at the boundary.
+        curTick_ = nextObserve_;
+        observedAt_ = nextObserve_;
+        nextObserve_ += observeInterval_;
+        observer_->observe();
     }
-    return peekCache_;
+    curTick_ = now;
 }
 
 void
 EventQueue::fire(const Entry &e)
 {
+    if (e.when > nextObserve_)
+        observeBefore(e.when);
     e.ev->scheduled_ = false;
     --nscheduled_;
     ++numProcessed_;
@@ -402,21 +410,12 @@ EventQueue::run(Tick max_tick)
     Entry e;
     while (popNext(max_tick, e))
         fire(e);
-    return curTick_;
-}
-
-Tick
-EventQueue::runWindow(Tick bound, const bool &stop)
-{
-    Entry e;
-    Tick eff = bound;
-    while (popNext(eff, e)) {
-        fire(e);
-        if (stop) {
-            // Finish the tick in flight, then hand back to the
-            // engine: anything we made visible to another shard
-            // lands at curTick_ + 1, which may now precede eff.
-            eff = curTick_;
+    if (observer_) {
+        // Every event at or before the current tick has fired.
+        observeBefore(curTick_ + 1);
+        if (nscheduled_ == 0 && observedAt_ != curTick_) {
+            observedAt_ = curTick_;
+            observer_->observe();
         }
     }
     return curTick_;

@@ -93,7 +93,6 @@ class Event
         niPri = 20,
         cpuPri = 30,
         defaultPri = 50,
-        statsPri = 90,
     };
 
     explicit Event(int priority = defaultPri) : priority_(priority) {}
@@ -139,6 +138,22 @@ class LambdaEvent : public Event
     std::function<void()> fn_;
 };
 
+/**
+ * A passive periodic observer of one EventQueue (the metrics
+ * Sampler).  It is not an event: it never advances the clock, never
+ * counts as processed and never keeps the queue alive, so attaching
+ * one cannot change a simulated result.
+ */
+class QueueObserver
+{
+  public:
+    virtual ~QueueObserver() = default;
+
+    /** Called with the queue's curTick() at the observed tick, once
+     *  every event at or before that tick has fired. */
+    virtual void observe() = 0;
+};
+
 /** The global event queue for one simulation. */
 class EventQueue
 {
@@ -173,16 +188,13 @@ class EventQueue
     Tick run(Tick max_tick = maxTick);
 
     /**
-     * Run like run(@p bound), but watch @p stop after every event:
-     * once it reads true the effective bound collapses to the current
-     * tick, so the queue finishes the tick it is processing and
-     * returns instead of running ahead.  The sharded engine uses this
-     * for conservative lookahead -- a shard granted a solo window
-     * runs until the window closes or it makes state visible to
-     * another shard (a cross-shard link push sets the flag).
-     * @return the tick of the last processed event.
+     * Attach @p obs, observed at every multiple of @p interval past
+     * the current tick once that tick's events have all fired, and
+     * at the current tick whenever run() drains the queue (the final
+     * sample of a run).  One observer per queue; it must outlive any
+     * further run of the queue.
      */
-    Tick runWindow(Tick bound, const bool &stop);
+    void observe(QueueObserver *obs, Tick interval);
 
     /** Process exactly one event, if any. @return true if one fired. */
     bool step();
@@ -190,8 +202,7 @@ class EventQueue
     /**
      * Tick of the earliest live event, or maxTick when empty.  May
      * prune stale entries and migrate overflow entries (both
-     * order-preserving); the result is memoized until it can change,
-     * so repeated peeks between pops are O(1).
+     * order-preserving).
      */
     Tick nextEventTick();
 
@@ -207,23 +218,7 @@ class EventQueue
     uint64_t
     nextTraceId()
     {
-        uint64_t id = nextTraceId_;
-        nextTraceId_ += traceIdStride_;
-        return id;
-    }
-
-    /**
-     * Give this queue a strided trace-id lane.  Shard s of an S-shard
-     * engine uses (start = s + 1, stride = S), so ids stay globally
-     * unique and each shard's sequence is independent of how the
-     * other shards interleave.  The default lane (1, 1) is the
-     * classic single-queue sequence.
-     */
-    void
-    setTraceIdLane(uint64_t start, uint64_t stride)
-    {
-        nextTraceId_ = start;
-        traceIdStride_ = stride ? stride : 1;
+        return nextTraceId_++;
     }
 
     /**
@@ -338,11 +333,11 @@ class EventQueue
      */
     bool popNext(Tick bound, Entry &out);
 
-    /** Tick of the earliest live entry, or maxTick; prunes stale
-     *  entries in passing. */
-    Tick peek();
-
     void fire(const Entry &e);
+
+    /** Observe every pending boundary before @p t, each with the
+     *  clock set to the boundary; the clock is restored after. */
+    void observeBefore(Tick t);
 
     uint64_t queueId_;
     /** Latched evprof::enabled() at construction (hot-path guard). */
@@ -351,13 +346,15 @@ class EventQueue
     uint64_t nextSeq_ = 0;
     uint64_t numProcessed_ = 0;
     uint64_t nextTraceId_ = 1;
-    uint64_t traceIdStride_ = 1;
-    size_t nscheduled_ = 0;
 
-    /** Memoized nextEventTick(); invalidated by pops and lowered by
-     *  schedules, so idle peeks never rescan the structures. */
-    Tick peekCache_ = 0;
-    bool peekValid_ = false;
+    QueueObserver *observer_ = nullptr;
+    Tick observeInterval_ = 0;
+    /** Next boundary to observe; maxTick with no observer, so the
+     *  hot-path test in fire() is one compare. */
+    Tick nextObserve_ = maxTick;
+    /** Tick of the latest observation (maxTick: none yet). */
+    Tick observedAt_ = maxTick;
+    size_t nscheduled_ = 0;
 
     // Bucket t & ringMask_ holds the entries of tick t; all ring
     // entries satisfy curTick_ <= when < windowEnd().  ringCount_

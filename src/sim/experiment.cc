@@ -164,6 +164,7 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
     }
 
     Context ctx;
+    ctx.args.assign(argv, argv + argc);
     for (const ParamSpec &p : e->params)
         ctx.values[p.flag] = p.isSwitch ? "0" : p.def;
 

@@ -70,6 +70,8 @@ class Context
     unsigned jobs = 0;      //!< --jobs (0: hardware concurrency)
     std::string jsonFile;   //!< --json FILE ("" when absent)
     std::string traceFile;  //!< --trace FILE ("" when absent)
+    /** The experiment's command-line arguments, as given. */
+    std::vector<std::string> args;
 
     /** Run-wide telemetry accumulator; null unless --metrics (or a
      *  flag implying it) was given. */

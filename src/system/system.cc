@@ -76,23 +76,14 @@ System::System(std::string name, unsigned width, unsigned height,
 }
 
 System::System(std::string name, unsigned width, unsigned height,
-               const std::vector<NodeConfig> &cfgs)
-    : System(std::move(name), width, height, cfgs, 1)
-{
-}
-
-System::System(std::string name, unsigned width, unsigned height,
-               const std::vector<NodeConfig> &cfgs, unsigned shards)
-    : plan_(ShardPlan::rows(width, height, shards)),
-      engine_(plan_.shards)
+               const std::vector<NodeConfig> &cfgs, unsigned)
 {
     tcpni_assert(cfgs.size() == static_cast<size_t>(width) * height);
-    mesh_ = std::make_unique<MeshNetwork>(name + ".mesh", engine_,
-                                          plan_);
+    mesh_ = std::make_unique<MeshNetwork>(name + ".mesh", eq_, width,
+                                          height);
     for (NodeId id = 0; id < width * height; ++id) {
         nodes_.push_back(std::make_unique<Node>(
-            name + ".node" + std::to_string(id),
-            engine_.shard(plan_.shardOfNode(id)), id, *mesh_,
+            name + ".node" + std::to_string(id), eq_, id, *mesh_,
             cfgs[id]));
     }
 
@@ -107,14 +98,11 @@ System::System(std::string name, unsigned width, unsigned height,
             any_credits = true;
     }
     if (any_credits) {
-        creditFabric_ =
-            std::make_unique<transport::CreditFabric>(engine_, plan_);
+        creditFabric_ = std::make_unique<transport::CreditFabric>(eq_);
         for (auto &n : nodes_) {
             auto *p = n->transportPolicy();
-            if (p && p->wantsCredits()) {
-                creditFabric_->addSender(n->id(), p,
-                                         queueForNode(n->id()));
-            }
+            if (p && p->wantsCredits())
+                creditFabric_->addSender(n->id(), p);
             n->ni().setCreditFabric(creditFabric_.get());
         }
     }
@@ -126,8 +114,7 @@ System::run(Tick max_ticks)
     // Run until the event queue empties (all CPUs halted and the
     // fabric drained -- halted CPUs schedule no further events) or the
     // deadline passes (e.g. a server is still polling).
-    Tick deadline = engine_.curTick() + max_ticks;
-    engine_.run(deadline);
+    eq_.run(eq_.curTick() + max_ticks);
 
     bool quiesced = true;
     for (auto &n : nodes_) {

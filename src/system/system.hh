@@ -22,11 +22,26 @@
 #include "mem/memory.hh"
 #include "ni/network_interface.hh"
 #include "noc/mesh.hh"
-#include "sim/shards.hh"
+#include "sim/event_queue.hh"
 #include "transport/fabric.hh"
 
 namespace tcpni
 {
+
+// ---- perfbench compatibility: do not use elsewhere ----------------
+// perfbench/ is frozen against the retired sharded engine, so it still
+// names the machine's queue ShardedEngine and reads its scheduler
+// counters.  Every System runs on exactly one queue: one shard, no
+// lockstep rounds, no solo windows, no cross-shard pushes.
+struct ShardedEngine : EventQueue
+{
+    unsigned numShards() const { return 1; }
+    uint64_t rounds() const { return 0; }
+    uint64_t soloWindows() const { return 0; }
+    uint64_t crossShardPushes() const { return 0; }
+};
+// ---- end perfbench compatibility -----------------------------------
+
 namespace sys
 {
 
@@ -92,13 +107,9 @@ class Node
 /**
  * A width x height mesh machine.
  *
- * The machine is driven by a ShardedEngine: with the default single
- * shard it behaves bit-identically to the classic one-global-queue
- * simulator; with S > 1 the mesh rows are banded into S partitions
- * (ShardPlan::rows), every node's components are constructed against
- * their shard's event queue, and the engine advances the shards under
- * conservative lookahead.  Sharded runs produce the same final
- * statistics as single-shard runs (see the shard fuzz suite).
+ * Every node's components, the mesh and the credit fabric share one
+ * EventQueue: the paper's machine is one synchronous mesh clock
+ * driving a processor-interface pair per node.
  */
 class System
 {
@@ -106,14 +117,10 @@ class System
     System(std::string name, unsigned width, unsigned height,
            const NodeConfig &cfg);
 
-    /** Same configuration on every node except where overridden. */
+    /** Same configuration on every node except where overridden.
+     *  @p shards is ignored (perfbench compatibility, see below). */
     System(std::string name, unsigned width, unsigned height,
-           const std::vector<NodeConfig> &cfgs);
-
-    /** Sharded construction: @p shards event queues (clamped to
-     *  [1, height]) advanced by the engine's lookahead scheduler. */
-    System(std::string name, unsigned width, unsigned height,
-           const std::vector<NodeConfig> &cfgs, unsigned shards);
+           const std::vector<NodeConfig> &cfgs, unsigned shards = 1);
 
     unsigned numNodes() const
     {
@@ -122,30 +129,13 @@ class System
 
     Node &node(NodeId id) { return *nodes_.at(id); }
 
-    /** Shard 0's queue: the only queue of an unsharded machine (kept
-     *  for harnesses that schedule their own events; sharded
-     *  harnesses must use queueForNode()). */
-    EventQueue &eventq() { return engine_.shard(0); }
+    /** The machine's event queue; harness events go here. */
+    EventQueue &eventq() { return eq_; }
 
-    ShardedEngine &engine() { return engine_; }
     MeshNetwork &mesh() { return *mesh_; }
 
-    /** Tick of the last processed event, across all shards. */
-    Tick curTick() const { return engine_.curTick(); }
-
-    unsigned
-    shardOfNode(NodeId id) const
-    {
-        return plan_.shardOfNode(id);
-    }
-
-    /** The event queue @p id's components live on; harness events
-     *  touching node @p id must be scheduled here. */
-    EventQueue &
-    queueForNode(NodeId id)
-    {
-        return engine_.shard(plan_.shardOfNode(id));
-    }
+    /** Tick of the last processed event. */
+    Tick curTick() const { return eq_.curTick(); }
 
     /**
      * Run until every booted CPU halts and the network drains, or
@@ -153,9 +143,16 @@ class System
      */
     bool run(Tick max_ticks = 10'000'000);
 
+    // ---- perfbench compatibility: do not use elsewhere ------------
+    // engine() is the machine's one queue under the retired engine's
+    // name (see ShardedEngine above); the queue is declared with that
+    // type for this reason only.
+    ShardedEngine &engine() { return eq_; }
+
   private:
-    ShardPlan plan_;
-    ShardedEngine engine_;
+    ShardedEngine eq_;
+    // ---- end perfbench compatibility -------------------------------
+
     std::unique_ptr<MeshNetwork> mesh_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<transport::CreditFabric> creditFabric_;

@@ -35,7 +35,7 @@ patternFromName(const std::string &name)
 TrafficGen::TrafficGen(System &sys, NodeId node,
                        const TrafficConfig &cfg)
     : sys_(sys), node_(node), cfg_(cfg),
-      eq_(sys.queueForNode(node)),
+      eq_(sys.eventq()),
       rng_(cfg.seed ^ (0x9E3779B97F4A7C15ULL * (node + 1))),
       rngDst_(cfg.seed ^ (0xC2B2AE3D27D4EB4FULL * (node + 1))),
       sendEvent_(*this), arrivalEvent_(*this), serviceEvent_(*this)

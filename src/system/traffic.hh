@@ -13,9 +13,7 @@
  *
  * Determinism: each generator owns two Randoms seeded from
  * (seed, node) only -- one for the arrival clock, one for destination
- * draws -- and its send schedule depends only on its own queue's
- * state, so offered traffic is identical across shard counts -- which
- * is what lets the shard differential suite compare final statistics.
+ * draws -- so a run is reproducible from its configuration alone.
  * The streams are separate because admission timing (and therefore
  * how arrival and send events interleave) depends on backpressure:
  * with one stream, a transport policy stalling the pump would perturb
@@ -193,7 +191,7 @@ class TrafficGen
     System &sys_;
     NodeId node_;
     TrafficConfig cfg_;
-    EventQueue &eq_;      //!< the shard queue owning this node
+    EventQueue &eq_;      //!< the machine's queue
     Random rng_;     //!< arrival clock (gaps, burst lengths)
     Random rngDst_;  //!< destination draws
     SendEvent sendEvent_;

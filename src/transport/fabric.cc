@@ -13,8 +13,8 @@ CreditFabric::Slot::drainCredits()
     const Tick now = eq.curTick();
 
     // Fold strictly-earlier entries, summed per destination and
-    // applied in destination order: the within-tick append order (the
-    // only order that varies across shard counts) cannot show through.
+    // applied in destination order: the within-tick append order
+    // cannot show through.
     std::map<NodeId, uint32_t> folded;
     size_t taken = 0;
     while (taken < pending.size() && pending[taken].first < now) {
@@ -27,8 +27,7 @@ CreditFabric::Slot::drainCredits()
     for (const auto &[dst, count] : folded)
         policy->onCredit(dst, count, now);
 
-    // Entries born at `now` (and any later ones a solo window already
-    // appended) wait for the next drain.
+    // Entries born at `now` wait for the next drain.
     if (!pending.empty()) {
         tcpni_assert(pending.front().first >= now);
         eq.schedule(&drain, pending.front().first + 1);

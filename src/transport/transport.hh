@@ -39,11 +39,10 @@
  *    above the minimum observed baseline also halve the rate), since
  *    the local level goes quiet exactly when pacing binds.
  *
- * Determinism: every policy is per-NI state mutated only from its own
- * shard's event queue (gate/onAdmit/onOafull from the NI itself,
- * onCredit from a CreditFabric drain event scheduled on the sender's
- * queue), and all arithmetic is integer, so sharded runs reproduce
- * single-queue runs exactly (see tests/transport/).
+ * Determinism: every policy is per-NI state mutated only by events of
+ * its machine's queue (gate/onAdmit/onOafull from the NI itself,
+ * onCredit from a CreditFabric drain event), and all arithmetic is
+ * integer, so a run is bit-reproducible (see tests/transport/).
  */
 
 #ifndef TCPNI_TRANSPORT_TRANSPORT_HH

@@ -128,6 +128,10 @@ TEST(Metrics, SamplerRecordsTimeSeries)
             eq.schedule(events.back().get(), t);
         }
         eq.run();
+        // Sampling is passive: it neither advanced the clock past the
+        // last event nor added events of its own.
+        EXPECT_EQ(eq.curTick(), 350u);
+        EXPECT_EQ(eq.numProcessed(), 350u);
         nic.depth = 0;
     }
     setRegistry(nullptr);
@@ -137,15 +141,16 @@ TEST(Metrics, SamplerRecordsTimeSeries)
     ASSERT_EQ(tm.groups.size(), 2u);
     EXPECT_EQ(tm.groups[0].name, "eventq");
     EXPECT_EQ(tm.groups[1].name, "ni0");
-    // The gauge peak was caught by the tick-150 neighborhood sample
-    // (the sampler fires at statsPri after the functional events).
+    // The gauge peak was caught by the tick-200 sample (taken once
+    // every event of tick 200 has fired).
     const auto &depth = tm.groups[1].series[1];
     EXPECT_EQ(depth.name, "depth");
     EXPECT_EQ(depth.value, 0u);
     EXPECT_EQ(depth.peak, 99u);
 
-    // Samples landed on exact interval boundaries with monotone
-    // counter values.
+    // Samples landed on exact interval boundaries, plus the final
+    // sample at the end of the run (tick 350), with monotone counter
+    // values.
     ASSERT_FALSE(tm.rows.empty());
     uint32_t sent_id = UINT32_MAX;
     for (uint32_t i = 0; i < tm.seriesNames.size(); ++i) {
@@ -156,7 +161,7 @@ TEST(Metrics, SamplerRecordsTimeSeries)
     uint64_t prev = 0;
     unsigned seen = 0;
     for (const SampleRow &row : tm.rows) {
-        EXPECT_EQ(row.tick % 100, 0u);
+        EXPECT_TRUE(row.tick % 100 == 0 || row.tick == 350) << row.tick;
         if (row.series == sent_id) {
             EXPECT_GE(row.value, prev);
             // One functional event per tick has fired by the sample.
@@ -165,7 +170,8 @@ TEST(Metrics, SamplerRecordsTimeSeries)
             ++seen;
         }
     }
-    EXPECT_GE(seen, 3u);
+    EXPECT_EQ(seen, 4u);   // ticks 100, 200, 300 and 350
+    EXPECT_EQ(prev, 350u);
     EXPECT_EQ(tm.droppedRows, 0u);
 }
 

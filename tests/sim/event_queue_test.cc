@@ -205,3 +205,32 @@ TEST(EventQueue, SizeTracksScheduled)
     eq.run();
     EXPECT_TRUE(eq.empty());
 }
+
+TEST(EventQueuePeek, NextEventTickTracksSchedule)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder a(log, 1), b(log, 2);
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+    eq.schedule(&a, 30);
+    EXPECT_EQ(eq.nextEventTick(), 30u);
+    eq.schedule(&b, 10);     // a new earliest event
+    EXPECT_EQ(eq.nextEventTick(), 10u);
+    eq.deschedule(&b);       // and gone again
+    EXPECT_EQ(eq.nextEventTick(), 30u);
+    eq.run();
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+}
+
+TEST(EventQueuePeek, NextEventTickSkipsDescheduled)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder a(log, 1), b(log, 2);
+    eq.schedule(&a, 5);
+    eq.schedule(&b, 9);
+    eq.deschedule(&a);
+    EXPECT_EQ(eq.nextEventTick(), 9u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2}));
+}

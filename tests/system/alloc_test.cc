@@ -6,7 +6,7 @@
  * wrappers (which is why these tests live in their own executable):
  * between warm-up and teardown, a running System -- event kernel,
  * mesh routing, NI rings, traffic drivers -- must perform no heap
- * allocations at all, at one shard and at four.
+ * allocations at all.
  *
  * The workload is deterministic (fixed seeds, single-threaded), so
  * the assertion is exact, not statistical: the steady-state windows
@@ -141,7 +141,7 @@ struct Churn : public Event
 };
 
 void
-expectZeroAllocSystem(unsigned shards)
+expectZeroAllocSystem()
 {
     constexpr unsigned width = 4, height = 4, nodes = width * height;
     sys::NodeConfig cfg;
@@ -157,8 +157,7 @@ expectZeroAllocSystem(unsigned shards)
     tc.seed = 42;
 
     sys::System machine("alloc", width, height,
-                        std::vector<sys::NodeConfig>(nodes, cfg),
-                        shards);
+                        std::vector<sys::NodeConfig>(nodes, cfg));
     std::vector<std::unique_ptr<sys::TrafficGen>> gens;
     for (NodeId n = 0; n < nodes; ++n)
         gens.push_back(
@@ -177,8 +176,7 @@ expectZeroAllocSystem(unsigned shards)
         count = scope.count();
     }
     EXPECT_EQ(count, 0u)
-        << count << " heap allocations in the steady-state window at "
-        << shards << " shard(s)";
+        << count << " heap allocations in the steady-state window";
 
     // Let the run finish and prove the workload was real.
     EXPECT_TRUE(machine.run());
@@ -195,12 +193,7 @@ expectZeroAllocSystem(unsigned shards)
 
 TEST(AllocSteadyState, SystemIsAllocationFreeSingleShard)
 {
-    expectZeroAllocSystem(1);
-}
-
-TEST(AllocSteadyState, SystemIsAllocationFreeFourShards)
-{
-    expectZeroAllocSystem(4);
+    expectZeroAllocSystem();
 }
 
 TEST(AllocSteadyState, EventKernelChurnIsAllocationFree)

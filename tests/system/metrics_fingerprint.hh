@@ -11,9 +11,8 @@
  * line-per-series string ("group.series value").  Two runs look the
  * same to every instrumented component iff their fingerprints match.
  *
- * Only the merged groups are serialized, not TaskMetrics::sims: a
- * sharded machine registers one simulation per shard queue, so that
- * count differs across shard counts while every series agrees.
+ * Only the merged groups are serialized, not TaskMetrics::sims (the
+ * fuzz suites' pinned hashes were recorded that way).
  */
 
 #ifndef TCPNI_TESTS_SYSTEM_METRICS_FINGERPRINT_HH

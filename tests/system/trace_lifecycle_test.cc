@@ -163,4 +163,65 @@ TEST_F(LifecycleTest, LatencyStatsMatchLifecycle)
     EXPECT_EQ(ni1.inputOccTicks(), 0u);
 }
 
+/** Every "dur" value of a Chrome trace, as the unsigned number it
+ *  was printed as. */
+std::vector<uint64_t>
+durations(const std::string &json)
+{
+    std::vector<uint64_t> out;
+    const std::string key = "\"dur\":";
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1))
+        out.push_back(std::stoull(json.substr(at + key.size())));
+    return out;
+}
+
+TEST_F(LifecycleTest, SlicesNeverPairAcrossMachines)
+{
+    // Trace ids restart with every EventQueue, the way a sweep builds
+    // one machine after another: machine A injects its id 1 at tick
+    // 10, machine B receives its own id 1 straight off the wire at
+    // tick 0.  Pairing A's inject with B's arrival would print a
+    // negative (wrapped) network slice.
+    Tick run_ticks = 0;
+    {
+        EventQueue eq;
+        MeshNetwork mesh("mesh", eq, 2, 1);
+        ni::NiConfig cfg;
+        ni::NetworkInterface ni0("node0.ni", eq, 0, mesh, cfg);
+        ni::NetworkInterface ni1("node1.ni", eq, 1, mesh, cfg);
+        LambdaEvent idle([] {});
+        eq.schedule(&idle, 10);
+        eq.run();
+        sendAndConsume(eq, ni0, ni1, 1);
+        run_ticks = std::max(run_ticks, eq.curTick());
+    }
+    {
+        EventQueue eq;
+        MeshNetwork mesh("mesh", eq, 2, 1);
+        ni::NiConfig cfg;
+        ni::NetworkInterface ni1("node1.ni", eq, 1, mesh, cfg);
+        Message m;
+        m.words[0] = globalWord(1, 0x100);
+        m.type = 2;
+        m.setDestFromWord0();
+        ASSERT_TRUE(ni1.acceptFromNetwork(m));
+        eq.run();
+        isa::NiCommand next;
+        next.next = true;
+        ni1.command(next);
+        run_ticks = std::max(run_ticks, eq.curTick());
+    }
+    EXPECT_EQ(sink_.completeLifecycles(), 2u);
+
+    std::ostringstream os;
+    sink_.writeChromeTrace(os);
+    const std::vector<uint64_t> durs = durations(os.str());
+    ASSERT_FALSE(durs.empty());
+    for (uint64_t d : durs)
+        EXPECT_LE(d, run_ticks);   // unsigned: a negative one wraps
+    // One process per machine.
+    EXPECT_NE(os.str().find("\"pid\":1"), std::string::npos);
+}
+
 } // namespace

@@ -12,8 +12,10 @@ Checks (stdlib only, no third-party dependencies):
     min <= mean <= max, count > 0
   - gauge invariant: last <= peak
   - sample rows: [sim, tick, series, value] with sim < sims, tick a
-    multiple of sampleInterval, series naming an emitted group series,
-    counter series monotone non-decreasing per (sim, series)
+    multiple of sampleInterval (except a sim's final sample, taken at
+    the end of its run: a tick off the interval must be the sim's
+    last), series naming an emitted group series, counter series
+    monotone non-decreasing per (sim, series)
   - optional CSV: header line and row-count consistency with the JSON
 
 Exit status 0 on success; prints the first failure and exits 1 otherwise.
@@ -100,6 +102,10 @@ def validate_task(where, t, interval):
            f"{where}.samples: keys {sorted(samples.keys())}")
     expect(is_uint(samples["dropped"]), f"{where}.samples.dropped")
     last_counter = {}
+    final_tick = {}
+    for row in samples["rows"]:
+        if isinstance(row, list) and len(row) == 4:
+            final_tick[row[0]] = max(final_tick.get(row[0], 0), row[1])
     n_rows = 0
     for row in samples["rows"]:
         expect(isinstance(row, list) and len(row) == 4,
@@ -112,9 +118,11 @@ def validate_task(where, t, interval):
         expect(is_uint(tick) and is_uint(value),
                f"{where}.samples.rows[{n_rows}]: non-integer "
                f"tick/value")
-        expect(interval == 0 or tick % interval == 0,
-               f"{where}.samples.rows[{n_rows}]: tick {tick} not a "
-               f"multiple of the sample interval {interval}")
+        expect(interval == 0 or tick % interval == 0 or
+               tick == final_tick[sim],
+               f"{where}.samples.rows[{n_rows}]: tick {tick} neither "
+               f"a multiple of the sample interval {interval} nor "
+               f"the final sample of sim {sim}")
         expect(name in series,
                f"{where}.samples.rows[{n_rows}]: unknown series "
                f"'{name}'")
