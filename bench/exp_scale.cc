@@ -148,6 +148,12 @@ runPoint(unsigned nodes, const sys::TrafficConfig &tc,
     return p;
 }
 
+/** Largest --sizes entry: the default run's top point, whose 64k-node
+ *  hotspot already peaks at ~1.4 GB of host memory. */
+constexpr unsigned long maxScaleNodes = 65536;
+
+/** Parse --sizes: decimal node counts in [2, maxScaleNodes], strictly
+ *  ascending (each row's peak RSS is the process high-water mark). */
 std::vector<unsigned>
 parseSizes(const std::string &csv)
 {
@@ -157,10 +163,17 @@ parseSizes(const std::string &csv)
     while (std::getline(is, item, ',')) {
         if (item.empty())
             continue;
-        long v = std::stol(item);
-        if (v < 2)
-            fatal("exp_scale: --sizes entries must be >= 2, got %ld",
-                  v);
+        // Six digits keep stoul in range and still exceed the cap.
+        unsigned long v = 0;
+        if (item.size() <= 6 &&
+            item.find_first_not_of("0123456789") == std::string::npos)
+            v = std::stoul(item);
+        if (v < 2 || v > maxScaleNodes)
+            fatal("exp_scale: --sizes entries must be node counts in "
+                  "[2, %lu], got '%s'", maxScaleNodes, item.c_str());
+        if (!sizes.empty() && v <= sizes.back())
+            fatal("exp_scale: --sizes must ascend, got %lu after %u", v,
+                  sizes.back());
         sizes.push_back(static_cast<unsigned>(v));
     }
     if (sizes.empty())
@@ -268,7 +281,8 @@ registerScale(exp::ExperimentRegistry &reg)
         "Simulation-core scaling: event throughput and footprint on "
         "growing meshes",
         {
-            {"--sizes", "N,N,...", "mesh node counts (ascending)",
+            {"--sizes", "N,N,...",
+             "mesh node counts, strictly ascending, each in [2, 65536]",
              "64,4096,65536", false},
             {"--msgs", "N", "messages sent per node", "16", false},
             {"--gap", "T", "mean inter-send gap in ticks", "20",

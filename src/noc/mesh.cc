@@ -1,5 +1,7 @@
 #include "noc/mesh.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/trace.hh"
 
@@ -12,13 +14,18 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
     : Network(std::move(name), eq, width * height), width_(width),
       height_(height), bufferDepth_(buffer_depth),
       cyclesPerWord_(cycles_per_word), routers_(width * height),
-      tickEvent_(*this)
+      coord_(width * height),
+      stride_{0, -static_cast<int>(width), static_cast<int>(width), 1,
+              -1},
+      active_((width * height + 63) / 64, 0), tickEvent_(*this)
 {
     tcpni_assert(width_ > 0 && height_ > 0);
     tcpni_assert(bufferDepth_ > 0);
     for (auto &router : routers_)
         for (auto &q : router.inq)
             q.reset(bufferDepth_);
+    for (NodeId n = 0; n < numNodes(); ++n)
+        coord_[n] = {n % width_, n / width_};
     registerMetrics();
 }
 
@@ -77,40 +84,17 @@ MeshNetwork::Port
 MeshNetwork::route(NodeId here, NodeId dest) const
 {
     tcpni_assert(here < numNodes() && dest < numNodes());
-    unsigned hx = here % width_, hy = here / width_;
-    unsigned dx = dest % width_, dy = dest / width_;
+    const Coord h = coord_[here], d = coord_[dest];
     // Dimension-order: correct X first, then Y.
-    if (dx > hx)
+    if (d.x > h.x)
         return Port::east;
-    if (dx < hx)
+    if (d.x < h.x)
         return Port::west;
-    if (dy > hy)
+    if (d.y > h.y)
         return Port::south;
-    if (dy < hy)
+    if (d.y < h.y)
         return Port::north;
     return Port::local;
-}
-
-NodeId
-MeshNetwork::neighbor(NodeId here, Port out) const
-{
-    unsigned hx = here % width_, hy = here / width_;
-    switch (out) {
-      case Port::east:
-        tcpni_assert(hx + 1 < width_);
-        return here + 1;
-      case Port::west:
-        tcpni_assert(hx > 0);
-        return here - 1;
-      case Port::south:
-        tcpni_assert(hy + 1 < height_);
-        return here + width_;
-      case Port::north:
-        tcpni_assert(hy > 0);
-        return here - width_;
-      default:
-        panic("neighbor() of local port");
-    }
 }
 
 MeshNetwork::Port
@@ -127,10 +111,43 @@ MeshNetwork::inputPortFor(Port out)
     }
 }
 
-size_t
-MeshNetwork::queueDepth(NodeId node, Port port) const
+MeshNetwork::RouterProbe
+MeshNetwork::probe(NodeId node) const
 {
-    return routers_.at(node).inq[static_cast<unsigned>(port)].size();
+    const RouterState &router = routers_.at(node);
+    RouterProbe p;
+    p.active = (active_[node / 64] >> (node % 64)) & 1;
+    for (unsigned in = 0; in < numPorts; ++in) {
+        if (router.headOut[in] != noHead)
+            p.headOut[in] = static_cast<Port>(router.headOut[in]);
+        const auto &q = router.inq[in];
+        for (size_t i = 0; i < q.size(); ++i)
+            p.resident[in].emplace_back(q[i].msg.dest(), q[i].out);
+    }
+    return p;
+}
+
+void
+MeshNetwork::refreshHead(RouterState &router, unsigned in)
+{
+    const auto &q = router.inq[in];
+    if (q.empty()) {
+        router.headOut[in] = noHead;
+        return;
+    }
+    router.headOut[in] = static_cast<uint8_t>(q.front().out);
+    router.headMoved[in] = q.front().movedAt;
+}
+
+void
+MeshNetwork::enqueue(NodeId r, unsigned in, InFlight m)
+{
+    m.out = route(r, m.msg.dest());
+    auto &q = routers_[r].inq[in];
+    q.push_back(std::move(m));
+    if (q.size() == 1)
+        refreshHead(routers_[r], in);
+    active_[r / 64] |= uint64_t(1) << (r % 64);
 }
 
 bool
@@ -142,8 +159,8 @@ MeshNetwork::offer(NodeId src, const Message &msg)
               msg.toString().c_str());
     }
     const Tick now = curTick();
-    auto &q = routers_[src].inq[static_cast<unsigned>(Port::local)];
-    if (q.size() >= bufferDepth_) {
+    const unsigned local = static_cast<unsigned>(Port::local);
+    if (routers_[src].inq[local].size() >= bufferDepth_) {
         TCPNI_TRACE(NOC, "refuse injection at node %u (buffer full)",
                     src);
         return false;
@@ -151,7 +168,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     TCPNI_TRACE(NOC, "accept id=%llu at node %u for node %u",
                 static_cast<unsigned long long>(msg.traceId), src,
                 msg.dest());
-    q.push_back({msg, now, now});
+    enqueue(src, local, {msg, now, now, Port::local});
     ++injected_;
     ++occupied_;
     if (!tickEvent_.scheduled())
@@ -165,67 +182,73 @@ MeshNetwork::idle() const
     return occupied_ == 0;
 }
 
-bool
-MeshNetwork::hasWaiter(const RouterState &router, NodeId r, Port out,
-                       Tick now) const
-{
-    for (unsigned in = 0; in < numPorts; ++in) {
-        const auto &q = router.inq[in];
-        if (q.empty())
-            continue;
-        const InFlight &head = q.front();
-        if (head.movedAt == now)
-            continue;
-        if (route(r, head.msg.dest()) == out)
-            return true;
-    }
-    return false;
-}
-
 void
 MeshNetwork::tick()
 {
     const Tick now = curTick();
 
-    for (NodeId r = 0; r < numNodes(); ++r) {
-        RouterState &router = routers_[r];
-        if (router.empty())
-            continue;
-        // Consider each output port in a fixed order; each forwards at
-        // most one message per cycle.
-        static const Port outputs[] = {Port::local, Port::north,
-                                       Port::south, Port::east,
-                                       Port::west};
-        for (Port out : outputs) {
-            unsigned out_idx = static_cast<unsigned>(out);
-            // Link serialization: a long message holds the port.
-            if (router.busyUntil[out_idx] > now) {
-                if (linkStats_ && hasWaiter(router, r, out, now))
-                    ++linkBlocked_[r * numPorts + out_idx];
-                continue;
-            }
-            bool moved_any = false;
-            bool contended = false;
-            // Round-robin over input ports for this output.
-            for (unsigned k = 0; k < numPorts; ++k) {
-                unsigned in_idx = (router.rr[out_idx] + k) % numPorts;
-                auto &q = router.inq[in_idx];
-                if (q.empty())
-                    continue;
-                InFlight &head = q.front();
-                // A message that already advanced this cycle (a router
-                // with a lower index pushed it downstream) must wait
-                // for the next cycle: one hop per cycle.
-                if (head.movedAt == now)
-                    continue;
-                if (route(r, head.msg.dest()) != out)
-                    continue;
-                contended = true;
-                const size_t head_len = head.msg.length();
+    // Routers that join the active set during the walk hold only
+    // messages with movedAt == now, which cannot move again this
+    // cycle, so visiting or skipping them is the same.
+    for (size_t w = 0; w < active_.size(); ++w) {
+        for (uint64_t bits = active_[w]; bits; bits &= bits - 1) {
+            const NodeId r =
+                static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+            RouterState &router = routers_[r];
 
+            // The output ports some head is ready to take (it did not
+            // already advance this cycle).
+            unsigned wanted = 0;
+            for (unsigned in = 0; in < numPorts; ++in) {
+                if (router.headOut[in] != noHead &&
+                    router.headMoved[in] != now)
+                    wanted |= 1u << router.headOut[in];
+            }
+
+            // Each output port, in ascending order, forwards at most
+            // one message per cycle.  A head exposed by a move may
+            // still take a later port this cycle.
+            while (wanted) {
+                const unsigned out = std::countr_zero(wanted);
+                wanted &= wanted - 1;
+                const size_t li = r * numPorts + out;
+                // Link serialization: a long message holds the port.
+                if (router.busyUntil[out] > now) {
+                    if (linkStats_)
+                        ++linkBlocked_[li];
+                    continue;
+                }
+                // A refused hop leaves the downstream queue full for
+                // every other candidate too.
+                NodeId dst = r;
+                unsigned dst_in = 0;
+                FixedRing<InFlight> *dq = nullptr;
+                if (out != static_cast<unsigned>(Port::local)) {
+                    dst = r + stride_[out];
+                    tcpni_assert(dst < numNodes());
+                    dst_in = static_cast<unsigned>(
+                        inputPortFor(static_cast<Port>(out)));
+                    dq = &routers_[dst].inq[dst_in];
+                    if (dq->size() >= bufferDepth_) {
+                        if (linkStats_)
+                            ++linkBlocked_[li];
+                        continue;
+                    }
+                }
+                // Round-robin over input ports for this output.
                 bool moved = false;
-                if (out == Port::local) {
-                    if (deliver(head.msg)) {
+                unsigned in = router.rr[out];
+                for (unsigned k = 0; k < numPorts && !moved;
+                     ++k, in = in + 1 == numPorts ? 0 : in + 1) {
+                    if (router.headOut[in] != out ||
+                        router.headMoved[in] == now)
+                        continue;
+                    auto &q = router.inq[in];
+                    InFlight &head = q.front();
+                    const size_t head_len = head.msg.length();
+                    if (!dq) {
+                        if (!deliver(head.msg))
+                            continue;
                         latency_.record(now - head.injectTick);
                         TCPNI_TRACE(NOC, "eject id=%llu at node %u "
                                     "(%llu cycles in fabric)",
@@ -235,13 +258,7 @@ MeshNetwork::tick()
                                         now - head.injectTick));
                         q.pop_front();
                         --occupied_;
-                        moved = true;
-                    }
-                } else {
-                    NodeId dst = neighbor(r, out);
-                    auto &dq = routers_[dst]
-                        .inq[static_cast<unsigned>(inputPortFor(out))];
-                    if (dq.size() < bufferDepth_) {
+                    } else {
                         InFlight m = std::move(head);
                         q.pop_front();
                         m.movedAt = now;
@@ -252,19 +269,21 @@ MeshNetwork::tick()
                         TCPNI_TRACE(NOC, "hop id=%llu node %u -> %u",
                                     static_cast<unsigned long long>(
                                         m.msg.traceId), r, dst);
-                        dq.push_back(std::move(m));
-                        moved = true;
+                        enqueue(dst, dst_in, std::move(m));
                     }
-                }
-                if (moved) {
-                    router.rr[out_idx] = (in_idx + 1) % numPorts;
+                    moved = true;
+                    refreshHead(router, in);
+                    if (router.headOut[in] != noHead &&
+                        router.headOut[in] > out &&
+                        router.headMoved[in] != now)
+                        wanted |= 1u << router.headOut[in];
+                    router.rr[out] = in + 1 == numPorts ? 0 : in + 1;
                     if (cyclesPerWord_ > 0) {
-                        router.busyUntil[out_idx] =
+                        router.busyUntil[out] =
                             now + static_cast<Tick>(cyclesPerWord_) *
                                       head_len;
                     }
                     if (linkStats_) {
-                        const size_t li = r * numPorts + out_idx;
                         ++linkXfers_[li];
                         linkBusy_[li] +=
                             cyclesPerWord_ > 0
@@ -272,14 +291,18 @@ MeshNetwork::tick()
                                       cyclesPerWord_) * head_len
                                 : 1;
                     }
-                    moved_any = true;
-                    break;
                 }
+                // A ready head wanted this output but nothing moved:
+                // charge one contention cycle to the link.
+                if (linkStats_ && !moved)
+                    ++linkBlocked_[li];
             }
-            // A ready head wanted this output but nothing moved:
-            // charge one contention cycle to the link.
-            if (linkStats_ && contended && !moved_any)
-                ++linkBlocked_[r * numPorts + out_idx];
+
+            bool empty = true;
+            for (unsigned in = 0; in < numPorts; ++in)
+                empty = empty && router.headOut[in] == noHead;
+            if (empty)
+                active_[w] &= ~(uint64_t(1) << (r % 64));
         }
     }
 

@@ -19,18 +19,26 @@
  * architecture interacts with: finite buffering with backpressure and
  * in-order delivery per source-destination pair.
  *
- * One tick event walks every router each cycle while any message is
- * in flight, skipping routers whose five input queues are empty (an
- * empty router changes no arbitration pointer, link reservation or
- * link counter, so the skip is exact).  Router buffers are
- * fixed-capacity rings, so the forwarding path performs no heap
- * allocation.
+ * One tick event fires each cycle while any message is in flight and
+ * visits only the routers in the active set: a bitset with one bit
+ * per router, set whenever a message enters the router (inject or
+ * hop) and cleared after a visit that leaves all five input queues
+ * empty.  Set bits are walked in ascending router order, the order a
+ * walk over every router would use, so the schedule is unchanged.
+ * Each message's output port at the router it sits in is routed
+ * once, when it enters; a per-router head summary (each input head's
+ * cached port and the cycle it last moved) lets arbitration read one
+ * small struct and touch a ring buffer only for a head that moves.
+ * Router buffers are fixed-capacity rings, so the forwarding path
+ * performs no heap allocation.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
 #define TCPNI_NOC_MESH_HH
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ring.hh"
@@ -70,17 +78,25 @@ class MeshNetwork : public Network
 
     /** Next-hop port (exposed for routing unit tests). */
     enum class Port : uint8_t { local = 0, north, south, east, west };
+    static constexpr unsigned numPorts = 5;
     Port route(NodeId here, NodeId dest) const;
 
-    /** Occupancy of a router input queue (for tests). */
-    size_t queueDepth(NodeId node, Port port) const;
+    /** One router's routing state (for tests). */
+    struct RouterProbe
+    {
+        bool active = false;    //!< in the active set
+        /** Per input queue: the head summary's cached port (nullopt
+         *  when the summary says empty), and every resident message's
+         *  (destination, cached port), front first. */
+        std::optional<Port> headOut[numPorts];
+        std::vector<std::pair<NodeId, Port>> resident[numPorts];
+    };
+    RouterProbe probe(NodeId node) const;
 
     uint64_t injected() const { return injected_; }
     const metrics::Histogram &latencyDist() const { return latency_; }
 
   private:
-    static constexpr unsigned numPorts = 5;
-
     /** Per-link metric series are dropped above this size: a 64k-node
      *  mesh would intern ~a million series names for a heatmap nobody
      *  can render. */
@@ -91,24 +107,30 @@ class MeshNetwork : public Network
         Message msg;
         Tick injectTick;    //!< when the message entered the fabric
         Tick movedAt;       //!< last cycle this message advanced a hop
+        Port out;           //!< output port at the router it sits in
     };
+
+    /** headOut value of an empty input queue. */
+    static constexpr uint8_t noHead = 0xff;
 
     struct RouterState
     {
-        FixedRing<InFlight> inq[numPorts];
+        // Head summary, kept equal to each queue's front: the head's
+        // output port (noHead when the queue is empty) and movedAt.
+        uint8_t headOut[numPorts] = {noHead, noHead, noHead, noHead,
+                                     noHead};
         // Round-robin arbitration pointer per output port.
-        unsigned rr[numPorts] = {0, 0, 0, 0, 0};
+        uint8_t rr[numPorts] = {0, 0, 0, 0, 0};
+        Tick headMoved[numPorts] = {0, 0, 0, 0, 0};
         // Link serialization: the output port is busy until this tick.
         Tick busyUntil[numPorts] = {0, 0, 0, 0, 0};
+        FixedRing<InFlight> inq[numPorts];
+    };
 
-        bool
-        empty() const
-        {
-            for (const auto &q : inq)
-                if (!q.empty())
-                    return false;
-            return true;
-        }
+    /** x and y of a node, so routing needs no division. */
+    struct Coord
+    {
+        unsigned x, y;
     };
 
     class TickEvent : public Event
@@ -127,17 +149,23 @@ class MeshNetwork : public Network
     void registerMetrics();
 
     void tick();
-    NodeId neighbor(NodeId here, Port out) const;
     static Port inputPortFor(Port out);
 
-    /** True when some head wants output @p out of router @p r and has
-     *  not already advanced this cycle (link-contention accounting). */
-    bool hasWaiter(const RouterState &router, NodeId r, Port out,
-                   Tick now) const;
+    /** Append @p m to input @p in of router @p r, routing it there,
+     *  and put @p r in the active set. */
+    void enqueue(NodeId r, unsigned in, InFlight m);
+    /** Reload the head summary of @p router's input @p in. */
+    static void refreshHead(RouterState &router, unsigned in);
 
     unsigned width_, height_, bufferDepth_;
     unsigned cyclesPerWord_;
     std::vector<RouterState> routers_;
+    std::vector<Coord> coord_;
+    /** Node id offset of the neighbor through each output port. */
+    int stride_[numPorts];
+    /** The active set: bit r % 64 of word r / 64 is set whenever
+     *  router r holds a message. */
+    std::vector<uint64_t> active_;
 
     TickEvent tickEvent_;
     /** Messages resident in router buffers. */

@@ -13,8 +13,12 @@
 
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "../system/fnv1a.hh"
+#include "../system/metrics_fingerprint.hh"
 #include "common/random.hh"
 #include "ni/network_interface.hh"
 #include "ni/ni_regs.hh"
@@ -31,6 +35,11 @@ struct StormSink
     std::vector<Message> got;
     Random *rng = nullptr;
     double refuse_p = 0;
+    /** When set, every accepted delivery appends one line to it
+     *  (tick, destination, source, sequence): the global delivery
+     *  order across all sinks. */
+    std::ostringstream *log = nullptr;
+    const EventQueue *eq = nullptr;
 
     MessageSink
     sink()
@@ -39,6 +48,10 @@ struct StormSink
             if (rng && rng->chance(refuse_p))
                 return false;
             got.push_back(m);
+            if (log) {
+                *log << eq->curTick() << " " << m.dest() << " "
+                     << m.words[2] << " " << m.words[1] << "\n";
+            }
             return true;
         };
     }
@@ -100,6 +113,82 @@ runStorm(MeshNetwork &mesh, EventQueue &eq, Random &rng, unsigned n,
     }
 }
 
+/** One storm's exact schedule, as pinned by MeshStormPinned. */
+struct StormPrint
+{
+    Tick ticks = 0;
+    uint64_t deliveryHash = 0;  //!< fnv1a of the global delivery log
+    uint64_t metricsHash = 0;   //!< fnv1a(MetricsFingerprint::take())
+    uint64_t blockedCycles = 0; //!< summed per-link blocked_cycles
+};
+
+/** Sum of every "<link>.blocked_cycles" counter in a fingerprint. */
+uint64_t
+sumBlockedCycles(const std::string &fingerprint)
+{
+    const std::string suffix = ".blocked_cycles ";
+    uint64_t sum = 0;
+    std::istringstream is(fingerprint);
+    for (std::string line; std::getline(is, line);) {
+        const size_t at = line.find(suffix);
+        if (at != std::string::npos)
+            sum += std::stoull(line.substr(at + suffix.size()));
+    }
+    return sum;
+}
+
+/** A storm configuration; both use router buffers of 2. */
+struct StormSpec
+{
+    const char *name;
+    unsigned width, height;
+    unsigned cyclesPerWord;
+    double refuseP;         //!< chance a sink refuses a delivery
+    unsigned total;         //!< messages injected
+    unsigned extraWords;    //!< SCROLL words per message
+    uint64_t seedXor;       //!< keeps the two storms' streams apart
+};
+
+/** 6x6, sinks refusing 40%. */
+constexpr StormSpec refusingSpec{"storm", 6, 6, 0, 0.4, 1500, 0, 0};
+/** 3x3, 2 cycles/word and 3 extra words (8-word messages), sinks
+ *  refusing 25%. */
+constexpr StormSpec serializedSpec{"serstorm", 3, 3, 2, 0.25, 400, 3,
+                                   0x5eedULL};
+
+/** Run one storm; when @p print is set, with a metrics registry
+ *  installed (link statistics on) and its schedule recorded. */
+void
+storm(const StormSpec &spec, uint64_t seed, StormPrint *print)
+{
+    Random rng(seed ^ spec.seedXor);
+    const unsigned n = spec.width * spec.height;
+
+    std::unique_ptr<MetricsFingerprint> metrics;
+    if (print)
+        metrics = std::make_unique<MetricsFingerprint>();
+    std::ostringstream log;
+    EventQueue eq;
+    MeshNetwork mesh(spec.name, eq, spec.width, spec.height,
+                     /*buffer_depth=*/2, spec.cyclesPerWord);
+    std::vector<StormSink> sinks(n);
+    for (NodeId i = 0; i < n; ++i) {
+        sinks[i].rng = &rng;
+        sinks[i].refuse_p = spec.refuseP;
+        if (print) {
+            sinks[i].log = &log;
+            sinks[i].eq = &eq;
+        }
+        mesh.setSink(i, sinks[i].sink());
+    }
+    runStorm(mesh, eq, rng, n, spec.total, sinks, spec.extraWords);
+    if (print) {
+        const std::string fp = metrics->take(eq.curTick());
+        *print = {eq.curTick(), fnv1a(log.str()), fnv1a(fp),
+                  sumBlockedCycles(fp)};
+    }
+}
+
 } // namespace
 
 class MeshStorm : public ::testing::TestWithParam<uint64_t>
@@ -111,18 +200,7 @@ TEST_P(MeshStorm, BurstyHotspotStormNoLossPerSourceFifo)
     // 6x6 mesh, router buffers of 2: deep backpressure trees form
     // behind the hotspot, and flaky sinks (40% refusal) keep ejection
     // retrying.  Conservation and per-pair FIFO must survive.
-    Random rng(GetParam());
-    const unsigned w = 6, h = 6, n = w * h;
-
-    EventQueue eq;
-    MeshNetwork mesh("storm", eq, w, h, /*buffer_depth=*/2);
-    std::vector<StormSink> sinks(n);
-    for (NodeId i = 0; i < n; ++i) {
-        sinks[i].rng = &rng;
-        sinks[i].refuse_p = 0.4;
-        mesh.setSink(i, sinks[i].sink());
-    }
-    runStorm(mesh, eq, rng, n, 1500, sinks);
+    storm(refusingSpec, GetParam(), nullptr);
 }
 
 TEST_P(MeshStorm, SerializedLongMessageStormKeepsOrder)
@@ -130,23 +208,75 @@ TEST_P(MeshStorm, SerializedLongMessageStormKeepsOrder)
     // Link serialization on (2 cycles/word) with 8-word payloads:
     // long messages hold links the way multi-flit wormhole packets
     // do, stretching contention windows.  Same invariants must hold.
-    Random rng(GetParam() ^ 0x5eedULL);
-    const unsigned w = 3, h = 3, n = w * h;
-
-    EventQueue eq;
-    MeshNetwork mesh("serstorm", eq, w, h, /*buffer_depth=*/2,
-                     /*cycles_per_word=*/2);
-    std::vector<StormSink> sinks(n);
-    for (NodeId i = 0; i < n; ++i) {
-        sinks[i].rng = &rng;
-        sinks[i].refuse_p = 0.25;
-        mesh.setSink(i, sinks[i].sink());
-    }
-    runStorm(mesh, eq, rng, n, 400, sinks, /*extra_words=*/3);
+    storm(serializedSpec, GetParam(), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeshStorm,
                          ::testing::Values(7u, 77u, 777u, 7777u));
+
+namespace
+{
+
+struct StormPin
+{
+    uint64_t seed;
+    Tick ticks;
+    uint64_t blockedCycles;
+    uint64_t deliveryHash;
+    uint64_t metricsHash;
+};
+
+/** Recorded from the mesh tick that walked every router and routed
+ *  every head per output port, before the active set and the head
+ *  summary replaced it. */
+constexpr StormPin refusingPins[] = {
+    {7, 1610, 1157, 0xfdd671ea615048f7ULL, 0x76db4abfc9b3c5b5ULL},
+    {77, 1602, 1168, 0x34e74a7a8bd141bdULL, 0xe29735f87783ee69ULL},
+    {777, 1642, 1150, 0xbf7f9e02a164f8acULL, 0xae83e2cca4099908ULL},
+    {7777, 1594, 1210, 0x8c69c723a7dd68c9ULL, 0x03723f022829043eULL},
+};
+
+constexpr StormPin serializedPins[] = {
+    {7, 2730, 22494, 0xf8157fdf697f2786ULL, 0x79472d598aa4b369ULL},
+    {77, 2697, 22863, 0xc62f5ef2218f1a18ULL, 0x1307bf265fdd6b20ULL},
+    {777, 2607, 21874, 0xa0085c5c83424841ULL, 0x5be98a26a1147923ULL},
+    {7777, 3069, 26572, 0x749db32dee8b713fULL, 0xa3229da38a803631ULL},
+};
+
+void
+checkPin(const StormPrint &got, const StormPin &pin)
+{
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    EXPECT_EQ(got.ticks, pin.ticks);
+    EXPECT_EQ(got.blockedCycles, pin.blockedCycles);
+    EXPECT_EQ(got.deliveryHash, pin.deliveryHash);
+    EXPECT_EQ(got.metricsHash, pin.metricsHash);
+}
+
+} // namespace
+
+// The exact schedule of both storms -- final tick, global delivery
+// order, and every mesh series including per-link xfers, busy_cycles
+// and blocked_cycles -- with link statistics on.  Unlike MeshFuzz
+// (which reaches the mesh through System, without serialization),
+// these pin link-busy arbitration and contention accounting.
+TEST(MeshStormPinned, RefusingSinkStormSchedule)
+{
+    for (const StormPin &pin : refusingPins) {
+        StormPrint got;
+        storm(refusingSpec, pin.seed, &got);
+        checkPin(got, pin);
+    }
+}
+
+TEST(MeshStormPinned, SerializedStormSchedule)
+{
+    for (const StormPin &pin : serializedPins) {
+        StormPrint got;
+        storm(serializedSpec, pin.seed, &got);
+        checkPin(got, pin);
+    }
+}
 
 namespace
 {

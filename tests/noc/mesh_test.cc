@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "noc/mesh.hh"
 
 using namespace tcpni;
@@ -284,4 +285,129 @@ TEST(MeshSerialization, DefaultIsMessageGranularity)
     mesh.offer(0, m);
     eq.run();
     EXPECT_LE(eq.curTick(), 5u);
+}
+
+namespace
+{
+
+/** Routers of @p mesh currently in the active set. */
+std::vector<NodeId>
+activeRouters(const MeshNetwork &mesh)
+{
+    std::vector<NodeId> active;
+    for (NodeId n = 0; n < mesh.numNodes(); ++n)
+        if (mesh.probe(n).active)
+            active.push_back(n);
+    return active;
+}
+
+} // namespace
+
+TEST(MeshActiveSet, DrainedMeshHasNoActiveRoutersOrTick)
+{
+    EventQueue eq;
+    const unsigned w = 4, h = 4, n = w * h;
+    MeshNetwork mesh("mesh", eq, w, h);
+    std::vector<Collector> cs(n);
+    for (NodeId i = 0; i < n; ++i)
+        mesh.setSink(i, cs[i].sink());
+    EXPECT_TRUE(activeRouters(mesh).empty());
+
+    for (NodeId s = 0; s < n; ++s)
+        ASSERT_TRUE(mesh.offer(s, makeMsg(n - 1 - s, s)));
+    EXPECT_EQ(activeRouters(mesh).size(), n);
+    eq.run();
+
+    EXPECT_TRUE(mesh.idle());
+    EXPECT_TRUE(eq.empty());    // no tick left scheduled
+    EXPECT_TRUE(activeRouters(mesh).empty());
+    EXPECT_EQ(mesh.delivered(), n);
+}
+
+TEST(MeshActiveSet, ParkedHeadKeepsOnlyItsRouterActive)
+{
+    // Node 8's sink refuses: the message bound there parks at router
+    // 8 while the rest of the 3x3 mesh drains around it.
+    EventQueue eq;
+    const unsigned w = 3, h = 3, n = w * h;
+    MeshNetwork mesh("mesh", eq, w, h);
+    std::vector<Collector> cs(n);
+    cs[8].accept = false;
+    for (NodeId i = 0; i < n; ++i)
+        mesh.setSink(i, cs[i].sink());
+
+    ASSERT_TRUE(mesh.offer(0, makeMsg(8, 1)));
+    for (NodeId s = 1; s < 8; ++s)
+        ASSERT_TRUE(mesh.offer(s, makeMsg((s + 4) % 8, s)));
+    eq.run(50);
+
+    EXPECT_EQ(activeRouters(mesh), std::vector<NodeId>{8});
+    const auto parked = mesh.probe(8);
+    for (unsigned in = 0; in < MeshNetwork::numPorts; ++in) {
+        // XY routing brings 0 -> 8 in from the north neighbour.
+        if (in == static_cast<unsigned>(MeshNetwork::Port::north)) {
+            ASSERT_EQ(parked.resident[in].size(), 1u);
+            EXPECT_EQ(parked.headOut[in], MeshNetwork::Port::local);
+        } else {
+            EXPECT_TRUE(parked.resident[in].empty()) << in;
+            EXPECT_FALSE(parked.headOut[in].has_value()) << in;
+        }
+    }
+    EXPECT_FALSE(mesh.idle());
+    EXPECT_FALSE(eq.empty());
+    EXPECT_EQ(mesh.delivered(), 7u);
+
+    cs[8].accept = true;
+    eq.run();
+    EXPECT_EQ(cs[8].got.size(), 1u);
+    EXPECT_TRUE(activeRouters(mesh).empty());
+}
+
+TEST(MeshActiveSet, CachedPortsMatchRouteOnNonSquareMesh)
+{
+    // Random traffic on a 7x3 mesh with shallow buffers and sinks
+    // that sometimes refuse: after every tick, every resident
+    // message's cached port is route() from the router it sits in,
+    // each head summary matches its queue's front, and a router is
+    // active exactly when it holds a message.
+    EventQueue eq;
+    const unsigned w = 7, h = 3, n = w * h;
+    MeshNetwork mesh("mesh", eq, w, h, /*buffer_depth=*/2);
+    Random rng(0x7a3);
+    for (NodeId i = 0; i < n; ++i)
+        mesh.setSink(i, [&rng](const Message &) {
+            return !rng.chance(0.3);
+        });
+
+    uint64_t offered = 0;
+    for (Tick t = 1; t <= 600; ++t) {
+        if (t <= 400) {
+            for (unsigned k = 0; k < 4; ++k) {
+                const NodeId s = rng.uniform(0, n - 1);
+                if (mesh.offer(s, makeMsg(rng.uniform(0, n - 1))))
+                    ++offered;
+            }
+        }
+        eq.run(t);
+        for (NodeId r = 0; r < n; ++r) {
+            const auto p = mesh.probe(r);
+            bool holds = false;
+            for (unsigned in = 0; in < MeshNetwork::numPorts; ++in) {
+                for (const auto &[dest, port] : p.resident[in])
+                    ASSERT_EQ(port, mesh.route(r, dest))
+                        << "tick " << t << " router " << r;
+                if (p.resident[in].empty()) {
+                    ASSERT_FALSE(p.headOut[in].has_value());
+                } else {
+                    ASSERT_EQ(p.headOut[in], p.resident[in].front().second);
+                    holds = true;
+                }
+            }
+            ASSERT_EQ(p.active, holds) << "tick " << t << " router " << r;
+        }
+    }
+    eq.run();
+    EXPECT_GT(offered, 400u);
+    EXPECT_EQ(mesh.delivered(), offered);
+    EXPECT_TRUE(activeRouters(mesh).empty());
 }
