@@ -12,6 +12,7 @@ namespace apps
 using tam::CodeBlock;
 using tam::Frame;
 using tam::Machine;
+using tam::Payload;
 using tam::Value;
 
 FibResult
@@ -34,7 +35,7 @@ runFib(unsigned n, tam::MachineConfig cfg)
 
     // Inlet 0: the call (n, parent frame).
     fib_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [=](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(2);
             mm.frameSet(f, slotN, vals.at(0));
             mm.frameSet(f, slotParent, vals.at(1));
@@ -43,7 +44,7 @@ runFib(unsigned n, tam::MachineConfig cfg)
 
     // Inlet 1: a child's result.
     fib_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [=](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(1);
             mm.iop(1);
             mm.frameSet(f, slotAcc,
@@ -84,9 +85,9 @@ runFib(unsigned n, tam::MachineConfig cfg)
     root_cb->name = "fib_root";
     root_cb->numLocals = 1;
     root_cb->inlets.push_back(
-        [](Machine &, Frame &, const std::vector<Value> &) {});
+        [](Machine &, Frame &, const Payload &) {});
     root_cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.frameSet(f, 0, vals.at(0));
         });
 

@@ -13,6 +13,7 @@ namespace apps
 using tam::CodeBlock;
 using tam::Frame;
 using tam::Machine;
+using tam::Payload;
 using tam::Value;
 
 namespace
@@ -80,7 +81,7 @@ runGamteb(unsigned particles, tam::MachineConfig cfg)
 
     // Inlet 0: birth (group, weight).
     photon_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [=](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(2);
             mm.frameSet(f, slotGroup, vals.at(0));
             mm.frameSet(f, slotWeight, vals.at(1));
@@ -92,7 +93,7 @@ runGamteb(unsigned particles, tam::MachineConfig cfg)
     for (unsigned e = 0; e < 2; ++e) {
         unsigned slot = e == 0 ? slotAbs : slotPair;
         photon_cb->inlets.push_back(
-            [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+            [=](Machine &mm, Frame &f, const Payload &vals) {
                 mm.move(1);
                 mm.frameSet(f, slot, vals.at(0));
                 mm.syncDec(f, slotSync, 1);
@@ -102,7 +103,7 @@ runGamteb(unsigned particles, tam::MachineConfig cfg)
     // Inlet 3: tally read-modify-write: old value arrives, write back
     // the incremented tally, then finish dying (thread 2).
     photon_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [=](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(1);
             mm.iop(1);
             tam::CellRef cell{static_cast<uint32_t>(
@@ -205,13 +206,13 @@ runGamteb(unsigned particles, tam::MachineConfig cfg)
     main_cb->numLocals = 2;     // [0] births, [1] deaths
 
     main_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &) {
+        [=](Machine &mm, Frame &f, const Payload &) {
             mm.iop(1);
             mm.frameSet(f, 0, mm.frameGet(f, 0) + 1);
             mm.remoteWrite(cell_total, mm.frameGet(f, 0));
         });
     main_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &) {
+        [=](Machine &mm, Frame &f, const Payload &) {
             mm.iop(1);
             mm.frameSet(f, 1, mm.frameGet(f, 1) + 1);
         });

@@ -13,6 +13,7 @@ namespace apps
 using tam::CodeBlock;
 using tam::Frame;
 using tam::Machine;
+using tam::Payload;
 using tam::Value;
 
 namespace
@@ -64,7 +65,7 @@ runMatMul(unsigned n, unsigned block, tam::MachineConfig cfg)
 
     // Inlet 0: arguments (bi, bj).
     block_cb->inlets.push_back(
-        [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [=](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(2);
             mm.frameSet(f, slotBi, vals.at(0));
             mm.frameSet(f, slotBj, vals.at(1));
@@ -76,7 +77,7 @@ runMatMul(unsigned n, unsigned block, tam::MachineConfig cfg)
     for (unsigned e = 0; e < 2 * bb; ++e) {
         unsigned slot = (e < bb ? slotA : slotB) + (e % bb);
         block_cb->inlets.push_back(
-            [=](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+            [=](Machine &mm, Frame &f, const Payload &vals) {
                 mm.move(1);
                 mm.frameSet(f, slot, vals.at(0));
                 mm.syncDec(f, slotSync, 1);
@@ -151,7 +152,7 @@ runMatMul(unsigned n, unsigned block, tam::MachineConfig cfg)
 
     // Inlet 0: a block finished.
     main_cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &) {
+        [](Machine &mm, Frame &f, const Payload &) {
             mm.syncDec(f, 0, 1);
         });
 

@@ -13,6 +13,7 @@ namespace apps
 using tam::CodeBlock;
 using tam::Frame;
 using tam::Machine;
+using tam::Payload;
 using tam::Value;
 
 PingPongResult
@@ -28,7 +29,7 @@ runPingPong(unsigned round_trips, tam::MachineConfig cfg)
 
     // Inlet 0: a ball arrives.
     cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.move(1);
             mm.frameSet(f, 1, vals.at(0));
             mm.fork(f, 0);

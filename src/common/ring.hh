@@ -11,10 +11,12 @@
  * are expected to test full()/size() against the architectural limit
  * before pushing, exactly as they previously tested the deque's size.
  *
- * pop_front() assigns a default-constructed T into the vacated slot so
- * any resources owned by the element (e.g. the extra words of a long
- * Message) are released eagerly rather than lingering until the slot
- * is reused.
+ * The backing store is raw, uninitialised storage: push_back()
+ * constructs the element in its slot and pop_front() destroys it, so
+ * a deep ring costs one allocation and no per-slot construction (the
+ * Table-1 harness builds 1024-deep client rings hundreds of times per
+ * sweep), and any resources an element owns (e.g. the extra words of
+ * a long Message) are released as soon as it is popped.
  */
 
 #ifndef TCPNI_COMMON_RING_HH
@@ -35,9 +37,28 @@ class FixedRing
   public:
     FixedRing() = default;
     explicit FixedRing(size_t capacity) { reset(capacity); }
+    ~FixedRing() { release(); }
 
-    FixedRing(FixedRing &&) = default;
-    FixedRing &operator=(FixedRing &&) = default;
+    FixedRing(FixedRing &&other) noexcept
+        : buf_(std::exchange(other.buf_, nullptr)),
+          cap_(std::exchange(other.cap_, 0)),
+          head_(std::exchange(other.head_, 0)),
+          len_(std::exchange(other.len_, 0))
+    {}
+
+    FixedRing &
+    operator=(FixedRing &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            buf_ = std::exchange(other.buf_, nullptr);
+            cap_ = std::exchange(other.cap_, 0);
+            head_ = std::exchange(other.head_, 0);
+            len_ = std::exchange(other.len_, 0);
+        }
+        return *this;
+    }
+
     FixedRing(const FixedRing &) = delete;
     FixedRing &operator=(const FixedRing &) = delete;
 
@@ -46,10 +67,10 @@ class FixedRing
     void
     reset(size_t capacity)
     {
-        buf_ = capacity ? std::make_unique<T[]>(capacity) : nullptr;
+        release();
+        if (capacity)
+            buf_ = std::allocator<T>().allocate(capacity);
         cap_ = capacity;
-        head_ = 0;
-        len_ = 0;
     }
 
     size_t size() const { return len_; }
@@ -61,7 +82,7 @@ class FixedRing
     push_back(T v)
     {
         tcpni_assert(len_ < cap_);
-        buf_[wrap(head_ + len_)] = std::move(v);
+        std::construct_at(buf_ + wrap(head_ + len_), std::move(v));
         ++len_;
     }
 
@@ -83,7 +104,7 @@ class FixedRing
     pop_front()
     {
         tcpni_assert(len_ > 0);
-        buf_[head_] = T();
+        std::destroy_at(buf_ + head_);
         head_ = wrap(head_ + 1);
         --len_;
     }
@@ -107,7 +128,20 @@ class FixedRing
     /** head_ + offset stays < 2 * cap_, so one subtraction wraps. */
     size_t wrap(size_t i) const { return i >= cap_ ? i - cap_ : i; }
 
-    std::unique_ptr<T[]> buf_;
+    /** Destroy the live elements and free the store. */
+    void
+    release()
+    {
+        while (len_ > 0)
+            pop_front();
+        if (buf_)
+            std::allocator<T>().deallocate(buf_, cap_);
+        buf_ = nullptr;
+        cap_ = 0;
+        head_ = 0;
+    }
+
+    T *buf_ = nullptr;
     size_t cap_ = 0;
     size_t head_ = 0;
     size_t len_ = 0;

@@ -62,6 +62,8 @@ Table1Harness::Table1Harness(ni::Model model, bool basic_sw_checks,
 {
     handlerProg_ = msg::assembleKernel(
         msg::handlerProgram(model_, basic_sw_checks, no_overlap));
+    if (model_.policy().handlersOnNi())
+        hostProg_ = msg::assembleKernel(msg::hostProxyProgram(model_));
 }
 
 ni::NiConfig
@@ -215,17 +217,15 @@ Table1Harness::runServer(const std::vector<Message> &msgs,
         // the escape ring (deferred-list work and the STOP).
         Hpu hpu1("hpu1", eq, mem1, ni1);
         Cpu cpu1("cpu1", eq, mem1, &ni1);
-        isa::Program host =
-            msg::assembleKernel(msg::hostProxyProgram(model_));
 
         hpu1.loadProgram(*handlerProg_);
-        cpu1.loadProgram(host);
+        cpu1.loadProgram(*hostProg_);
         for (const Message &m : msgs) {
             bool ok = ni1.acceptFromNetwork(m);
             tcpni_assert(ok);
         }
         hpu1.reset(handlerProg_->addrOf("entry"));
-        cpu1.reset(host.addrOf("entry"));
+        cpu1.reset(hostProg_->addrOf("entry"));
         hpu1.start();
         cpu1.start();
         eq.run();

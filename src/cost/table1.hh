@@ -124,6 +124,8 @@ class Table1Harness
 
     ni::Model model_;
     std::optional<isa::Program> handlerProg_;
+    /** The host proxy service loop (on-NI models only). */
+    std::optional<isa::Program> hostProg_;
 };
 
 /** One cell of the paper's published Table 1. */

@@ -52,29 +52,9 @@ Cpu::~Cpu()
 void
 Cpu::loadProgram(const isa::Program &prog)
 {
-    // Merge the program's regions into the CPU's region table.
-    std::vector<uint16_t> remap(prog.regionNames.size());
-    for (size_t i = 0; i < prog.regionNames.size(); ++i) {
-        const std::string &rn = prog.regionNames[i];
-        uint16_t id = 0xffff;
-        for (size_t j = 0; j < regionNames_.size(); ++j) {
-            if (regionNames_[j] == rn)
-                id = static_cast<uint16_t>(j);
-        }
-        if (id == 0xffff) {
-            id = static_cast<uint16_t>(regionNames_.size());
-            regionNames_.push_back(rn);
-            regionCycles_.push_back(0);
-            regionInsts_.push_back(0);
-        }
-        remap[i] = id;
-    }
-
-    for (size_t i = 0; i < prog.words.size(); ++i) {
-        Addr a = prog.base + static_cast<Addr>(i * 4);
-        mem_.write(a, prog.words[i]);
-        regionByAddr_[a] = remap[prog.regionOf[i]];
-    }
+    for (size_t i = 0; i < prog.words.size(); ++i)
+        mem_.write(prog.base + static_cast<Addr>(i * 4), prog.words[i]);
+    regions_.load(prog);
 }
 
 void
@@ -90,10 +70,7 @@ Cpu::reset(Addr pc)
     halted_ = false;
     instructions_ = cycles_ = stallCycles_ = niStallCycles_ = 0;
     interruptsTaken_ = 0;
-    for (auto &c : regionCycles_)
-        c = 0;
-    for (auto &c : regionInsts_)
-        c = 0;
+    regions_.clearCounts();
 }
 
 void
@@ -155,39 +132,16 @@ Cpu::readyTick(const Instruction &inst) const
     return ready;
 }
 
-uint16_t
-Cpu::regionOf(Addr addr) const
-{
-    auto it = regionByAddr_.find(addr);
-    return it == regionByAddr_.end() ? 0 : it->second;
-}
-
-void
-Cpu::charge(Addr addr, uint64_t n)
-{
-    regionCycles_[regionOf(addr)] += n;
-}
-
 std::map<std::string, uint64_t>
 Cpu::regionCycles() const
 {
-    std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
-        if (regionCycles_[i])
-            out[regionNames_[i]] += regionCycles_[i];
-    }
-    return out;
+    return regions_.cycles();
 }
 
 std::map<std::string, uint64_t>
 Cpu::regionInstructions() const
 {
-    std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
-        if (regionInsts_[i])
-            out[regionNames_[i]] += regionInsts_[i];
-    }
-    return out;
+    return regions_.instructions();
 }
 
 Word
@@ -227,7 +181,7 @@ Cpu::tick()
         pendingInterrupt_.reset();
         ++interruptsTaken_;
         ++cycles_;
-        charge(pc_, 1);
+        regions_.chargeCycles(pc_, 1);
         eventq().schedule(&tickEvent_, now + 1);
         return;
     }
@@ -241,7 +195,7 @@ Cpu::tick()
         uint64_t stall = ready - now;
         stallCycles_ += stall;
         cycles_ += stall;
-        charge(pc_, stall);
+        regions_.chargeCycles(pc_, stall);
         eventq().schedule(&tickEvent_, ready);
         return;
     }
@@ -260,15 +214,15 @@ Cpu::tick()
         // retry the whole instruction next cycle.
         ++niStallCycles_;
         ++cycles_;
-        charge(ipc, 1);
+        regions_.chargeCycles(ipc, 1);
         eventq().schedule(&tickEvent_, now + 1);
         return;
     }
 
     ++instructions_;
     ++cycles_;
-    charge(ipc, 1);
-    regionInsts_[regionOf(ipc)] += 1;
+    regions_.chargeCycles(ipc, 1);
+    regions_.countInstruction(ipc);
 
     if (instructions_ > config_.maxInstructions)
         panic("CPU '%s' exceeded %llu instructions; runaway program?",

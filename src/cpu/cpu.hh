@@ -42,11 +42,11 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
+#include "isa/region_table.hh"
 #include "mem/memory.hh"
 #include "ni/network_interface.hh"
 #include "sim/sim_object.hh"
@@ -143,12 +143,6 @@ class Cpu : public SimObject
     /** Earliest tick at which @p inst can issue (interlocks). */
     Tick readyTick(const isa::Instruction &inst) const;
 
-    /** Charge @p n cycles to the region of address @p addr. */
-    void charge(Addr addr, uint64_t n);
-
-    std::string regionNameOf(uint16_t id) const;
-    uint16_t regionOf(Addr addr) const;
-
     Memory &mem_;
     ni::NetworkInterface *ni_;
     CpuConfig config_;
@@ -169,11 +163,8 @@ class Cpu : public SimObject
     uint64_t niStallCycles_ = 0;
     uint64_t interruptsTaken_ = 0;
 
-    /** Per-word region tags of loaded programs. */
-    std::unordered_map<Addr, uint16_t> regionByAddr_;
-    std::vector<std::string> regionNames_{""};
-    std::vector<uint64_t> regionCycles_{0};
-    std::vector<uint64_t> regionInsts_{0};
+    /** Cost regions of the loaded programs. */
+    isa::RegionTable regions_;
 
     TickEvent tickEvent_;
 

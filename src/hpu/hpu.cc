@@ -66,29 +66,9 @@ Hpu::~Hpu()
 void
 Hpu::loadProgram(const isa::Program &prog)
 {
-    // Merge the program's regions into the HPU's region table.
-    std::vector<uint16_t> remap(prog.regionNames.size());
-    for (size_t i = 0; i < prog.regionNames.size(); ++i) {
-        const std::string &rn = prog.regionNames[i];
-        uint16_t id = 0xffff;
-        for (size_t j = 0; j < regionNames_.size(); ++j) {
-            if (regionNames_[j] == rn)
-                id = static_cast<uint16_t>(j);
-        }
-        if (id == 0xffff) {
-            id = static_cast<uint16_t>(regionNames_.size());
-            regionNames_.push_back(rn);
-            regionCycles_.push_back(0);
-            regionInsts_.push_back(0);
-        }
-        remap[i] = id;
-    }
-
-    for (size_t i = 0; i < prog.words.size(); ++i) {
-        Addr a = prog.base + static_cast<Addr>(i * 4);
-        mem_.write(a, prog.words[i]);
-        regionByAddr_[a] = remap[prog.regionOf[i]];
-    }
+    for (size_t i = 0; i < prog.words.size(); ++i)
+        mem_.write(prog.base + static_cast<Addr>(i * 4), prog.words[i]);
+    regions_.load(prog);
 }
 
 void
@@ -108,10 +88,7 @@ Hpu::reset(Addr pc)
     handlerActive_ = false;
     handlerCycles_ = 0;
     ringPi_ = 0;
-    for (auto &c : regionCycles_)
-        c = 0;
-    for (auto &c : regionInsts_)
-        c = 0;
+    regions_.clearCounts();
 }
 
 void
@@ -166,39 +143,16 @@ Hpu::readyTick(const Instruction &inst) const
     return ready;
 }
 
-uint16_t
-Hpu::regionOf(Addr addr) const
-{
-    auto it = regionByAddr_.find(addr);
-    return it == regionByAddr_.end() ? 0 : it->second;
-}
-
-void
-Hpu::charge(Addr addr, uint64_t n)
-{
-    regionCycles_[regionOf(addr)] += n;
-}
-
 std::map<std::string, uint64_t>
 Hpu::regionCycles() const
 {
-    std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
-        if (regionCycles_[i])
-            out[regionNames_[i]] += regionCycles_[i];
-    }
-    return out;
+    return regions_.cycles();
 }
 
 std::map<std::string, uint64_t>
 Hpu::regionInstructions() const
 {
-    std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
-        if (regionInsts_[i])
-            out[regionNames_[i]] += regionInsts_[i];
-    }
-    return out;
+    return regions_.instructions();
 }
 
 Word
@@ -330,7 +284,7 @@ Hpu::tick()
                 uint64_t stall = ready - now;
                 stallCycles_ += stall;
                 cycles_ += stall;
-                charge(pc_, stall);
+                regions_.chargeCycles(pc_, stall);
                 handlerTick(stall);
                 eventq().schedule(&tickEvent_, ready);
                 return;
@@ -352,7 +306,7 @@ Hpu::tick()
             if (issued == 0) {
                 ++niStallCycles_;
                 ++cycles_;
-                charge(ipc, 1);
+                regions_.chargeCycles(ipc, 1);
                 handlerTick(1);
                 eventq().schedule(&tickEvent_, now + 1);
                 return;
@@ -361,16 +315,16 @@ Hpu::tick()
         }
 
         ++instructions_;
-        regionInsts_[regionOf(ipc)] += 1;
+        regions_.countInstruction(ipc);
         ++issued;
         if (issued == 1) {
             ++cycles_;
-            charge(ipc, 1);
+            regions_.chargeCycles(ipc, 1);
             handlerTick(1);
         }
         if (extraCost_) {
             cycles_ += extraCost_;
-            charge(ipc, extraCost_);
+            regions_.chargeCycles(ipc, extraCost_);
             handlerTick(extraCost_);
         }
 

@@ -55,11 +55,11 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
+#include "isa/region_table.hh"
 #include "mem/memory.hh"
 #include "ni/network_interface.hh"
 #include "sim/sim_object.hh"
@@ -174,11 +174,6 @@ class Hpu : public SimObject
     /** Earliest tick at which @p inst can issue (interlocks). */
     Tick readyTick(const isa::Instruction &inst) const;
 
-    /** Charge @p n cycles to the region of address @p addr. */
-    void charge(Addr addr, uint64_t n);
-
-    uint16_t regionOf(Addr addr) const;
-
     /** Post the current message into the host ring (store to
      *  msg::hpuProxyAddr). */
     void postProxy();
@@ -226,11 +221,8 @@ class Hpu : public SimObject
     /** Host-ring producer index (mirrored to msg::hostRingPiAddr). */
     Word ringPi_ = 0;
 
-    /** Per-word region tags of loaded programs. */
-    std::unordered_map<Addr, uint16_t> regionByAddr_;
-    std::vector<std::string> regionNames_{""};
-    std::vector<uint64_t> regionCycles_{0};
-    std::vector<uint64_t> regionInsts_{0};
+    /** Cost regions of the loaded programs. */
+    isa::RegionTable regions_;
 
     TickEvent tickEvent_;
 

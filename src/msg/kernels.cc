@@ -64,12 +64,17 @@ directlyComputableWords(Kind k)
     return 0;
 }
 
-std::map<std::string, uint64_t>
+const std::map<std::string, uint64_t> &
 kernelSymbols()
 {
-    auto syms = ni::asmSymbols();
-    for (const auto &[k, v] : protoSymbols())
-        syms[k] = v;
+    // Built once (thread-safe static init) and never mutated, so
+    // concurrent sweep workers share it without locking.
+    static const std::map<std::string, uint64_t> syms = [] {
+        auto s = ni::asmSymbols();
+        for (const auto &[k, v] : protoSymbols())
+            s[k] = v;
+        return s;
+    }();
     return syms;
 }
 

@@ -68,8 +68,9 @@ std::string kindName(Kind k);
 /** Base address of the handler program (IpBase for optimized models). */
 constexpr Addr handlerBase = 0x4000;
 
-/** Predefined assembler symbols for kernels (NI + protocol). */
-std::map<std::string, uint64_t> kernelSymbols();
+/** Predefined assembler symbols for kernels (NI + protocol); one
+ *  immutable process-wide table. */
+const std::map<std::string, uint64_t> &kernelSymbols();
 
 /**
  * The complete handler-loop server program for @p model.

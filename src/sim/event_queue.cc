@@ -1,8 +1,11 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <new>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -53,6 +56,106 @@ namespace
 {
 /** Allocator for EventQueue::queueId(): 1-based, never reused. */
 std::atomic<uint64_t> nextQueueId{1};
+
+/**
+ * The upstream of every queue's bucket arena: the chunks a dead
+ * queue's arena releases wait here for the next queue's arena instead
+ * of going back to malloc.  Freed to malloc, one short run's chunks
+ * (up to about 1.6 MB) let glibc trim the top of the heap, and later
+ * runs fault the pages back in: about 256 page faults (1 MB) per
+ * perfbench `paper_models` pass, a cost that depends on the host's
+ * memory state, not on the simulation.  Arenas ask for the same 1.5x
+ * chunk sizes every time, so an exact-size match almost always
+ * hits.
+ *
+ * Shared by all threads (sweep workers build queues concurrently)
+ * behind one mutex, taken once per chunk.  It holds at most
+ * maxChunks chunks and maxBytes bytes, the most recently freed; an
+ * older chunk that no longer fits goes back to malloc.  It lives in
+ * static storage and is never destroyed, so building the first queue
+ * allocates nothing for it and a queue that dies during static
+ * destruction can still release into it.
+ */
+class ChunkCache final : public std::pmr::memory_resource
+{
+  public:
+    static ChunkCache &
+    instance()
+    {
+        alignas(ChunkCache) static unsigned char storage[sizeof(
+            ChunkCache)];
+        static ChunkCache *cache = new (storage) ChunkCache;
+        return *cache;
+    }
+
+  private:
+    struct Chunk
+    {
+        void *p;
+        size_t bytes;
+        size_t align;
+    };
+
+    static constexpr size_t maxChunks = 64;
+    static constexpr size_t maxBytes = size_t(8) << 20;
+
+    void *
+    do_allocate(size_t bytes, size_t align) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            // Newest first: the most recently freed chunk is the one
+            // most likely still in the CPU caches.
+            for (size_t i = count_; i-- > 0;)
+                if (held_[i].bytes == bytes && held_[i].align == align)
+                    return remove(i).p;
+        }
+        return std::pmr::new_delete_resource()->allocate(bytes, align);
+    }
+
+    void
+    do_deallocate(void *p, size_t bytes, size_t align) override
+    {
+        std::pmr::memory_resource *heap = std::pmr::new_delete_resource();
+        if (bytes > maxBytes) {
+            heap->deallocate(p, bytes, align);
+            return;
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        // Make room by freeing the oldest chunks, so the cache follows
+        // the current workload's chunk sizes.
+        while (count_ == maxChunks || heldBytes_ + bytes > maxBytes) {
+            Chunk old = remove(0);
+            heap->deallocate(old.p, old.bytes, old.align);
+        }
+        held_[count_++] = {p, bytes, align};
+        heldBytes_ += bytes;
+    }
+
+    /** Take entry @p i out, keeping the rest oldest first. */
+    Chunk
+    remove(size_t i)
+    {
+        Chunk c = held_[i];
+        std::copy(held_.begin() + i + 1, held_.begin() + count_,
+                  held_.begin() + i);
+        --count_;
+        heldBytes_ -= c.bytes;
+        return c;
+    }
+
+    bool
+    do_is_equal(const std::pmr::memory_resource &other) const
+        noexcept override
+    {
+        return this == &other;
+    }
+
+    std::mutex mu_;
+    std::array<Chunk, maxChunks> held_{};
+    size_t count_ = 0;
+    size_t heldBytes_ = 0;
+};
 } // namespace
 
 Event::~Event()
@@ -63,19 +166,15 @@ Event::~Event()
 }
 
 EventQueue::EventQueue()
-    : queueId_(nextQueueId.fetch_add(1)), profile_(evprof::enabled())
+    : queueId_(nextQueueId.fetch_add(1)), profile_(evprof::enabled()),
+      arena_(arenaInitialBytes_, &ChunkCache::instance())
 {
-    ring_.resize(ringSize_);
-    // Pre-reserve every bucket to the keep threshold (~2 MB per
-    // queue): stores at or below it never retire, so without this a
-    // bucket's first growth past its construction-time capacity could
-    // land mid-run with nothing circulating in the pool to serve it --
-    // a heap allocation the steady-state guarantee
-    // (tests/system/alloc_test.cc) forbids.  Above the threshold every
-    // store retires on drain, so larger capacity is always in
-    // circulation once first reached.
-    for (auto &b : ring_)
-        b.reserve(bucketKeepCap_);
+    // Buckets start without storage; each gets its keep-size store
+    // from arena_ on first use (growBucket), so constructing a queue
+    // costs O(1) allocations however large the ring.
+    ring_.reserve(ringSize_);
+    for (size_t i = 0; i < ringSize_; ++i)
+        ring_.emplace_back(&arena_);
     // maxTick never appears as a ring entry's tick (the window is
     // exclusive of it), so it doubles as "never sorted".
     ringSortedAt_.assign(ringSize_, maxTick);
@@ -141,8 +240,18 @@ ceilLog2(size_t v)
 } // namespace
 
 void
-EventQueue::growBucket(std::vector<Entry> &b, size_t idx)
+EventQueue::growBucket(Bucket &b, size_t idx)
 {
+    if (ringCapHint_[idx] == 0) {
+        // First use: the keep-size store, straight from the arena.
+        // Stores at or below bucketKeepCap_ never retire, so once
+        // every bucket has been used this never runs again -- and the
+        // pool is not consulted, since a dry pool would cost an
+        // O(ring) scavenge per first use.
+        b.reserve(bucketKeepCap_);
+        ringCapHint_[idx] = static_cast<uint32_t>(b.capacity());
+        return;
+    }
     // The bucket is full: swap in a larger store instead of letting
     // the vector reallocate, preferring a retired store from the
     // pool.  The capacity hint jumps a hot bucket straight back to
@@ -152,7 +261,7 @@ EventQueue::growBucket(std::vector<Entry> &b, size_t idx)
     const size_t target =
         std::max({need, b.capacity() * 2,
                   static_cast<size_t>(ringCapHint_[idx]), size_t(8)});
-    std::vector<Entry> store = acquireStore(target);
+    Bucket store = acquireStore(target);
     if (store.capacity() < target) {
         // The pool has nothing big enough.  Before allocating,
         // reclaim capacity stranded in idle buckets -- stores at or
@@ -173,25 +282,25 @@ EventQueue::growBucket(std::vector<Entry> &b, size_t idx)
 }
 
 void
-EventQueue::retireStore(std::vector<Entry> &b, size_t idx)
+EventQueue::retireStore(Bucket &b, size_t idx)
 {
     ringCapHint_[idx] = static_cast<uint32_t>(b.capacity());
-    std::vector<Entry> old;
+    Bucket old(&arena_);
     std::swap(old, b);
     poolStore(std::move(old));
 }
 
-std::vector<EventQueue::Entry>
+EventQueue::Bucket
 EventQueue::acquireStore(size_t target)
 {
     for (unsigned k = ceilLog2(target); k < spareBinCount_; ++k) {
         if (!spareBins_[k].empty()) {
-            std::vector<Entry> s = std::move(spareBins_[k].back());
+            Bucket s = std::move(spareBins_[k].back());
             spareBins_[k].pop_back();
             return s;
         }
     }
-    return {};
+    return Bucket(&arena_);
 }
 
 void
@@ -200,18 +309,18 @@ EventQueue::scavengeStores(size_t keep_idx)
     for (size_t i = 0; i < ringSize_; ++i) {
         if (i == keep_idx)
             continue;
-        std::vector<Entry> &b = ring_[i];
+        Bucket &b = ring_[i];
         if (!b.empty() || b.capacity() == 0)
             continue;
         ringCapHint_[i] = static_cast<uint32_t>(b.capacity());
-        std::vector<Entry> old;
+        Bucket old(&arena_);
         std::swap(old, b);
         poolStore(std::move(old));
     }
 }
 
 void
-EventQueue::poolStore(std::vector<Entry> &&s)
+EventQueue::poolStore(Bucket &&s)
 {
     s.clear();
     // floor(log2(capacity)): every store in bin k has capacity
@@ -228,7 +337,7 @@ void
 EventQueue::ringInsert(const Entry &e)
 {
     const size_t idx = e.when & ringMask_;
-    std::vector<Entry> &b = ring_[idx];
+    Bucket &b = ring_[idx];
     if (b.size() == b.capacity())
         growBucket(b, idx);
     if (ringSortedAt_[idx] == e.when) {
@@ -275,7 +384,7 @@ EventQueue::popNext(Tick bound, Entry &out)
         if (t > bound)
             return false;
         const size_t idx = t & ringMask_;
-        std::vector<Entry> &b = ring_[idx];
+        Bucket &b = ring_[idx];
         if (b.empty())
             continue;
         if (ringSortedAt_[idx] != t) {
@@ -329,7 +438,7 @@ EventQueue::nextEventTick()
     const Tick end = windowEnd();
     for (Tick t = curTick_; t < end && ringCount_ > 0; ++t) {
         const size_t idx = t & ringMask_;
-        std::vector<Entry> &b = ring_[idx];
+        Bucket &b = ring_[idx];
         if (b.empty())
             continue;
         for (const Entry &e : b)

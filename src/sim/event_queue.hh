@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory_resource>
 #include <queue>
 #include <string>
 #include <vector>
@@ -294,27 +295,41 @@ class EventQueue
      *  traffic against stranded capacity: stores at or below it stay
      *  put across drains (no retire/acquire churn for the common
      *  population), and the rare growth the quiescent pool cannot
-     *  serve scavenges idle buckets before allocating. */
+     *  serve scavenges idle buckets before allocating.  A bucket gets
+     *  its keep-size store on first use, carved from arena_ (see
+     *  DESIGN.md section 13). */
     static constexpr size_t bucketKeepCap_ = 64;
+
+    /** First arena chunk: the keep-size stores of 16 buckets.  Later
+     *  chunks grow geometrically, so a run that touches n buckets
+     *  makes O(log n) upstream allocations. */
+    static constexpr size_t arenaInitialBytes_ =
+        16 * bucketKeepCap_ * sizeof(Entry);
+
+    /** Every bucket store lives in arena_, so stores can move between
+     *  buckets and the pool (pmr vectors swap only within one
+     *  resource). */
+    using Bucket = std::pmr::vector<Entry>;
 
     /** Number of capacity size classes in the spare-store pool. */
     static constexpr unsigned spareBinCount_ = 34;
 
     void ringInsert(const Entry &e);
 
-    /** Swap a larger backing store into full bucket @p b (index
-     *  @p idx), reusing a pooled store when one is big enough. */
-    void growBucket(std::vector<Entry> &b, size_t idx);
+    /** Give full bucket @p b (index @p idx) room for one more entry:
+     *  its keep-size store on first use, else a larger store swapped
+     *  in, reusing a pooled store when one is big enough. */
+    void growBucket(Bucket &b, size_t idx);
 
     /** Move empty bucket @p b's oversized store into the pool. */
-    void retireStore(std::vector<Entry> &b, size_t idx);
+    void retireStore(Bucket &b, size_t idx);
 
     /** Return a cleared store to its capacity size class. */
-    void poolStore(std::vector<Entry> &&s);
+    void poolStore(Bucket &&s);
 
     /** Take the smallest pooled store with capacity >= @p target;
      *  empty vector (capacity 0) when none is pooled. */
-    std::vector<Entry> acquireStore(size_t target);
+    Bucket acquireStore(size_t target);
 
     /** Retire every idle bucket's store (except bucket @p keep_idx)
      *  into the pool.  Called only when a growth would otherwise
@@ -372,7 +387,16 @@ class EventQueue
     // per-entry push_heap/pop_heap of the original design, whose
     // cost grew noticeably with bucket population (the 512 -> 4096
     // pending-event regression in BENCH_host.json).
-    std::vector<std::vector<Entry>> ring_;
+    //
+    // arena_ backs every bucket store, so it is declared before the
+    // buckets and the pool and outlives them.  It frees nothing
+    // before the queue dies, and need not: a store, once carved, is
+    // in a bucket or in the pool for the rest of the queue's life.
+    // Its chunks come from, and at the queue's death go back to, a
+    // process-wide chunk cache (event_queue.cc), so building and
+    // destroying queues run after run returns nothing to malloc.
+    std::pmr::monotonic_buffer_resource arena_;
+    std::vector<Bucket> ring_;
     std::vector<Tick> ringSortedAt_;
     size_t ringCount_ = 0;
     /** Retired bucket stores, binned by floor(log2(capacity)) so
@@ -380,10 +404,10 @@ class EventQueue
      *  flat sorted pool would memmove O(pool) vector headers per
      *  retire/acquire, which dominated the event kernel when many
      *  buckets cycle through the pool every tick). */
-    std::array<std::vector<std::vector<Entry>>, spareBinCount_>
-        spareBins_;
+    std::array<std::vector<Bucket>, spareBinCount_> spareBins_;
     /** Last store capacity per bucket: a hot bucket re-acquires its
-     *  working size in one step instead of doubling up to it. */
+     *  working size in one step instead of doubling up to it.  0
+     *  until the bucket's first use. */
     std::vector<uint32_t> ringCapHint_;
     std::priority_queue<Entry, std::vector<Entry>, Cmp> overflow_;
 };

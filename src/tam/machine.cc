@@ -62,33 +62,31 @@ Machine::Machine(MachineConfig config)
 Machine::~Machine() = default;
 
 void
-Machine::count(Op op, unsigned n)
+Payload::tooMany(size_t n)
 {
-    stats_.ops[static_cast<size_t>(op)] += n;
-    steps_ += n;
-    if (steps_ > config_.maxSteps)
-        panic("TAM machine exceeded %llu steps; runaway program?",
-              static_cast<unsigned long long>(config_.maxSteps));
-}
-
-Value
-Machine::frameGet(Frame &f, unsigned slot)
-{
-    count(Op::frameLoad);
-    if (slot >= f.locals.size())
-        panic("frame %u slot %u out of range (%zu locals) in '%s'",
-              f.id(), slot, f.locals.size(), f.codeBlock()->name.c_str());
-    return f.locals[slot];
+    panic("send with %zu data words (max %zu in a 5-word message)", n,
+          capacity);
 }
 
 void
-Machine::frameSet(Frame &f, unsigned slot, Value v)
+Payload::notCarried(size_t i) const
 {
-    count(Op::frameStore);
-    if (slot >= f.locals.size())
-        panic("frame %u slot %u out of range (%zu locals) in '%s'",
-              f.id(), slot, f.locals.size(), f.codeBlock()->name.c_str());
-    f.locals[slot] = v;
+    panic("inlet read data word %zu of a %u-word message", i,
+          static_cast<unsigned>(n_));
+}
+
+void
+Machine::runaway() const
+{
+    panic("TAM machine exceeded %llu steps; runaway program?",
+          static_cast<unsigned long long>(config_.maxSteps));
+}
+
+void
+Machine::slotOutOfRange(const Frame &f, unsigned slot)
+{
+    panic("frame %u slot %u out of range (%zu locals) in '%s'", f.id(),
+          slot, f.locals.size(), f.codeBlock()->name.c_str());
 }
 
 Frame &
@@ -152,7 +150,7 @@ Machine::syncDec(Frame &f, unsigned slot, unsigned thread)
 }
 
 void
-Machine::deliver(Continuation c, const std::vector<Value> &vals)
+Machine::deliver(Continuation c, const Payload &vals)
 {
     Frame &f = frame(c.frame);
     const CodeBlock *cb = f.codeBlock();
@@ -163,11 +161,9 @@ Machine::deliver(Continuation c, const std::vector<Value> &vals)
 }
 
 void
-Machine::send(Continuation c, const std::vector<Value> &vals)
+Machine::send(Continuation c, const Payload &vals)
 {
-    if (vals.size() > 2)
-        panic("send with %zu data words (max 2 in a 5-word message)",
-              vals.size());
+    // Payload itself rejects a third data word.
     MsgKind kind = vals.size() == 0   ? MsgKind::send0
                    : vals.size() == 1 ? MsgKind::send1
                                       : MsgKind::send2;

@@ -69,8 +69,23 @@ class Machine
     /** @} */
 
     /** @{ Frame-slot access (counted). */
-    Value frameGet(Frame &f, unsigned slot);
-    void frameSet(Frame &f, unsigned slot, Value v);
+    Value
+    frameGet(Frame &f, unsigned slot)
+    {
+        count(Op::frameLoad);
+        if (slot >= f.locals.size())
+            slotOutOfRange(f, slot);
+        return f.locals[slot];
+    }
+
+    void
+    frameSet(Frame &f, unsigned slot, Value v)
+    {
+        count(Op::frameStore);
+        if (slot >= f.locals.size())
+            slotOutOfRange(f, slot);
+        f.locals[slot] = v;
+    }
     /** @} */
 
     /** Allocate an activation frame; frames round-robin over nodes. */
@@ -100,7 +115,7 @@ class Machine
 
     /** SEND 0..2 data words to a continuation (argument/result
      *  passing; also the format of all replies). */
-    void send(Continuation c, const std::vector<Value> &vals);
+    void send(Continuation c, const Payload &vals);
 
     /** Remote read of a cell; the value arrives via @p c as a
      *  1-word Send reply. */
@@ -144,8 +159,22 @@ class Machine
         unsigned thread;
     };
 
-    void count(Op op, unsigned n = 1);
-    void deliver(Continuation c, const std::vector<Value> &vals);
+    void
+    count(Op op, unsigned n = 1)
+    {
+        stats_.ops[static_cast<size_t>(op)] += n;
+        steps_ += n;
+        if (steps_ > config_.maxSteps)
+            runaway();
+    }
+
+    /** @{ The panics of the inline accessors, kept out of line. */
+    [[noreturn]] void runaway() const;
+    [[noreturn]] static void slotOutOfRange(const Frame &f,
+                                            unsigned slot);
+    /** @} */
+
+    void deliver(Continuation c, const Payload &vals);
 
     MachineConfig config_;
     TamStats stats_;

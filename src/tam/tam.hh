@@ -27,8 +27,11 @@
 #ifndef TCPNI_TAM_TAM_HH
 #define TCPNI_TAM_TAM_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -45,6 +48,49 @@ class Frame;
 /** TAM values: numeric (doubles represent both ints and floats, as in
  *  the Id world where indices stay well below 2^53). */
 using Value = double;
+
+/**
+ * The data values of one message: none, one or two, because a 5-word
+ * message spends its other words on the destination, the inlet and
+ * the header.  The values are held inline, so delivering a message
+ * never touches the heap.  Building a payload of more than two values,
+ * or reading a value the message did not carry, panics.
+ */
+class Payload
+{
+  public:
+    static constexpr size_t capacity = 2;
+
+    Payload() = default;
+
+    Payload(std::initializer_list<Value> vals)
+        : n_(static_cast<uint8_t>(vals.size()))
+    {
+        if (vals.size() > capacity)
+            tooMany(vals.size());
+        size_t i = 0;
+        for (Value v : vals)
+            v_[i++] = v;
+    }
+
+    size_t size() const { return n_; }
+
+    /** Value @p i; panics unless the message carried it. */
+    Value
+    at(size_t i) const
+    {
+        if (i >= n_)
+            notCarried(i);
+        return v_[i];
+    }
+
+  private:
+    [[noreturn]] static void tooMany(size_t n);
+    [[noreturn]] void notCarried(size_t i) const;
+
+    std::array<Value, capacity> v_{};
+    uint8_t n_ = 0;
+};
 
 /** Dynamic instruction classes counted by the interpreter. */
 enum class Op : uint8_t
@@ -89,7 +135,7 @@ struct CellRef
 struct CodeBlock
 {
     using Inlet =
-        std::function<void(Machine &, Frame &, const std::vector<Value> &)>;
+        std::function<void(Machine &, Frame &, const Payload &)>;
     using Thread = std::function<void(Machine &, Frame &)>;
 
     std::string name;

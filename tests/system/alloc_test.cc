@@ -12,6 +12,11 @@
  * the assertion is exact, not statistical: the steady-state windows
  * measured here allocate zero bytes on every run or the design is
  * broken (a vector growing, a deque node, a histogram bucket).
+ *
+ * The AllocBudget tests bound the setup path the same way: building
+ * an EventQueue, loading a kernel, and delivering TAM messages must
+ * cost allocations per object, per region or per frame -- never per
+ * bucket, per program word or per message.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +31,12 @@
 #include <new>
 #include <vector>
 
+#include "apps/matmul.hh"
+#include "cpu/cpu.hh"
+#include "hpu/hpu.hh"
+#include "msg/kernels.hh"
+#include "ni/model_registry.hh"
+#include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
 #include "system/traffic.hh"
@@ -231,4 +242,101 @@ TEST(AllocSteadyState, CountersActuallyCount)
         count = g_allocs.load();
     }
     EXPECT_GE(count, 1u);
+}
+
+TEST(AllocBudget, EventQueueConstructionIsConstant)
+{
+    uint64_t count;
+    {
+        CountScope scope;
+        {
+            EventQueue eq;
+        }
+        count = scope.count();
+    }
+    // A handful of per-queue arrays; no per-bucket stores.
+    EXPECT_LE(count, 4u) << count << " allocations to build a queue";
+}
+
+TEST(AllocBudget, DeadQueueChunksServeTheNextQueue)
+{
+    // One event in every bucket gives each bucket its first-use store,
+    // so the arena takes all its chunks.  The second queue must get
+    // them back from the first, not from the heap: freed to malloc,
+    // they let glibc trim the heap and the next run fault it back in.
+    std::vector<std::unique_ptr<LambdaEvent>> events;
+    for (unsigned i = 0; i < 1024; ++i)
+        events.push_back(std::make_unique<LambdaEvent>([] {}));
+    auto lifetime = [&] {
+        EventQueue eq;
+        for (unsigned i = 0; i < events.size(); ++i)
+            eq.schedule(events[i].get(), i);
+        eq.run();
+    };
+    lifetime();
+
+    uint64_t count;
+    {
+        CountScope scope;
+        lifetime();
+        count = scope.count();
+    }
+    // The same per-queue arrays as an unused queue, and no chunks.
+    EXPECT_LE(count, 4u) << count << " allocations in a second queue";
+}
+
+TEST(AllocBudget, LoadProgramIsPerRegionNotPerWord)
+{
+    const ni::Model &model = ni::paperModels().front();
+    const isa::Program prog =
+        msg::assembleKernel(msg::handlerProgram(model));
+    const uint64_t budget = 4 * prog.regionNames.size() + 4;
+    // One allocation per word would blow the budget many times over.
+    ASSERT_GT(prog.words.size(), 10 * budget);
+
+    EventQueue eq;
+    IdealNetwork net("net", eq, 1);
+    ni::NetworkInterface ni("ni", eq, 0, net, model.config());
+    Memory mem(1 << 20);
+    Cpu cpu("cpu", eq, mem, &ni);
+    Hpu hpu("hpu", eq, mem, ni);
+
+    uint64_t cpu_count, hpu_count;
+    {
+        CountScope scope;
+        cpu.loadProgram(prog);
+        cpu_count = scope.count();
+    }
+    {
+        CountScope scope;
+        hpu.loadProgram(prog);
+        hpu_count = scope.count();
+    }
+    EXPECT_LE(cpu_count, budget)
+        << cpu_count << " allocations to load " << prog.words.size()
+        << " words in " << prog.regionNames.size() << " regions";
+    EXPECT_LE(hpu_count, budget)
+        << hpu_count << " allocations to load " << prog.words.size()
+        << " words in " << prog.regionNames.size() << " regions";
+}
+
+TEST(AllocBudget, TamDeliveryDoesNotAllocatePerMessage)
+{
+    uint64_t count;
+    apps::MatMulResult r;
+    {
+        CountScope scope;
+        r = apps::runMatMul(8);
+        count = scope.count();
+    }
+    ASSERT_TRUE(r.verified);
+    const tam::TamStats &st = r.stats;
+    const uint64_t delivered = st.msg(tam::MsgKind::send0) +
+                               st.msg(tam::MsgKind::send1) +
+                               st.msg(tam::MsgKind::send2) + st.replies;
+    // Code blocks, frames, arrays and deferred-reader lists allocate
+    // (116 at n = 8); a message's payload must not.
+    EXPECT_LT(count * 2, delivered)
+        << count << " allocations for " << delivered
+        << " delivered messages";
 }

@@ -117,7 +117,7 @@ TEST(TamMachine, SendInvokesInlet)
     cb->name = "recv";
     cb->numLocals = 2;
     cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.frameSet(f, 0, vals.at(0));
             mm.frameSet(f, 1, vals.at(1));
         });
@@ -135,7 +135,7 @@ TEST(TamMachine, SendWordCountClassifies)
     cb->name = "recv";
     cb->numLocals = 1;
     cb->inlets.push_back(
-        [](Machine &, Frame &, const std::vector<Value> &) {});
+        [](Machine &, Frame &, const Payload &) {});
     Frame &f = m.falloc(cb.get());
     m.send(m.cont(f, 0), {});
     m.send(m.cont(f, 0), {1});
@@ -144,6 +144,27 @@ TEST(TamMachine, SendWordCountClassifies)
     EXPECT_EQ(m.stats().msg(MsgKind::send1), 1u);
     EXPECT_EQ(m.stats().msg(MsgKind::send2), 1u);
     EXPECT_THROW(m.send(m.cont(f, 0), {1, 2, 3}), PanicError);
+}
+
+TEST(TamMachine, InletReadingAnUncarriedWordPanics)
+{
+    Machine m;
+    CellRef cell = m.cellAlloc(5);
+    auto cb = std::make_unique<CodeBlock>();
+    cb->name = "recv";
+    cb->numLocals = 2;
+    cb->inlets.push_back(
+        [](Machine &mm, Frame &f, const Payload &vals) {
+            mm.frameSet(f, 0, vals.at(0));
+            mm.frameSet(f, 1, vals.at(1));
+        });
+    Frame &f = m.falloc(cb.get());
+    EXPECT_THROW(m.send(m.cont(f, 0), {}), PanicError);
+    EXPECT_THROW(m.send(m.cont(f, 0), {7}), PanicError);
+    // A Read reply carries one word.
+    EXPECT_THROW(m.remoteRead(cell, m.cont(f, 0)), PanicError);
+    m.send(m.cont(f, 0), {7, 8});
+    EXPECT_EQ(f.locals[1], 8.0);
 }
 
 TEST(TamMachine, FreedFramePanicsOnUse)
@@ -166,7 +187,7 @@ TEST(TamIStruct, FullFetchRepliesImmediately)
     cb->name = "reader";
     cb->numLocals = 1;
     cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.frameSet(f, 0, vals.at(0));
         });
     Frame &f = m.falloc(cb.get());
@@ -187,7 +208,7 @@ TEST(TamIStruct, EmptyFetchDefersUntilStore)
     cb->name = "reader";
     cb->numLocals = 2;
     cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.frameSet(f, 0, vals.at(0));
             mm.frameSet(f, 1, 1);   // arrived flag
         });
@@ -212,7 +233,7 @@ TEST(TamIStruct, DeferredClassification)
     cb->name = "reader";
     cb->numLocals = 1;
     cb->inlets.push_back(
-        [](Machine &, Frame &, const std::vector<Value> &) {});
+        [](Machine &, Frame &, const Payload &) {});
     Frame &f = m.falloc(cb.get());
 
     m.ifetch(a, 0, m.cont(f, 0));   // empty
@@ -234,7 +255,7 @@ TEST(TamCells, ReadWriteRoundTrip)
     cb->name = "tally";
     cb->numLocals = 1;
     cb->inlets.push_back(
-        [](Machine &mm, Frame &f, const std::vector<Value> &vals) {
+        [](Machine &mm, Frame &f, const Payload &vals) {
             mm.frameSet(f, 0, vals.at(0));
         });
     Frame &f = m.falloc(cb.get());
@@ -255,7 +276,7 @@ TEST(TamStatsTest, TotalMessagesIncludesReplies)
     cb->name = "x";
     cb->numLocals = 1;
     cb->inlets.push_back(
-        [](Machine &, Frame &, const std::vector<Value> &) {});
+        [](Machine &, Frame &, const Payload &) {});
     Frame &f = m.falloc(cb.get());
     m.istore(a, 0, 1);
     m.ifetch(a, 0, m.cont(f, 0));
