@@ -71,6 +71,10 @@ struct ScalePoint
     uint64_t ticks = 0;
     double wallSec = 0;
     double eventsPerSec = 0;
+    /** Delivered messages per host second: unlike eventsPerSec it
+     *  does not move when a change alters how many events a message
+     *  costs (a sleeping sender schedules none while it waits). */
+    double msgsPerSec = 0;
     uint64_t sent = 0;
     uint64_t drained = 0;
     uint64_t stallRetries = 0;
@@ -137,6 +141,8 @@ runPoint(unsigned nodes, const sys::TrafficConfig &tc,
         p.drained += g->drained();
         p.stallRetries += g->stallRetries();
     }
+    p.msgsPerSec =
+        p.wallSec > 0 ? static_cast<double>(p.drained) / p.wallSec : 0;
     p.ok = quiesced && p.sent == uint64_t(nodes) * tc.messages &&
            p.drained == p.sent;
 
@@ -223,14 +229,16 @@ runScale(const exp::Context &ctx)
     }
 
     TextTable tt;
-    tt.header({"Nodes", "Pattern", "Events", "Ticks",
-               "Wall (s)", "Mev/s", "Peak RSS", "B/event", "Result"});
+    tt.header({"Nodes", "Pattern", "Events", "Ticks", "Wall (s)",
+               "Mev/s", "Kmsg/s", "Peak RSS", "B/event", "Result"});
     char buf[64];
     for (const ScalePoint &p : points) {
         std::snprintf(buf, sizeof(buf), "%.3f", p.wallSec);
         std::string wall = buf;
         std::snprintf(buf, sizeof(buf), "%.2f", p.eventsPerSec / 1e6);
         std::string mevs = buf;
+        std::snprintf(buf, sizeof(buf), "%.1f", p.msgsPerSec / 1e3);
+        std::string kmsgs = buf;
         std::snprintf(buf, sizeof(buf), "%.1fM",
                       static_cast<double>(p.peakRss) / (1 << 20));
         std::string rss = buf;
@@ -238,7 +246,7 @@ runScale(const exp::Context &ctx)
         std::string bpe = buf;
         tt.row({std::to_string(p.nodes), p.pattern,
                 fmtK(double(p.events)),
-                std::to_string(p.ticks), wall, mevs, rss, bpe,
+                std::to_string(p.ticks), wall, mevs, kmsgs, rss, bpe,
                 p.ok ? "ok" : "FAILED"});
     }
     tt.print(std::cout);
@@ -255,7 +263,8 @@ runScale(const exp::Context &ctx)
             << (p.ok ? "true" : "false")
             << ",\"events\":" << p.events << ",\"ticks\":" << p.ticks
             << ",\"wallSec\":" << p.wallSec << ",\"eventsPerSec\":"
-            << p.eventsPerSec << ",\"sent\":" << p.sent
+            << p.eventsPerSec << ",\"msgsPerSec\":" << p.msgsPerSec
+            << ",\"sent\":" << p.sent
             << ",\"drained\":" << p.drained << ",\"stallRetries\":"
             << p.stallRetries << ",\"peakRssBytes\":" << p.peakRss
             << ",\"bytesPerEvent\":" << p.bytesPerEvent << "}";

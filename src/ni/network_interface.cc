@@ -18,6 +18,8 @@ NetworkInterface::NetworkInterface(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), node_(node), network_(network),
       config_(config), pumpEvent_(*this)
 {
+    network_.setInjectWaker(node_, &pumpEvent_);
+
     // The architectural depths bound the queues exactly, so the rings
     // never overflow; the privileged escrow ring stays unallocated
     // until a privileged message actually arrives.
@@ -56,7 +58,7 @@ NetworkInterface::NetworkInterface(std::string name, EventQueue &eq,
                             [this] { return interrupts_; },
                             "message-arrival interrupts delivered");
         mgroup_->addCounter("oq.stall_cycles",
-                            [this] { return oqStallCycles_; },
+                            [this] { return oqStallCycles(); },
                             "cycles SEND stalled on a full output "
                             "queue");
         mgroup_->addCounter("iq.full_crossings",
@@ -117,6 +119,18 @@ NetworkInterface::oafullCycles() const
 {
     return oafullCycles_ +
            (oafullNow_ ? curTick() - oafullRiseTick_ : 0);
+}
+
+uint64_t
+NetworkInterface::oqStallCycles() const
+{
+    const Tick now = curTick();
+    if (!sendWaiter_ || now <= waitFrom_ || !outputStalls())
+        return oqStallCycles_;
+    // A parked sender's retries not accounted yet: each one the
+    // transport gate let through stalled on the full queue.
+    const uint64_t held = tpolicy_ ? tpolicy_->pendingHolds(now) : 0;
+    return oqStallCycles_ + (now - waitFrom_) - held;
 }
 
 uint64_t
@@ -333,12 +347,17 @@ NetworkInterface::compose(isa::SendMode mode, uint8_t type,
 }
 
 bool
+NetworkInterface::outputStalls() const
+{
+    return outputQueue_.size() >= config_.outputQueueDepth &&
+           bits(control_, control::stallOnFullBit) != 0;
+}
+
+bool
 NetworkInterface::sendWouldStall(isa::SendMode mode, Port port) const
 {
-    if (outputQueue_.size() >= config_.outputQueueDepth &&
-        bits(control_, control::stallOnFullBit) != 0) {
+    if (outputStalls())
         return true;
-    }
     if (tpolicy_) {
         // The destination the SEND would compose: REPLY substitutes
         // i1 for o0 (Section 2.2.2); every other mode addresses with
@@ -354,9 +373,12 @@ NetworkInterface::sendWouldStall(isa::SendMode mode, Port port) const
 CmdResult
 NetworkInterface::enqueueSend(Message msg)
 {
+    // A parked harness sender owns the output port: its skipped
+    // retries are accounted against the state no other SEND changes.
+    tcpni_assert(!sendWaiter_);
     // Transport-policy gate: a hold surfaces exactly like the
-    // stall-on-full SEND stall (the sender retries next cycle), so
-    // the policy needs no new architectural signalling.  The held
+    // stall-on-full SEND stall (the SEND is reissued later), so the
+    // policy needs no new architectural signalling.  The held
     // message has not been admitted, so it occupies no queue slot.
     if (tpolicy_ &&
         tpolicy_->gate(msg.dst, curTick()) == transport::Verdict::hold) {
@@ -416,10 +438,77 @@ NetworkInterface::enqueueSend(Message msg)
 }
 
 CmdResult
-NetworkInterface::injectMessage(Message msg)
+NetworkInterface::injectOrPark(Message msg, Event *waiter)
 {
+    if (sendWaiter_) {
+        // Woken at the tick the transport gate first admits.
+        tcpni_assert(sendWaiter_ == waiter);
+        releaseSender();
+    }
+    const NodeId dst = msg.dst;
     msg.src = node_;
-    return enqueueSend(std::move(msg));
+    const CmdResult res = enqueueSend(std::move(msg));
+    if (res == CmdResult::stall) {
+        sendWaiter_ = waiter;
+        waitFrom_ = curTick();
+        if (tpolicy_)
+            tpolicy_->block(dst, waitFrom_);
+        armSendWake();
+    }
+    return res;
+}
+
+void
+NetworkInterface::catchUpSender()
+{
+    const Tick now = curTick();
+    if (!sendWaiter_ || now <= waitFrom_ + 1)
+        return;
+    const Tick to = now - 1;
+    const uint64_t through =
+        tpolicy_ ? tpolicy_->catchUp(to) : to - waitFrom_;
+    // Each retry the transport gate let through stalled on the full
+    // output queue (policy hold first, then the queue).
+    if (through) {
+        tcpni_assert(outputStalls());
+        oqStallCycles_ += through;
+    }
+    waitFrom_ = to;
+}
+
+void
+NetworkInterface::releaseSender()
+{
+    catchUpSender();
+    if (tpolicy_)
+        tpolicy_->unblock();
+    sendWaiter_ = nullptr;
+}
+
+void
+NetworkInterface::armSendWake()
+{
+    // A wake computed from the old state is void.
+    if (sendWaiter_->scheduled())
+        eventq().deschedule(sendWaiter_);
+    // A full queue reopens only when the pump pops it.
+    if (outputStalls())
+        return;
+    // Otherwise the transport gate holds it: the first tick the gate
+    // would admit, or -- maxTick -- only a credit or an oafull edge
+    // can reopen it.
+    const Tick t = tpolicy_ ? tpolicy_->firstProceed() : waitFrom_ + 1;
+    if (t != maxTick)
+        eventq().schedule(sendWaiter_, t);
+}
+
+void
+NetworkInterface::returnCredits(NodeId dst, uint32_t count, Tick now)
+{
+    catchUpSender();
+    tpolicy_->onCredit(dst, count, now);
+    if (sendWaiter_)
+        armSendWake();
 }
 
 CmdResult
@@ -686,17 +775,27 @@ NetworkInterface::raise(ExcCode code)
 void
 NetworkInterface::schedulePump()
 {
-    if (!pumpEvent_.scheduled() && !outputQueue_.empty())
+    if (!pumpEvent_.scheduled() && !pumpParked_ && !outputQueue_.empty())
         eventq().schedule(&pumpEvent_, curTick() + 1);
 }
 
 void
 NetworkInterface::pump()
 {
-    // One injection attempt per cycle.
-    if (!outputQueue_.empty() &&
-        network_.offer(node_, outputQueue_.front())) {
+    pumpParked_ = false;
+    // One injection per cycle while the fabric accepts: the line rate.
+    if (!outputQueue_.empty()) {
+        if (!network_.offer(node_, outputQueue_.front())) {
+            // Sleep until the fabric frees an injection slot; it
+            // wakes the pump at that tick (Network::setInjectWaker).
+            pumpParked_ = true;
+            return;
+        }
+        // The pop changes what a parked sender's retry would see.
+        catchUpSender();
+        const bool was_stalling = outputStalls();
         const bool was_oafull = oafull();
+        bool edge = false;
         TCPNI_TRACE(NI, "inject id=%llu into the fabric",
                     static_cast<unsigned long long>(
                         outputQueue_.front().traceId));
@@ -705,12 +804,15 @@ NetworkInterface::pump()
         if (was_oafull && !oafull()) {
             oafullCycles_ += curTick() - oafullRiseTick_;
             oafullNow_ = false;
+            edge = true;
             if (tpolicy_)
                 tpolicy_->onOafull(false, curTick());
             TCPNI_TRACE(NI, "oafull deasserted (output queue %zu <= "
                         "threshold %u)", outputQueue_.size(),
                         outThreshold());
         }
+        if (sendWaiter_ && (was_stalling || edge))
+            armSendWake();
     }
     if (!outputQueue_.empty())
         eventq().schedule(&pumpEvent_, curTick() + 1);

@@ -56,7 +56,8 @@ namespace ni
 enum class CmdResult : uint8_t
 {
     ok,     //!< commands executed (possibly raising an exception)
-    stall,  //!< output queue full with stall policy: retry next cycle
+    stall,  //!< output queue full with stall policy, or a transport
+            //!< hold: the SEND did not happen and must be reissued
 };
 
 /**
@@ -138,15 +139,31 @@ class NetworkInterface : public SimObject
 
     /**
      * Harness-level injection: enqueue a pre-composed message with an
-     * explicit routing envelope (msg.dst / msg.src already set),
+     * explicit routing envelope (msg.dst set; msg.src is set here),
      * bypassing the register-composition path.  Goes through exactly
      * the enqueueSend() semantics -- stall-on-full / overflow
      * exception, trace-id assignment, oafull edge accounting, pump
      * scheduling.  Workload generators use this to address meshes
      * larger than the 8-bit node field of a global word (the
      * architectural compose() path tops out at 256 nodes).
+     *
+     * A stalled sender sleeps instead of retrying every tick
+     * (SNIPPETS.md: sosend() sleeping in sbwait()).  On a stall the NI
+     * parks @p waiter and schedules it at the first tick a retry could
+     * succeed: when the output queue pops, when a returned credit or
+     * an oafull edge opens the transport gate, or -- for a paced hold
+     * -- at the tick the bucket would first admit.  The retries the
+     * sender skipped are accounted exactly as if they had run
+     * (oq.stall_cycles, and the policy's holds and state; see
+     * transport::Policy::block()).  When @p waiter fires it calls
+     * this again with the same message.  One sender per interface.
      */
-    CmdResult injectMessage(Message msg);
+    CmdResult injectOrPark(Message msg, Event *waiter);
+
+    /** Delivery credits for @p count messages to @p dst came back
+     *  (the CreditFabric's sink): fold them into the transport policy
+     *  and wake a sender they unblock. */
+    void returnCredits(NodeId dst, uint32_t count, Tick now);
 
     /** @{ Supervisor-level access to the privileged message queue
      *     (Section 2.1.3).  In hardware these messages would be held in
@@ -258,6 +275,24 @@ class NetworkInterface : public SimObject
     void pump();
     void schedulePump();
 
+    /** True when a SEND would stall on the output queue. */
+    bool outputStalls() const;
+
+    /** SEND stall cycles on a full output queue, a parked sender's
+     *  span up to now included. */
+    uint64_t oqStallCycles() const;
+
+    /** @{ The parked sender (see injectOrPark()).  catchUpSender()
+     *     accounts its skipped retries of the ticks before this one;
+     *     call it before any change to the state a retry reads.
+     *     armSendWake() (re)schedules the sender for the first tick
+     *     its retry could succeed given the current state, if any.
+     *     releaseSender() ends the park. */
+    void catchUpSender();
+    void armSendWake();
+    void releaseSender();
+    /** @} */
+
     /** Record an exceptional condition (first pending wins). */
     void raise(ExcCode code);
 
@@ -311,7 +346,15 @@ class NetworkInterface : public SimObject
     uint64_t currentTraceId_ = 0;
 
     PumpEvent pumpEvent_;
+    /** The pump is asleep until the fabric frees an injection slot. */
+    bool pumpParked_ = false;
     std::function<void(Word)> interruptSink_;
+
+    /** @{ The parked sender and the last tick whose retry is
+     *     accounted. */
+    Event *sendWaiter_ = nullptr;
+    Tick waitFrom_ = 0;
+    /** @} */
 
     uint64_t sent_ = 0;
     uint64_t interrupts_ = 0;

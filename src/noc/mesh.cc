@@ -163,6 +163,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     if (routers_[src].inq[local].size() >= bufferDepth_) {
         TCPNI_TRACE(NOC, "refuse injection at node %u (buffer full)",
                     src);
+        routers_[src].injectWaiting = true;
         return false;
     }
     TCPNI_TRACE(NOC, "accept id=%llu at node %u for node %u",
@@ -273,6 +274,11 @@ MeshNetwork::tick()
                     }
                     moved = true;
                     refreshHead(router, in);
+                    if (in == static_cast<unsigned>(Port::local) &&
+                        router.injectWaiting) {
+                        router.injectWaiting = false;
+                        wakeInjector(r);
+                    }
                     if (router.headOut[in] != noHead &&
                         router.headOut[in] > out &&
                         router.headMoved[in] != now)

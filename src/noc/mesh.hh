@@ -30,7 +30,9 @@
  * cached port and the cycle it last moved) lets arbitration read one
  * small struct and touch a ring buffer only for a head that moves.
  * Router buffers are fixed-capacity rings, so the forwarding path
- * performs no heap allocation.
+ * performs no heap allocation.  A refused injection marks its router,
+ * and the cycle the local input queue's head leaves wakes the node's
+ * injector (Network::setInjectWaker), at that same tick.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
@@ -121,6 +123,9 @@ class MeshNetwork : public Network
                                      noHead};
         // Round-robin arbitration pointer per output port.
         uint8_t rr[numPorts] = {0, 0, 0, 0, 0};
+        // offer() refused an injection: wake the injector when the
+        // local input queue's head leaves.
+        bool injectWaiting = false;
         Tick headMoved[numPorts] = {0, 0, 0, 0, 0};
         // Link serialization: the output port is busy until this tick.
         Tick busyUntil[numPorts] = {0, 0, 0, 0, 0};

@@ -9,6 +9,10 @@
  * the message to the destination node's sink, which may also refuse
  * (the NI input queue is full), in which case the message stalls inside
  * the fabric and the congestion propagates backwards.
+ *
+ * A refused injector does not retry every cycle: it registers a waker
+ * (its NI's pump event), and the fabric schedules it at the tick its
+ * injection buffer frees a slot, the first tick a retry could succeed.
  */
 
 #ifndef TCPNI_NOC_NETWORK_HH
@@ -33,7 +37,8 @@ class Network : public SimObject
 {
   public:
     Network(std::string name, EventQueue &eq, unsigned num_nodes)
-        : SimObject(std::move(name), eq), sinks_(num_nodes)
+        : SimObject(std::move(name), eq), sinks_(num_nodes),
+          wakers_(num_nodes, nullptr)
     {}
 
     unsigned numNodes() const { return static_cast<unsigned>(sinks_.size()); }
@@ -46,8 +51,20 @@ class Network : public SimObject
     }
 
     /**
+     * Register @p ev (node @p node 's injection pump) to be scheduled
+     * at the current tick when the node's injection buffer frees a
+     * slot after offer() refused it.
+     */
+    void
+    setInjectWaker(NodeId node, Event *ev)
+    {
+        wakers_.at(node) = ev;
+    }
+
+    /**
      * Offer a message for injection at @p src.
-     * @return false if the fabric cannot accept it this cycle.
+     * @return false if the fabric cannot accept it this cycle; the
+     *         node's inject waker then fires when it can.
      */
     virtual bool offer(NodeId src, const Message &msg) = 0;
 
@@ -74,10 +91,21 @@ class Network : public SimObject
         return true;
     }
 
+    /** A refused injection at @p node can now succeed: wake the
+     *  node's injector, if one is registered and asleep. */
+    void
+    wakeInjector(NodeId node)
+    {
+        Event *ev = wakers_[node];
+        if (ev && !ev->scheduled())
+            eventq().schedule(ev, curTick());
+    }
+
     uint64_t delivered_ = 0;
 
   private:
     std::vector<MessageSink> sinks_;
+    std::vector<Event *> wakers_;
 };
 
 /**

@@ -101,8 +101,13 @@ System::System(std::string name, unsigned width, unsigned height,
         creditFabric_ = std::make_unique<transport::CreditFabric>(eq_);
         for (auto &n : nodes_) {
             auto *p = n->transportPolicy();
-            if (p && p->wantsCredits())
-                creditFabric_->addSender(n->id(), p);
+            if (p && p->wantsCredits()) {
+                ni::NetworkInterface *ni = &n->ni();
+                creditFabric_->addSender(
+                    n->id(), [ni](NodeId dst, uint32_t count, Tick now) {
+                        ni->returnCredits(dst, count, now);
+                    });
+            }
             n->ni().setCreditFabric(creditFabric_.get());
         }
     }

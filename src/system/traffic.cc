@@ -144,10 +144,20 @@ TrafficGen::arrive()
     backlog_.push_back(now);
     ++arrivals_;
     lastArrivalTick_ = now;
-    if (arrivals_ < cfg_.messages)
-        eq_.schedule(&arrivalEvent_, now + nextGap());
-    // Wake the admission pump if it went idle on an empty backlog.
-    if (!sendEvent_.scheduled())
+    if (arrivals_ < cfg_.messages) {
+        const Tick next = now + nextGap();
+        eq_.schedule(&arrivalEvent_, next);
+        // An arrival fires before its node's send at the same tick,
+        // as it would before a send retried every tick.  A wake the
+        // NI armed earlier for that tick would fire first; re-queue
+        // it behind the arrival.
+        if (parked_ && sendEvent_.scheduled() &&
+            sendEvent_.when() == next)
+            eq_.reschedule(&sendEvent_, next);
+    }
+    // Wake the admission pump if it went idle on an empty backlog.  A
+    // parked sender is the NI's to wake: its message is still pending.
+    if (!parked_ && !sendEvent_.scheduled())
         eq_.schedule(&sendEvent_, now);
 }
 
@@ -168,13 +178,20 @@ TrafficGen::trySend()
         }
         pendingValid_ = true;
     }
-    if (sys_.node(node_).ni().injectMessage(pending_) ==
+    if (parked_) {
+        // Every tick of the park was a stalled retry.
+        stalls_ += now - parkTick_ - 1;
+        parked_ = false;
+    }
+    if (sys_.node(node_).ni().injectOrPark(pending_, &sendEvent_) ==
         ni::CmdResult::stall) {
         // Output queue full under the stall policy, or a transport
-        // policy held the send: keep the message and retry next tick,
-        // like a stalled SEND instruction.
+        // policy held the send: keep the message and sleep until the
+        // NI wakes us at the first tick a retry could succeed, like a
+        // stalled SEND instruction.
         ++stalls_;
-        eq_.schedule(&sendEvent_, eq_.curTick() + 1);
+        parked_ = true;
+        parkTick_ = now;
         return;
     }
     pendingValid_ = false;
@@ -186,6 +203,12 @@ TrafficGen::trySend()
     } else if (sent_ < cfg_.messages) {
         eq_.schedule(&sendEvent_, now + nextGap());
     }
+}
+
+uint64_t
+TrafficGen::stallRetries() const
+{
+    return stalls_ + (parked_ ? eq_.curTick() - parkTick_ : 0);
 }
 
 void

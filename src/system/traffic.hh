@@ -4,9 +4,10 @@
  *
  * A TrafficGen plays the role of the node's software without running
  * any instructions: it injects a fixed number of messages at
- * pseudo-random gaps through NetworkInterface::injectMessage() (so the
+ * pseudo-random gaps through NetworkInterface::injectOrPark() (so the
  * full enqueue semantics -- stall-on-full, trace ids, pump scheduling
- * -- are exercised) and drains arrivals through the NI's
+ * -- are exercised, and a stalled send sleeps until the NI wakes it)
+ * and drains arrivals through the NI's
  * interrupt-driven reception path (CONTROL bit 2 + NEXT), which keeps
  * quiescence livelock-free: an idle node schedules no events, yet any
  * late arrival wakes it for a drain.
@@ -122,7 +123,9 @@ class TrafficGen
 
     uint64_t sent() const { return sent_; }
     uint64_t drained() const { return drained_; }
-    uint64_t stallRetries() const { return stalls_; }
+    /** Stalled send attempts: each stalled call, plus one deemed
+     *  retry per tick a parked sender sleeps through. */
+    uint64_t stallRetries() const;
 
     /** Intents generated so far (== sent() in closed loop). */
     uint64_t arrivals() const { return arrivals_; }
@@ -200,6 +203,11 @@ class TrafficGen
 
     Message pending_{};
     bool pendingValid_ = false;
+
+    /** pending_ stalled at parkTick_ and the NI holds sendEvent_ until
+     *  a retry could succeed (NetworkInterface::injectOrPark). */
+    bool parked_ = false;
+    Tick parkTick_ = 0;
 
     /** Open loop: intent ticks awaiting admission, oldest first. */
     std::deque<Tick> backlog_;

@@ -25,7 +25,7 @@ CreditFabric::Slot::drainCredits()
         pending.erase(pending.begin(),
                       pending.begin() + static_cast<long>(taken));
     for (const auto &[dst, count] : folded)
-        policy->onCredit(dst, count, now);
+        sink(dst, count, now);
 
     // Entries born at `now` wait for the next drain.
     if (!pending.empty()) {

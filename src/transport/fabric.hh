@@ -14,7 +14,9 @@
  *
  *  - The drain event at tick D folds only entries with tick < D,
  *    summed per destination and applied in destination order, into
- *    Policy::onCredit(), and reschedules for the remainder.  A credit
+ *    the sender's credit sink (its NI, which hands them to
+ *    Policy::onCredit() and wakes a sender the credit unblocks), and
+ *    reschedules for the remainder.  A credit
  *    born at D itself waits for the next drain, whether the delivery
  *    fired before or after the drain within tick D, so a credit never
  *    reaches its sender in less than one tick and the within-tick
@@ -28,18 +30,23 @@
 #ifndef TCPNI_TRANSPORT_FABRIC_HH
 #define TCPNI_TRANSPORT_FABRIC_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "transport/transport.hh"
+#include "sim/types.hh"
 
 namespace tcpni
 {
 namespace transport
 {
+
+/** Receives @p count credits for messages to @p dst at @p now. */
+using CreditSink =
+    std::function<void(NodeId dst, uint32_t count, Tick now)>;
 
 class CreditFabric
 {
@@ -47,11 +54,13 @@ class CreditFabric
     /** A fabric returning credits on the machine's queue @p eq. */
     explicit CreditFabric(EventQueue &eq) : eq_(eq) {}
 
-    /** Register @p node 's policy as a credit consumer. */
+    /** Register @p node as a credit consumer, its credits going to
+     *  @p sink. */
     void
-    addSender(NodeId node, Policy *policy)
+    addSender(NodeId node, CreditSink sink)
     {
-        slots_.emplace(node, std::make_unique<Slot>(policy, eq_));
+        slots_.emplace(node,
+                       std::make_unique<Slot>(std::move(sink), eq_));
     }
 
     bool hasSender(NodeId node) const { return slots_.count(node); }
@@ -93,14 +102,14 @@ class CreditFabric
             Slot &slot_;
         };
 
-        Slot(Policy *policy, EventQueue &eq)
-            : policy(policy), eq(eq), drain(*this)
+        Slot(CreditSink sink, EventQueue &eq)
+            : sink(std::move(sink)), eq(eq), drain(*this)
         {
         }
 
         void drainCredits();
 
-        Policy *policy;
+        CreditSink sink;
         EventQueue &eq;
         DrainEvent drain;
 

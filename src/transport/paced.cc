@@ -31,12 +31,16 @@
  * bucket and rate as of `now` without mutating anything (so the CPU's
  * side-effect-free wouldHold() pre-check agrees exactly with the
  * subsequent gate()), and gate()/onOafull() commit the projection.
+ * A sleeping sender's deemed per-tick gates are replayed in closed
+ * form by replay(), which is what a tick-by-tick gate() loop would
+ * have settled.
  */
 
 #include <algorithm>
 #include <deque>
 #include <map>
 
+#include "common/logging.hh"
 #include "transport/transport.hh"
 
 namespace tcpni
@@ -51,8 +55,9 @@ class PacedPolicy : public Policy
 {
   public:
     explicit PacedPolicy(const TransportConfig &cfg)
-        : Policy(cfg), rate_(cfg.paceRate),
-          tokens_(static_cast<uint64_t>(cfg.paceBurst) * rateOne)
+        : Policy(cfg),
+          st_{cfg.paceRate,
+              static_cast<uint64_t>(cfg.paceBurst) * rateOne, 0, 0, 0, 0}
     {}
 
     // The metrics lambdas below read members of THIS class; retire
@@ -65,7 +70,7 @@ class PacedPolicy : public Policy
     gate(NodeId, Tick now) override
     {
         settle(now);
-        if (tokens_ < rateOne) {
+        if (st_.tokens < rateOne) {
             countHold();
             return Verdict::hold;
         }
@@ -75,7 +80,7 @@ class PacedPolicy : public Policy
     bool
     wouldHold(NodeId, Tick now) const override
     {
-        return project(now).tokens < rateOne;
+        return project(st_, now).tokens < rateOne;
     }
 
     void
@@ -83,7 +88,7 @@ class PacedPolicy : public Policy
     {
         Policy::onAdmit(dst, now);
         settle(now);
-        tokens_ -= std::min<uint64_t>(tokens_, rateOne);
+        st_.tokens -= std::min<uint64_t>(st_.tokens, rateOne);
         outstanding_[dst].push_back(now);
     }
 
@@ -123,10 +128,10 @@ class PacedPolicy : public Policy
         }
         if (congested && now >= lastDelayMd_ + cfg_.paceAiInterval) {
             settle(now);
-            rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            ++mdEvents_;
+            st_.rate = std::max(cfg_.paceMinRate, st_.rate / 2);
+            ++st_.mdEvents;
             lastDelayMd_ = now;
-            aiAnchor_ = holdoffAnchor(now);
+            st_.aiAnchor = holdoffAnchor(now);
         }
     }
 
@@ -136,30 +141,34 @@ class PacedPolicy : public Policy
         Policy::onOafull(asserted, now);
         settle(now);
         if (asserted) {
-            rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            ++mdEvents_;
+            st_.rate = std::max(cfg_.paceMinRate, st_.rate / 2);
+            ++st_.mdEvents;
             oafullNow_ = true;
-            aiAnchor_ = holdoffAnchor(now);
+            st_.aiAnchor = holdoffAnchor(now);
         } else {
             oafullNow_ = false;
             // The holdoff a decrease scheduled stays in force: AI
             // resumes paceAiHoldoff intervals after the LAST decrease,
             // not one interval after the queue first drains.
-            aiAnchor_ = std::max(aiAnchor_, now);
+            st_.aiAnchor = std::max(st_.aiAnchor, now);
         }
     }
 
   protected:
     void
-    addMetrics(metrics::Group &g) override
+    addMetrics(metrics::Group &g, EventQueue &eq) override
     {
-        g.addCounter("md_events", [this] { return mdEvents_; },
+        g.addCounter("md_events",
+                     [this, &eq] { return stateAt(eq.curTick()).mdEvents; },
                      "multiplicative decreases");
-        g.addCounter("ai_steps", [this] { return aiSteps_; },
+        g.addCounter("ai_steps",
+                     [this, &eq] { return stateAt(eq.curTick()).aiSteps; },
                      "additive-increase steps applied");
-        g.addGauge("rate_fp", [this] { return rate_; },
+        g.addGauge("rate_fp",
+                   [this, &eq] { return stateAt(eq.curTick()).rate; },
                    "pacing rate, rateOne fixed point per tick");
-        g.addGauge("tokens_fp", [this] { return tokens_; },
+        g.addGauge("tokens_fp",
+                   [this, &eq] { return stateAt(eq.curTick()).tokens; },
                    "bucket level, rateOne fixed point");
         g.addGauge("min_delay",
                    [this] {
@@ -172,31 +181,52 @@ class PacedPolicy : public Policy
                    "best per-destination baseline delivery delay");
     }
 
+    uint64_t
+    heldInSpan(NodeId, Tick from, Tick to) const override
+    {
+        return replay(from, to, false).held;
+    }
+
+    uint64_t
+    settleSpan(NodeId, Tick from, Tick to) override
+    {
+        const Replay r = replay(from, to, false);
+        st_ = r.st;
+        return r.held;
+    }
+
+    Tick
+    firstProceedAfter(NodeId, Tick from) const override
+    {
+        return replay(from, maxTick, true).firstProceed;
+    }
+
   private:
-    struct Projection
+    /** The bucket, the rate and the adaptation clock. */
+    struct State
     {
         uint32_t rate;
         uint64_t tokens;
+        Tick lastSettle;
         Tick aiAnchor;
-        uint64_t aiSteps;
-        uint64_t mdSteps;
+        uint64_t mdEvents;  //!< multiplicative decreases
+        uint64_t aiSteps;   //!< additive-increase steps applied
     };
 
-    /** Bucket and rate as of @p now; pure. */
-    Projection
-    project(Tick now) const
+    /** @p s settled lazily to @p now, in one span; pure. */
+    State
+    project(State s, Tick now) const
     {
-        Projection p{rate_, tokens_, aiAnchor_, 0, 0};
-        if (now > lastSettle_) {
+        if (now > s.lastSettle) {
             // Refill at the pre-adaptation rate over the whole span
             // (conservative and exactly reproducible), then adapt.
-            p.tokens = std::min(
-                p.tokens + static_cast<uint64_t>(rate_) *
-                               (now - lastSettle_),
-                static_cast<uint64_t>(cfg_.paceBurst) * rateOne);
+            s.tokens = std::min(
+                s.tokens + static_cast<uint64_t>(s.rate) *
+                               (now - s.lastSettle),
+                bucketCap());
         }
-        if (now > p.aiAnchor) {
-            uint64_t steps = (now - p.aiAnchor) / cfg_.paceAiInterval;
+        if (now > s.aiAnchor) {
+            uint64_t steps = (now - s.aiAnchor) / cfg_.paceAiInterval;
             if (steps) {
                 if (oafullNow_) {
                     // oafull is a level: a queue still above its
@@ -204,20 +234,126 @@ class PacedPolicy : public Policy
                     // decrease is repeated evidence the rate remains
                     // too high, so halve again and re-arm the holdoff
                     // (TCP would see one loss per RTT).
-                    p.mdSteps = 1;
-                    p.rate = std::max(cfg_.paceMinRate, p.rate / 2);
-                    p.aiAnchor = holdoffAnchor(now);
+                    ++s.mdEvents;
+                    s.rate = std::max(cfg_.paceMinRate, s.rate / 2);
+                    s.aiAnchor = holdoffAnchor(now);
                 } else {
-                    p.aiSteps = steps;
-                    p.rate = static_cast<uint32_t>(std::min<uint64_t>(
-                        static_cast<uint64_t>(p.rate) +
+                    s.aiSteps += steps;
+                    s.rate = static_cast<uint32_t>(std::min<uint64_t>(
+                        static_cast<uint64_t>(s.rate) +
                             steps * cfg_.paceAiStep,
                         cfg_.paceMaxRate));
-                    p.aiAnchor += steps * cfg_.paceAiInterval;
+                    s.aiAnchor += steps * cfg_.paceAiInterval;
                 }
             }
         }
-        return p;
+        s.lastSettle = std::max(s.lastSettle, now);
+        return s;
+    }
+
+    /** Outcome of replaying a blocked sender's deemed gates. */
+    struct Replay
+    {
+        State st;
+        uint64_t held = 0;             //!< deemed gates that held
+        Tick firstProceed = maxTick;   //!< first that proceeded
+    };
+
+    /**
+     * The deemed gates of ticks (@p from, @p to], each a settle()
+     * of one tick followed by the token test, in closed form: one
+     * step per stretch of constant rate between adaptation ticks.
+     * project() cannot stand in for this -- over a span it refills
+     * at the old rate throughout, applies at most one decrease and
+     * lumps several increases into one -- so a lazy settle and
+     * per-tick settles part ways whenever a span crosses an
+     * adaptation tick.  With @p stop the replay ends at the first
+     * gate that proceeds.  Pure.
+     */
+    Replay
+    replay(Tick from, Tick to, bool stop) const
+    {
+        Replay r{st_};
+        State &s = r.st;
+        Tick t = from;  // last replayed tick
+        // Count the gate of tick t (tokens as settled); true to stop.
+        auto classify = [&](Tick tick) {
+            if (s.tokens < rateOne) {
+                ++r.held;
+                return false;
+            }
+            if (r.firstProceed == maxTick)
+                r.firstProceed = tick;
+            return stop;
+        };
+        while (t < to) {
+            if (s.lastSettle != t) {
+                // A hook already settled tick t+1 (its settle comes
+                // before the gate of its own tick), or the state was
+                // last settled before the span: one lazy step.
+                s = project(s, t + 1);
+                ++t;
+                if (classify(t))
+                    return r;
+                continue;
+            }
+            // Constant rate up to and including the next adaptation
+            // tick E (which still refills at the old rate).
+            const Tick e = s.aiAnchor + cfg_.paceAiInterval;
+            tcpni_assert(e > t);
+            const Tick end = std::min(e, to);
+            const uint64_t len = end - t;
+            if (s.tokens >= rateOne) {
+                if (classify(t + 1))
+                    return r;
+            } else {
+                // First j with tokens + j * rate >= rateOne (the cap
+                // is at least one message, so it never binds first).
+                const uint64_t need = rateOne - s.tokens;
+                const uint64_t j = (need + s.rate - 1) / s.rate;
+                r.held += std::min(len, j - 1);
+                if (j <= len && r.firstProceed == maxTick) {
+                    r.firstProceed = t + j;
+                    if (stop)
+                        return r;
+                }
+            }
+            const uint64_t room = bucketCap() - s.tokens;
+            s.tokens = len >= (room + s.rate - 1) / s.rate
+                           ? bucketCap()
+                           : s.tokens + len * s.rate;
+            s.lastSettle = t = end;
+            if (end == e) {
+                if (oafullNow_) {
+                    ++s.mdEvents;
+                    s.rate = std::max(cfg_.paceMinRate, s.rate / 2);
+                    s.aiAnchor = holdoffAnchor(e);
+                } else {
+                    ++s.aiSteps;
+                    s.rate = std::min(s.rate + cfg_.paceAiStep,
+                                      cfg_.paceMaxRate);
+                    s.aiAnchor = e;
+                }
+            }
+        }
+        return r;
+    }
+
+    /** The state as of @p now: a blocked sender's deemed gates up to
+     *  @p now applied, as the metrics sampler must see them. */
+    State
+    stateAt(Tick now) const
+    {
+        NodeId dst;
+        Tick from;
+        return blockedSpan(now, dst, from) ? replay(from, now, false).st
+                                           : st_;
+    }
+
+    uint64_t
+    bucketCap() const
+    {
+        return static_cast<uint64_t>(cfg_.paceBurst) * rateOne;
     }
 
     /**
@@ -231,25 +367,12 @@ class PacedPolicy : public Policy
                          cfg_.paceAiInterval;
     }
 
-    void
-    settle(Tick now)
-    {
-        Projection p = project(now);
-        rate_ = p.rate;
-        tokens_ = p.tokens;
-        aiAnchor_ = p.aiAnchor;
-        lastSettle_ = std::max(lastSettle_, now);
-        aiSteps_ += p.aiSteps;
-        mdEvents_ += p.mdSteps;
-    }
+    void settle(Tick now) { st_ = project(st_, now); }
 
     /** Delivery delay considered congested, in baselines. */
     static constexpr uint64_t kDelayMult = 4;
 
-    uint32_t rate_;
-    uint64_t tokens_;
-    Tick lastSettle_ = 0;
-    Tick aiAnchor_ = 0;
+    State st_;
     bool oafullNow_ = false;
 
     /** Send ticks of in-flight messages, FIFO per destination. */
@@ -258,9 +381,6 @@ class PacedPolicy : public Policy
      *  0 means "no sample yet". */
     std::map<NodeId, uint64_t> minDelay_;
     Tick lastDelayMd_ = 0;
-
-    uint64_t mdEvents_ = 0;  //!< multiplicative decreases
-    uint64_t aiSteps_ = 0;   //!< additive-increase steps applied
 };
 
 } // namespace

@@ -38,13 +38,71 @@ Policy::onCredit(NodeId, uint32_t count, Tick)
 }
 
 void
+Policy::block(NodeId dst, Tick at)
+{
+    blocked_ = true;
+    blockedDst_ = dst;
+    blockedFrom_ = at;
+}
+
+uint64_t
+Policy::catchUp(Tick to)
+{
+    tcpni_assert(blocked_);
+    if (to <= blockedFrom_)
+        return 0;
+    const uint64_t held = settleSpan(blockedDst_, blockedFrom_, to);
+    holds_ += static_cast<int64_t>(held);
+    const uint64_t proceeded = (to - blockedFrom_) - held;
+    blockedFrom_ = to;
+    return proceeded;
+}
+
+Tick
+Policy::firstProceed() const
+{
+    tcpni_assert(blocked_);
+    return firstProceedAfter(blockedDst_, blockedFrom_);
+}
+
+uint64_t
+Policy::heldInSpan(NodeId dst, Tick from, Tick to) const
+{
+    return to > from && wouldHold(dst, to) ? to - from : 0;
+}
+
+uint64_t
+Policy::settleSpan(NodeId dst, Tick from, Tick to)
+{
+    return heldInSpan(dst, from, to);
+}
+
+Tick
+Policy::firstProceedAfter(NodeId dst, Tick from) const
+{
+    return wouldHold(dst, from + 1) ? maxTick : from + 1;
+}
+
+uint64_t
+Policy::pendingHolds(Tick now) const
+{
+    NodeId dst;
+    Tick from;
+    return blockedSpan(now, dst, from) ? heldInSpan(dst, from, now) : 0;
+}
+
+void
 Policy::attachMetrics(const std::string &name, EventQueue &eq)
 {
     auto *r = metrics::registry();
     if (!r)
         return;
     mgroup_ = r->addGroup(name, eq);
-    mgroup_->addCounter("holds", [this] { return holds_; },
+    mgroup_->addCounter("holds",
+                        [this, &eq] {
+                            return holds_ + static_cast<int64_t>(
+                                                pendingHolds(eq.curTick()));
+                        },
                         "send attempts held by the policy");
     mgroup_->addCounter("admits", [this] { return admits_; },
                         "messages admitted to the output queue");
@@ -54,7 +112,7 @@ Policy::attachMetrics(const std::string &name, EventQueue &eq)
     mgroup_->addCounter("oafull_edges",
                         [this] { return oafullEdges_; },
                         "oafull edges observed");
-    addMetrics(*mgroup_);
+    addMetrics(*mgroup_, eq);
 }
 
 namespace

@@ -16,10 +16,17 @@
  * configuration).  The NetworkInterface consults its policy instance
  *
  *  - on every send attempt (gate(): proceed or hold, where hold
- *    surfaces as the architectural SEND stall, so the retry loop is
- *    the same one a full output queue drives), and
+ *    surfaces as the architectural SEND stall, exactly like a full
+ *    output queue), and
  *  - on every oafull edge (onOafull(): the only congestion signal the
  *    paper's hardware already has).
+ *
+ * A stalled harness sender does not retry every tick: it sleeps, and
+ * the NI wakes it when a retry could first succeed (DESIGN.md, "Park
+ * and wake").  While it sleeps, gate(dst, t) is deemed to run at every
+ * tick t; the NI applies those deemed gates in closed form through
+ * block() / catchUp() / firstProceed(), which reproduce the holds and
+ * the policy state of tick-by-tick gate() calls exactly.
  *
  * Three policies ship:
  *
@@ -156,13 +163,58 @@ class Policy
     /** Count one hold verdict; policies call this from gate(). */
     void countHold() { ++holds_; }
 
+    /** @{ Sleeping sender.  block(): a send to @p dst stalled at tick
+     *     @p at and its sender sleeps; gate(dst, t) is deemed to run
+     *     at every later tick until unblock().  catchUp() applies the
+     *     deemed gates of every tick up to @p to, exactly as
+     *     tick-by-tick gate() calls would (holds, and the policy's
+     *     state), and returns how many of them proceeded.
+     *     firstProceed() is the first tick after the last applied one
+     *     whose deemed gate proceeds if no hook fires before it;
+     *     maxTick when only a hook (a credit, an oafull edge) can open
+     *     the gate.  Hooks do not catch up by themselves: the caller
+     *     catches up to the tick before a hook, then calls it. */
+    void block(NodeId dst, Tick at);
+    uint64_t catchUp(Tick to);
+    Tick firstProceed() const;
+    void unblock() { blocked_ = false; }
+    /** Deemed gates after the last applied one, up to @p now, that
+     *  hold; pure (lazy counters read it mid-run). */
+    uint64_t pendingHolds(Tick now) const;
+    /** @} */
+
     /** Register a metrics group when a registry is installed (inert
      *  otherwise), mirroring the NI's telemetry pattern. */
     void attachMetrics(const std::string &name, EventQueue &eq);
 
   protected:
-    /** Policy-specific metrics series. */
-    virtual void addMetrics(metrics::Group &) {}
+    /** Policy-specific metrics series; @p eq is the owning queue,
+     *  whose clock lazily read series need. */
+    virtual void addMetrics(metrics::Group &, EventQueue &) {}
+
+    /** @{ Closed-form replay of the deemed gates of ticks
+     *     (@p from, @p to] for a sender blocked on @p dst.  The
+     *     defaults are exact for a policy whose verdict does not
+     *     depend on time (hold iff wouldHold()) and whose gate() has
+     *     no side effect besides countHold(); a policy whose gate()
+     *     evolves state over time overrides all three. */
+    /** How many of the deemed gates hold; pure. */
+    virtual uint64_t heldInSpan(NodeId dst, Tick from, Tick to) const;
+    /** Apply the deemed gates' effects other than counting holds;
+     *  @return how many of them hold. */
+    virtual uint64_t settleSpan(NodeId dst, Tick from, Tick to);
+    /** First t > @p from whose deemed gate proceeds, or maxTick. */
+    virtual Tick firstProceedAfter(NodeId dst, Tick from) const;
+    /** @} */
+
+    /** The blocked sender's destination and last applied tick, for
+     *  policies that read their own state lazily. */
+    bool blockedSpan(Tick now, NodeId &dst, Tick &from) const
+    {
+        dst = blockedDst_;
+        from = blockedFrom_;
+        return blocked_ && now > blockedFrom_;
+    }
 
     /**
      * Snapshot and detach this policy's metrics series.  A policy
@@ -182,6 +234,10 @@ class Policy
     int64_t oafullEdges_ = 0;     //!< oafull edges observed
 
   private:
+    bool blocked_ = false;
+    NodeId blockedDst_ = 0;
+    Tick blockedFrom_ = 0;  //!< last tick whose deemed gate is applied
+
     std::shared_ptr<metrics::Group> mgroup_;
 };
 

@@ -90,7 +90,7 @@ class WindowPolicy : public Policy
 
   protected:
     void
-    addMetrics(metrics::Group &g) override
+    addMetrics(metrics::Group &g, EventQueue &) override
     {
         g.addCounter("exhausted_dst_ticks",
                      [this] { return exhaustedDstTicks_; },

@@ -20,7 +20,8 @@ import subprocess
 import sys
 
 # Fields of a scale point that measure the host, not the model.
-HOST_FIELDS = {"wallSec", "eventsPerSec", "peakRssBytes", "bytesPerEvent"}
+HOST_FIELDS = {"wallSec", "eventsPerSec", "msgsPerSec", "peakRssBytes",
+               "bytesPerEvent"}
 
 CASES = [
     # (name, args, result flag, sample interval)

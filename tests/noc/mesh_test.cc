@@ -171,6 +171,44 @@ TEST(MeshBackpressure, InjectionRefusedWhenFull)
     EXPECT_TRUE(mesh.idle());
 }
 
+TEST(MeshBackpressure, RefusedInjectorWakesWhenTheLocalHeadLeaves)
+{
+    // Depth-1 buffers.  A sits in node 1's west queue, refused by its
+    // sink until tick 5; B waits behind it in node 0's local queue, so
+    // node 0 refuses C.  Node 1 ejects A at tick 6 (router 0 is
+    // visited first, while A still fills the queue B needs), B hops at
+    // tick 7, and that frees node 0's local queue: the first tick a
+    // retry of C could succeed, and the tick the waker must fire.
+    EventQueue eq;
+    MeshNetwork mesh("mesh", eq, 2, 1, 1);
+    Collector c0, c1;
+    c1.accept = false;
+    mesh.setSink(0, c0.sink());
+    mesh.setSink(1, c1.sink());
+    std::vector<Tick> woke;
+    LambdaEvent waker([&] { woke.push_back(eq.curTick()); },
+                      Event::niPri);
+    mesh.setInjectWaker(0, &waker);
+    LambdaEvent open([&] { c1.accept = true; });
+    eq.schedule(&open, 5);
+
+    ASSERT_TRUE(mesh.offer(0, makeMsg(1, 1)));  // A
+    eq.run(1);
+    ASSERT_TRUE(mesh.offer(0, makeMsg(1, 2)));  // B
+    EXPECT_FALSE(mesh.offer(0, makeMsg(1, 3)));  // C: local queue full
+    eq.run();
+    ASSERT_EQ(woke.size(), 1u);
+    EXPECT_EQ(woke[0], 7u);
+    EXPECT_EQ(c1.got.size(), 2u);
+
+    // An injector that was never refused is never woken.
+    woke.clear();
+    ASSERT_TRUE(mesh.offer(0, makeMsg(1, 4)));
+    eq.run();
+    EXPECT_TRUE(woke.empty());
+    EXPECT_EQ(c1.got.size(), 3u);
+}
+
 TEST(MeshBackpressure, ContentionResolvesFairly)
 {
     // Two senders to the same destination; both streams arrive whole.
