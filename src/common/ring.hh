@@ -3,11 +3,10 @@
  * A fixed-capacity single-ended ring buffer (FIFO).
  *
  * FixedRing replaces std::deque in the simulator's hot queues (NI
- * input/output/privileged queues, mesh router input buffers).  The
- * capacity is fixed at reset() time -- queue depths come from the
- * architectural configuration (NiConfig depths, mesh buffer depth), so
- * the backing store is allocated once and the steady-state push/pop
- * path never touches the heap.  Overflow is a simulator bug: callers
+ * input/output/privileged queues).  The capacity is fixed at reset()
+ * time -- queue depths come from the architectural configuration
+ * (NiConfig depths), so the backing store is allocated once and the
+ * steady-state push/pop path never touches the heap.  Overflow is a simulator bug: callers
  * are expected to test full()/size() against the architectural limit
  * before pushing, exactly as they previously tested the deque's size.
  *

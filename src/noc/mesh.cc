@@ -20,10 +20,16 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
       active_((width * height + 63) / 64, 0), tickEvent_(*this)
 {
     tcpni_assert(width_ > 0 && height_ > 0);
-    tcpni_assert(bufferDepth_ > 0);
-    for (auto &router : routers_)
-        for (auto &q : router.inq)
-            q.reset(bufferDepth_);
+    if (bufferDepth_ < 1 || bufferDepth_ > maxBufferDepth) {
+        fatal("mesh '%s': buffer_depth %u is outside [1, %u] (router "
+              "queue heads and lengths are 8-bit counters)",
+              this->name().c_str(), bufferDepth_, maxBufferDepth);
+    }
+    slots_.assign(static_cast<size_t>(numNodes()) * numPorts *
+                      bufferDepth_,
+                  nullptr);
+    if (cyclesPerWord_ > 0)
+        busyUntil_.assign(static_cast<size_t>(numNodes()) * numPorts, 0);
     for (NodeId n = 0; n < numNodes(); ++n)
         coord_[n] = {n % width_, n / width_};
     registerMetrics();
@@ -36,7 +42,8 @@ MeshNetwork::registerMetrics()
         mgroup_ = reg->addGroup(this->name(), eventq());
         mgroup_->addCounter("injected", [this] { return injected_; },
                             "messages accepted into the fabric");
-        mgroup_->addGauge("occupied", [this] { return occupied_; },
+        mgroup_->addGauge("occupied",
+                          [this] { return packets_.live(); },
                           "messages resident in router queues");
         mgroup_->addHistogram("latency", &latency_,
                               "inject to eject (cycles)");
@@ -78,6 +85,17 @@ MeshNetwork::~MeshNetwork()
 {
     if (mgroup_)
         mgroup_->retire();
+    // The pool frees its slabs without running destructors: release
+    // every packet still in flight, and the extra words it owns.
+    for (NodeId r = 0; r < numNodes(); ++r) {
+        for (unsigned in = 0; in < numPorts; ++in) {
+            while (routers_[r].qLen[in] > 0) {
+                Packet *p = slots_[slot(r, in, routers_[r].qHead[in])];
+                popFront(r, in);
+                packets_.release(p);
+            }
+        }
+    }
 }
 
 MeshNetwork::Port
@@ -120,34 +138,45 @@ MeshNetwork::probe(NodeId node) const
     for (unsigned in = 0; in < numPorts; ++in) {
         if (router.headOut[in] != noHead)
             p.headOut[in] = static_cast<Port>(router.headOut[in]);
-        const auto &q = router.inq[in];
-        for (size_t i = 0; i < q.size(); ++i)
-            p.resident[in].emplace_back(q[i].msg.dest(), q[i].out);
+        for (unsigned i = 0; i < router.qLen[in]; ++i) {
+            const Packet *pk = slots_[slot(
+                node, in, (router.qHead[in] + i) % bufferDepth_)];
+            p.resident[in].emplace_back(pk->msg.dest(), pk->out);
+        }
     }
     return p;
 }
 
 void
-MeshNetwork::refreshHead(RouterState &router, unsigned in)
+MeshNetwork::enqueue(NodeId r, unsigned in, Packet *p)
 {
-    const auto &q = router.inq[in];
-    if (q.empty()) {
-        router.headOut[in] = noHead;
-        return;
+    p->out = route(r, p->msg.dest());
+    RouterState &router = routers_[r];
+    unsigned tail = router.qHead[in] + router.qLen[in];
+    if (tail >= bufferDepth_)
+        tail -= bufferDepth_;
+    slots_[slot(r, in, tail)] = p;
+    if (++router.qLen[in] == 1) {
+        router.headOut[in] = static_cast<uint8_t>(p->out);
+        router.headMoved[in] = p->movedAt;
     }
-    router.headOut[in] = static_cast<uint8_t>(q.front().out);
-    router.headMoved[in] = q.front().movedAt;
+    active_[r / 64] |= uint64_t(1) << (r % 64);
 }
 
 void
-MeshNetwork::enqueue(NodeId r, unsigned in, InFlight m)
+MeshNetwork::popFront(NodeId r, unsigned in)
 {
-    m.out = route(r, m.msg.dest());
-    auto &q = routers_[r].inq[in];
-    q.push_back(std::move(m));
-    if (q.size() == 1)
-        refreshHead(routers_[r], in);
-    active_[r / 64] |= uint64_t(1) << (r % 64);
+    RouterState &router = routers_[r];
+    router.qHead[in] = router.qHead[in] + 1u == bufferDepth_
+                           ? 0
+                           : static_cast<uint8_t>(router.qHead[in] + 1);
+    if (--router.qLen[in] == 0) {
+        router.headOut[in] = noHead;
+        return;
+    }
+    const Packet *front = slots_[slot(r, in, router.qHead[in])];
+    router.headOut[in] = static_cast<uint8_t>(front->out);
+    router.headMoved[in] = front->movedAt;
 }
 
 bool
@@ -160,7 +189,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     }
     const Tick now = curTick();
     const unsigned local = static_cast<unsigned>(Port::local);
-    if (routers_[src].inq[local].size() >= bufferDepth_) {
+    if (routers_[src].qLen[local] >= bufferDepth_) {
         TCPNI_TRACE(NOC, "refuse injection at node %u (buffer full)",
                     src);
         routers_[src].injectWaiting = true;
@@ -169,9 +198,8 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     TCPNI_TRACE(NOC, "accept id=%llu at node %u for node %u",
                 static_cast<unsigned long long>(msg.traceId), src,
                 msg.dest());
-    enqueue(src, local, {msg, now, now, Port::local});
+    enqueue(src, local, packets_.acquire(msg, now, now, Port::local));
     ++injected_;
-    ++occupied_;
     if (!tickEvent_.scheduled())
         eventq().schedule(&tickEvent_, now + 1);
     return true;
@@ -180,7 +208,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
 bool
 MeshNetwork::idle() const
 {
-    return occupied_ == 0;
+    return packets_.live() == 0;
 }
 
 void
@@ -214,7 +242,7 @@ MeshNetwork::tick()
                 wanted &= wanted - 1;
                 const size_t li = r * numPorts + out;
                 // Link serialization: a long message holds the port.
-                if (router.busyUntil[out] > now) {
+                if (cyclesPerWord_ > 0 && busyUntil_[li] > now) {
                     if (linkStats_)
                         ++linkBlocked_[li];
                     continue;
@@ -223,14 +251,13 @@ MeshNetwork::tick()
                 // every other candidate too.
                 NodeId dst = r;
                 unsigned dst_in = 0;
-                FixedRing<InFlight> *dq = nullptr;
-                if (out != static_cast<unsigned>(Port::local)) {
+                const bool eject = out == static_cast<unsigned>(Port::local);
+                if (!eject) {
                     dst = r + stride_[out];
                     tcpni_assert(dst < numNodes());
                     dst_in = static_cast<unsigned>(
                         inputPortFor(static_cast<Port>(out)));
-                    dq = &routers_[dst].inq[dst_in];
-                    if (dq->size() >= bufferDepth_) {
+                    if (routers_[dst].qLen[dst_in] >= bufferDepth_) {
                         if (linkStats_)
                             ++linkBlocked_[li];
                         continue;
@@ -244,36 +271,34 @@ MeshNetwork::tick()
                     if (router.headOut[in] != out ||
                         router.headMoved[in] == now)
                         continue;
-                    auto &q = router.inq[in];
-                    InFlight &head = q.front();
-                    const size_t head_len = head.msg.length();
-                    if (!dq) {
-                        if (!deliver(head.msg))
+                    Packet *head = slots_[slot(r, in, router.qHead[in])];
+                    const size_t head_len = head->msg.length();
+                    if (eject) {
+                        if (!deliver(head->msg))
                             continue;
-                        latency_.record(now - head.injectTick);
+                        latency_.record(now - head->injectTick);
                         TCPNI_TRACE(NOC, "eject id=%llu at node %u "
                                     "(%llu cycles in fabric)",
                                     static_cast<unsigned long long>(
-                                        head.msg.traceId), r,
+                                        head->msg.traceId), r,
                                     static_cast<unsigned long long>(
-                                        now - head.injectTick));
-                        q.pop_front();
-                        --occupied_;
+                                        now - head->injectTick));
+                        popFront(r, in);
+                        packets_.release(head);
                     } else {
-                        InFlight m = std::move(head);
-                        q.pop_front();
-                        m.movedAt = now;
+                        popFront(r, in);
+                        head->movedAt = now;
                         if (auto *s = trace::sink())
-                            s->record(m.msg.traceId, trace::Stage::hop,
-                                      dst, now, m.msg.type,
+                            s->record(head->msg.traceId,
+                                      trace::Stage::hop, dst, now,
+                                      head->msg.type,
                                       eventq().queueId());
                         TCPNI_TRACE(NOC, "hop id=%llu node %u -> %u",
                                     static_cast<unsigned long long>(
-                                        m.msg.traceId), r, dst);
-                        enqueue(dst, dst_in, std::move(m));
+                                        head->msg.traceId), r, dst);
+                        enqueue(dst, dst_in, head);
                     }
                     moved = true;
-                    refreshHead(router, in);
                     if (in == static_cast<unsigned>(Port::local) &&
                         router.injectWaiting) {
                         router.injectWaiting = false;
@@ -285,7 +310,7 @@ MeshNetwork::tick()
                         wanted |= 1u << router.headOut[in];
                     router.rr[out] = in + 1 == numPorts ? 0 : in + 1;
                     if (cyclesPerWord_ > 0) {
-                        router.busyUntil[out] =
+                        busyUntil_[li] =
                             now + static_cast<Tick>(cyclesPerWord_) *
                                       head_len;
                     }
@@ -312,7 +337,9 @@ MeshNetwork::tick()
         }
     }
 
-    if (occupied_ > 0)
+    // A sink that offered from inside deliver() has already scheduled
+    // the next tick.
+    if (packets_.live() > 0 && !tickEvent_.scheduled())
         eventq().schedule(&tickEvent_, now + 1);
 }
 

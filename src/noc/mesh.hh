@@ -19,6 +19,16 @@
  * architecture interacts with: finite buffering with backpressure and
  * in-order delivery per source-destination pair.
  *
+ * A message lives in one pooled packet from offer() until it is
+ * ejected: router input queues hold packet pointers, so a hop moves a
+ * pointer and the payload never moves.  Every router's five queues
+ * are windows into one shared array of nodes * 5 * depth slots, each
+ * with a small head index and length in its router's state, so
+ * building a mesh costs a fixed handful of allocations however many
+ * routers it has, and the forwarding path performs none once the
+ * packet pool reaches its high-water mark.  A packet still in flight
+ * when the mesh is destroyed is released with it.
+ *
  * One tick event fires each cycle while any message is in flight and
  * visits only the routers in the active set: a bitset with one bit
  * per router, set whenever a message enters the router (inject or
@@ -28,11 +38,10 @@
  * Each message's output port at the router it sits in is routed
  * once, when it enters; a per-router head summary (each input head's
  * cached port and the cycle it last moved) lets arbitration read one
- * small struct and touch a ring buffer only for a head that moves.
- * Router buffers are fixed-capacity rings, so the forwarding path
- * performs no heap allocation.  A refused injection marks its router,
- * and the cycle the local input queue's head leaves wakes the node's
- * injector (Network::setInjectWaker), at that same tick.
+ * small struct and touch a packet only for a head that moves.  A
+ * refused injection marks its router, and the cycle the local input
+ * queue's head leaves wakes the node's injector
+ * (Network::setInjectWaker), at that same tick.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
@@ -43,9 +52,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/ring.hh"
 #include "metrics/metrics.hh"
 #include "noc/network.hh"
+#include "sim/pool.hh"
 
 namespace tcpni
 {
@@ -57,7 +66,8 @@ class MeshNetwork : public Network
     /**
      * @param width,height    mesh dimensions; node n is at
      *                        (n % width, n / width)
-     * @param buffer_depth    capacity of each router input queue
+     * @param buffer_depth    capacity of each router input queue,
+     *                        in [1, maxBufferDepth]
      * @param cycles_per_word link serialization: a message occupies
      *                        the link it traverses for
      *                        length * cycles_per_word cycles (0 =
@@ -81,6 +91,9 @@ class MeshNetwork : public Network
     /** Next-hop port (exposed for routing unit tests). */
     enum class Port : uint8_t { local = 0, north, south, east, west };
     static constexpr unsigned numPorts = 5;
+    /** Deepest router input queue: each queue's head index and
+     *  length are 8-bit counters. */
+    static constexpr unsigned maxBufferDepth = 255;
     Port route(NodeId here, NodeId dest) const;
 
     /** One router's routing state (for tests). */
@@ -104,7 +117,9 @@ class MeshNetwork : public Network
      *  can render. */
     static constexpr unsigned maxLinkStatNodes = 4096;
 
-    struct InFlight
+    /** One message in the fabric, in its pool slot from offer() to
+     *  eject. */
+    struct Packet
     {
         Message msg;
         Tick injectTick;    //!< when the message entered the fabric
@@ -118,18 +133,18 @@ class MeshNetwork : public Network
     struct RouterState
     {
         // Head summary, kept equal to each queue's front: the head's
-        // output port (noHead when the queue is empty) and movedAt.
+        // movedAt and output port (noHead when the queue is empty).
+        Tick headMoved[numPorts] = {0, 0, 0, 0, 0};
         uint8_t headOut[numPorts] = {noHead, noHead, noHead, noHead,
                                      noHead};
         // Round-robin arbitration pointer per output port.
         uint8_t rr[numPorts] = {0, 0, 0, 0, 0};
+        // Each input queue's front slot and length in slots_.
+        uint8_t qHead[numPorts] = {0, 0, 0, 0, 0};
+        uint8_t qLen[numPorts] = {0, 0, 0, 0, 0};
         // offer() refused an injection: wake the injector when the
         // local input queue's head leaves.
         bool injectWaiting = false;
-        Tick headMoved[numPorts] = {0, 0, 0, 0, 0};
-        // Link serialization: the output port is busy until this tick.
-        Tick busyUntil[numPorts] = {0, 0, 0, 0, 0};
-        FixedRing<InFlight> inq[numPorts];
     };
 
     /** x and y of a node, so routing needs no division. */
@@ -156,15 +171,30 @@ class MeshNetwork : public Network
     void tick();
     static Port inputPortFor(Port out);
 
-    /** Append @p m to input @p in of router @p r, routing it there,
+    /** Index in slots_ of slot @p i of router @p r's input @p in;
+     *  the queue is a ring of bufferDepth_ slots read from
+     *  RouterState::qHead. */
+    size_t slot(NodeId r, unsigned in, unsigned i) const
+    {
+        return (static_cast<size_t>(r) * numPorts + in) * bufferDepth_ + i;
+    }
+
+    /** Append @p p to input @p in of router @p r, routing it there,
      *  and put @p r in the active set. */
-    void enqueue(NodeId r, unsigned in, InFlight m);
-    /** Reload the head summary of @p router's input @p in. */
-    static void refreshHead(RouterState &router, unsigned in);
+    void enqueue(NodeId r, unsigned in, Packet *p);
+    /** Remove the front packet of router @p r's input @p in and
+     *  reload its head summary. */
+    void popFront(NodeId r, unsigned in);
 
     unsigned width_, height_, bufferDepth_;
     unsigned cyclesPerWord_;
     std::vector<RouterState> routers_;
+    /** Every router input queue's slots, router-major. */
+    std::vector<Packet *> slots_;
+    ObjectPool<Packet> packets_;
+    /** Link serialization: output port router * numPorts + port is
+     *  busy until this tick (empty when cyclesPerWord_ == 0). */
+    std::vector<Tick> busyUntil_;
     std::vector<Coord> coord_;
     /** Node id offset of the neighbor through each output port. */
     int stride_[numPorts];
@@ -173,8 +203,6 @@ class MeshNetwork : public Network
     std::vector<uint64_t> active_;
 
     TickEvent tickEvent_;
-    /** Messages resident in router buffers. */
-    uint64_t occupied_ = 0;
 
     uint64_t injected_ = 0;
     metrics::Histogram latency_;

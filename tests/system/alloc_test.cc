@@ -14,9 +14,9 @@
  * broken (a vector growing, a deque node, a histogram bucket).
  *
  * The AllocBudget tests bound the setup path the same way: building
- * an EventQueue, loading a kernel, and delivering TAM messages must
- * cost allocations per object, per region or per frame -- never per
- * bucket, per program word or per message.
+ * an EventQueue or a MeshNetwork, loading a kernel, and delivering TAM
+ * messages must cost allocations per object, per region or per frame
+ * -- never per bucket, per router, per program word or per message.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +36,7 @@
 #include "hpu/hpu.hh"
 #include "msg/kernels.hh"
 #include "ni/model_registry.hh"
+#include "noc/mesh.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
@@ -256,6 +257,25 @@ TEST(AllocBudget, EventQueueConstructionIsConstant)
     }
     // A handful of per-queue arrays; no per-bucket stores.
     EXPECT_LE(count, 4u) << count << " allocations to build a queue";
+}
+
+TEST(AllocBudget, MeshConstructionIsPerMeshNotPerRouter)
+{
+    // Every router input queue is a window into one shared slot array
+    // and the packet pool starts empty, so a 64x64 mesh costs what a
+    // 2x2 one does (a queue per router port was 20,480 allocations).
+    EventQueue eq;
+    auto build = [&eq](unsigned side) {
+        CountScope scope;
+        {
+            MeshNetwork mesh("mesh", eq, side, side);
+        }
+        return scope.count();
+    };
+    const uint64_t small = build(2);
+    const uint64_t large = build(64);
+    EXPECT_EQ(large, small);
+    EXPECT_LE(large, 8u) << large << " allocations to build a 64x64 mesh";
 }
 
 TEST(AllocBudget, DeadQueueChunksServeTheNextQueue)
