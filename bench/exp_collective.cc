@@ -1,8 +1,8 @@
 /**
  * @file
  * The collective-latency experiment: barrier, broadcast, and allreduce
- * over a static k-ary combining tree (system/tree.hh), per registered
- * interface model and node count.
+ * over a static k-ary combining tree (system/tree.hh), per node count
+ * and each of the nine registered interface models.
  *
  * Node 0 is a register-mapped optimized driver that injects each
  * participant's arrival (one BARUP or REDUCE per node, one MCAST at
@@ -328,12 +328,7 @@ runCollective(const exp::Context &ctx)
     if (arity < 1)
         fatal("exp_collective: --arity must be >= 1");
 
-    std::vector<ni::ModelInfo> infos = ni::registeredModels();
-    // --paper-six pins the model set independent of
-    // -DTCPNI_EXTRA_MODELS (the registry seeds the paper's six models
-    // first), so one golden file covers both builds.
-    if (ctx.on("--paper-six") && infos.size() > 6)
-        infos.resize(6);
+    const auto &infos = ni::registeredModels();
 
     constexpr Phase phases[] = {Phase::barrier, Phase::bcast,
                                 Phase::allreduce};
@@ -437,9 +432,6 @@ registerCollective(exp::ExperimentRegistry &reg)
              "node counts to sweep (driver + participants)",
              "4,64,256", false},
             {"--arity", "K", "combining-tree arity", "4", false},
-            {"--paper-six", "",
-             "restrict to the paper's six models (build-independent "
-             "output)", "", true},
         },
         true,   // --json
         true,   // --trace

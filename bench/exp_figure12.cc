@@ -1,7 +1,7 @@
 /**
  * @file
  * The Figure-12 experiment: dynamic 88100 cycle counts for the Matrix
- * Multiply and Gamteb programs under every registered interface model,
+ * Multiply and Gamteb programs under the paper's six interface models,
  * split into non-message work, dispatching, and all other
  * communication.  Also evaluates the paper's headline claims A, B, and
  * D (see EXPERIMENTS.md "Figure 12").
@@ -74,8 +74,8 @@ printProgram(const ProgramBars &p, const std::vector<std::string> &names)
 void
 printClaims(const ProgramBars &p)
 {
-    // Paper-model order (the registry's first six entries): 0 opt-reg,
-    // 1 opt-on, 2 opt-off, 3 bas-reg, 4 bas-on, 5 bas-off.
+    // paperModels() order: 0 opt-reg, 1 opt-on, 2 opt-off, 3 bas-reg,
+    // 4 bas-on, 5 bas-off.
     const tam::Figure12Bar &best = p.bars[0];
     const tam::Figure12Bar &worst = p.bars[5];
 
@@ -182,14 +182,11 @@ runFigure12(const exp::Context &ctx)
     unsigned particles = static_cast<unsigned>(ctx.num("--particles"));
     Cycles offchip = static_cast<Cycles>(ctx.num("--offchip-delay"));
 
-    const auto &infos = ni::registeredModels();
     std::vector<ni::Model> models;
     std::vector<std::string> names;
-    for (const ni::ModelInfo &info : infos) {
-        models.push_back(ctx.given("--offchip-delay")
-                             ? info.model.withOffchipDelay(offchip)
-                             : info.model);
-        names.push_back(info.name);
+    for (const ni::Model &m : ni::paperModels()) {
+        models.push_back(m.withOffchipDelay(offchip));
+        names.push_back(m.name());
     }
 
     std::cout << "Figure 12 reproduction: dynamic cycle counts for "

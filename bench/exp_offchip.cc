@@ -4,8 +4,8 @@
  * load-use delay over {2, 4, 6, 8} cycles, re-measure the Table-1
  * kernels at each point, and expand the Matrix Multiply workload --
  * reporting the off-chip models' communication growth against the
- * latency-immune register-mapped model.  (The single 8-cycle point is
- * also the registry's "faroff-opt" model under -DTCPNI_EXTRA_MODELS.)
+ * latency-immune register-mapped model.  (The optimized off-chip
+ * model at 8 cycles is also the registry's "faroff-opt" entry.)
  */
 
 #include <cstdio>

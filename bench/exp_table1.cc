@@ -3,8 +3,8 @@
  * The Table-1 experiment: the RISC cycles each interface model takes
  * to send, dispatch, and process each message type -- measured by
  * executing the hand-written handler kernels on the CPU timing model.
- * Prints the measured table over every registered model, the paper's
- * published table, and a per-cell comparison for the six paper models.
+ * Prints the measured table over the paper's six models, the paper's
+ * published table, and a per-cell comparison.
  */
 
 #include <cmath>
@@ -37,7 +37,7 @@ using ModelCells = std::map<std::string, PaperCell>;
 
 struct MeasuredTable
 {
-    // row key -> one cell (lo, hi, slope) per registered model.
+    // row key -> one cell (lo, hi, slope) per paper model.
     std::map<std::string, std::vector<PaperCell>> cells;
 };
 
@@ -173,8 +173,6 @@ printComparison(const MeasuredTable &m,
                 const std::map<std::string,
                                std::array<PaperCell, 6>> &paper)
 {
-    // The comparison covers the six paper columns only; registry
-    // extensions have no published reference cells.
     std::cout << "\n=== Measured vs paper (per cell; '=' exact, "
                  "otherwise measured/paper) ===\n";
     TextTable tt;
@@ -242,23 +240,17 @@ writeCellsJson(std::ostream &os, const std::vector<std::string> &names,
 int
 runTable1(const exp::Context &ctx)
 {
-    // The registered model set (the paper's six, plus any registry
-    // extensions such as the far off-chip variant).
-    const auto &infos = ni::registeredModels();
-    // --offchip-delay overrides every model's off-chip latency (the
-    // legacy flag); without it each model keeps its registered delay.
+    bool no_overlap = ctx.on("--no-overlap");
+    Cycles offchip = static_cast<Cycles>(ctx.num("--offchip-delay"));
+    // The paper's six models: the registry's first six entries.
     std::vector<ni::Model> models;
     std::vector<std::string> labels, names;
-    for (const ni::ModelInfo &info : infos) {
-        models.push_back(ctx.given("--offchip-delay")
-                             ? info.model.withOffchipDelay(
-                                   ctx.num("--offchip-delay"))
-                             : info.model);
+    for (size_t i = 0; i < ni::paperModels().size(); ++i) {
+        const ni::ModelInfo &info = ni::registeredModels()[i];
+        models.push_back(info.model.withOffchipDelay(offchip));
         labels.push_back(info.tableLabel);
         names.push_back(info.name);
     }
-    bool no_overlap = ctx.on("--no-overlap");
-    Cycles offchip = static_cast<Cycles>(ctx.num("--offchip-delay"));
 
     std::cout << "Table 1 reproduction: RISC cycles to send, dispatch, "
                  "and process each message type\n"
@@ -271,23 +263,17 @@ runTable1(const exp::Context &ctx)
     }
     MeasuredTable measured = measureAll(models, no_overlap, ctx);
     printTable("Measured (this reproduction)", labels, measured.cells);
-    static const std::vector<std::string> paper_labels{
-        "Opt Reg", "Opt On-chip", "Opt Off-chip", "Basic Reg",
-        "Basic On-chip", "Basic Off-chip"};
-    printTable("Paper (Henry & Joerg 1992, Table 1)", paper_labels,
+    printTable("Paper (Henry & Joerg 1992, Table 1)", labels,
                paperTable1());
     printComparison(measured, paperTable1());
 
     ctx.writeJson([&](std::ostream &os) {
-        std::vector<std::string> paper_names;
-        for (const ni::Model &m : ni::paperModels())
-            paper_names.push_back(m.name());
         os << "{\"config\":{\"offchipDelay\":" << offchip
            << ",\"noOverlap\":" << (no_overlap ? "true" : "false")
            << "},\n\"measured\":";
         writeCellsJson(os, names, measured.cells);
         os << ",\n\"paper\":";
-        writeCellsJson(os, paper_names, paperTable1());
+        writeCellsJson(os, names, paperTable1());
         os << "}\n";
     });
     return 0;

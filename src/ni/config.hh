@@ -115,8 +115,8 @@ struct NiConfig
 };
 
 /** One evaluation model: a placement plus a feature set.  The paper's
- *  six models use the default off-chip latency; registry extensions
- *  (the Section 4.2.3 "far off-chip" variant) parameterize it. */
+ *  six models use the default off-chip latency; the registry's
+ *  Section 4.2.3 "far off-chip" variant raises it. */
 struct Model
 {
     Placement placement;
@@ -151,6 +151,8 @@ struct Model
 
     std::string name() const;
     std::string shortName() const;
+
+    bool operator==(const Model &) const = default;
 };
 
 /** Canonical placement name, from the placement policy. */

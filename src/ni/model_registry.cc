@@ -1,6 +1,5 @@
 #include "ni/model_registry.hh"
 
-#include "common/logging.hh"
 #include "ni/placement_policy.hh"
 
 namespace tcpni
@@ -8,88 +7,63 @@ namespace tcpni
 namespace ni
 {
 
-const std::array<Model, 6> &
-paperModels()
+namespace
 {
-    static const std::array<Model, 6> models = {{
-        {Placement::registerFile, true},
-        {Placement::onChipCache, true},
-        {Placement::offChipCache, true},
-        {Placement::registerFile, false},
-        {Placement::onChipCache, false},
-        {Placement::offChipCache, false},
-    }};
+
+/** The entry of a model named after its placement policy. */
+ModelInfo
+entry(const Model &m)
+{
+    return {m.name(), m.shortName(),
+            (m.optimized ? "Opt " : "Basic ") + m.policy().columnLabel(),
+            m};
+}
+
+} // namespace
+
+const std::vector<ModelInfo> &
+registeredModels()
+{
+    static const std::vector<ModelInfo> models = {
+        entry({Placement::registerFile, true}),
+        entry({Placement::onChipCache, true}),
+        entry({Placement::offChipCache, true}),
+        entry({Placement::registerFile, false}),
+        entry({Placement::onChipCache, false}),
+        entry({Placement::offChipCache, false}),
+        // Section 4.2.3's far off-chip variant: same off-chip
+        // placement policy, load-use delay raised from 2 to 8 cycles.
+        {"Optimized Far Off-chip", "faroff-opt", "Opt Far-off",
+         Model{Placement::offChipCache, true}.withOffchipDelay(8)},
+        // On-NI handler execution (src/hpu): handlers run on the
+        // interface's HPU, so dispatching and processing cycles leave
+        // the CPU load-use path entirely.
+        entry({Placement::onNi, false}),
+        entry({Placement::onNi, true}),
+    };
     return models;
 }
 
-ModelRegistry::ModelRegistry()
-{
-    for (const Model &m : paperModels()) {
-        std::string label = (m.optimized ? "Opt " : "Basic ") +
-                            m.policy().columnLabel();
-        add({m.name(), m.shortName(), label, m,
-             "model_registry.cc (paper six)"});
-    }
-#ifdef TCPNI_EXTRA_MODELS
-    // Section 4.2.3's far off-chip variant: same off-chip placement
-    // policy, load-use delay raised from 2 to 8 cycles.  Registered
-    // here (rather than special-cased in a bench loop) to prove new
-    // models flow through every registry consumer unchanged.
-    add({"Optimized Far Off-chip", "faroff-opt", "Opt Far-off",
-         Model{Placement::offChipCache, true}.withOffchipDelay(8),
-         "model_registry.cc (extra models: far off-chip)"});
-    // On-NI handler execution (src/hpu): handlers run on the
-    // interface's HPU, so dispatching and processing cycles leave the
-    // CPU load-use path entirely.  Registered as a full
-    // basic/optimized pair to flow through the same consumers.
-    for (bool optimized : {false, true}) {
-        Model m{Placement::onNi, optimized};
-        add({m.name(), m.shortName(),
-             (optimized ? "Opt " : "Basic ") + m.policy().columnLabel(),
-             m, "model_registry.cc (extra models: on-NI)"});
-    }
-#endif
-}
-
-ModelRegistry &
-ModelRegistry::instance()
-{
-    static ModelRegistry registry;
-    return registry;
-}
-
-void
-ModelRegistry::add(ModelInfo info)
-{
-    auto site = [](const ModelInfo &m) {
-        return m.origin.empty() ? std::string("unknown site")
-                                : m.origin;
-    };
-    for (const ModelInfo &e : entries_) {
-        if (e.name == info.name || e.shortName == info.shortName) {
-            fatal("model registry: duplicate model name '%s' / '%s': "
-                  "already registered by %s, re-registered by %s",
-                  info.name.c_str(), info.shortName.c_str(),
-                  site(e).c_str(), site(info).c_str());
-        }
-    }
-    entries_.push_back(std::move(info));
-}
-
 const ModelInfo *
-ModelRegistry::find(const std::string &name_or_short) const
+findModel(const std::string &name_or_short)
 {
-    for (const ModelInfo &e : entries_) {
+    for (const ModelInfo &e : registeredModels()) {
         if (e.name == name_or_short || e.shortName == name_or_short)
             return &e;
     }
     return nullptr;
 }
 
-const std::vector<ModelInfo> &
-registeredModels()
+const std::array<Model, 6> &
+paperModels()
 {
-    return ModelRegistry::instance().all();
+    static const std::array<Model, 6> models = [] {
+        std::array<Model, 6> six;
+        for (size_t i = 0; i < six.size(); ++i)
+            six[i] = registeredModels()[i].model;
+        return six;
+    }();
+    return models;
 }
 
 } // namespace ni

@@ -1,16 +1,16 @@
 /**
  * @file
- * The evaluation-model registry: the single authority for which
- * (placement, feature-set) models exist, replacing the hardwired
- * allModels() six-tuple.  Benchmarks, tests, and tcpni_lint iterate
- * the registry, so adding a model is one registration — no driver or
- * tool edits.
+ * The evaluation-model registry: one constant table of the nine
+ * (placement, feature-set) models every experiment, test and
+ * tcpni_lint draws from.
  *
- * The paper's six models (three placements x {basic, optimized}) are
- * always registered.  Building with -DTCPNI_EXTRA_MODELS=ON also
- * registers the Section 4.2.3 "far off-chip" variant (off-chip
- * placement with load-use delay 8), demonstrating that a new model
- * flows through every consumer without further code changes.
+ * The paper's six models (three placements x {basic, optimized}) come
+ * first, in paperModels() order.  Three extensions follow: Section
+ * 4.2.3's "far off-chip" variant (off-chip placement with load-use
+ * delay 8) and the On-NI pair, whose handlers run on the interface's
+ * HPU (src/hpu).  The paper's artifacts (table1, figure12) and
+ * host_perf run the six; onni, collective and tcpni_lint run all
+ * nine.
  */
 
 #ifndef TCPNI_NI_MODEL_REGISTRY_HH
@@ -34,44 +34,20 @@ struct ModelInfo
     std::string shortName;  //!< e.g. "reg-opt" (CLI --model tag)
     std::string tableLabel; //!< e.g. "Opt Reg" (bench table column)
     Model model;
-    /** Registration site, named in the duplicate-name diagnostic so a
-     *  collision reports both the holder and the newcomer (e.g.
-     *  "model_registry.cc (paper six)").  Optional. */
-    std::string origin;
 };
 
-class ModelRegistry
-{
-  public:
-    /** The process-wide registry, seeded with the paper's six models
-     *  (and the far-off-chip variant under TCPNI_EXTRA_MODELS). */
-    static ModelRegistry &instance();
-
-    /** Register a model under its canonical names.  fatal()s on a
-     *  duplicate name or shortName. */
-    void add(ModelInfo info);
-
-    /** All registered models, in registration order. */
-    const std::vector<ModelInfo> &all() const { return entries_; }
-
-    /** Look up by name or shortName; nullptr when absent. */
-    const ModelInfo *find(const std::string &name_or_short) const;
-
-    size_t size() const { return entries_.size(); }
-
-  private:
-    ModelRegistry();
-
-    std::vector<ModelInfo> entries_;
-};
-
-/** Shorthand for ModelRegistry::instance().all(). */
+/** All nine models: the paper's six first, then faroff-opt,
+ *  onni-basic and onni-opt. */
 const std::vector<ModelInfo> &registeredModels();
+
+/** Look up by name or shortName; nullptr when absent. */
+const ModelInfo *findModel(const std::string &name_or_short);
 
 /**
  * The paper's six models in the evaluation's canonical order
- * (optimized reg/on/off, then basic reg/on/off) — the fixed set the
- * golden outputs are pinned to, independent of registry extensions.
+ * (optimized reg/on/off, then basic reg/on/off) -- the first six
+ * entries of registeredModels(), and the fixed set the paper's
+ * goldens are pinned to.
  */
 const std::array<Model, 6> &paperModels();
 

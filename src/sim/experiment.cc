@@ -108,12 +108,6 @@ Context::on(const std::string &flag) const
     return str(flag) == "1";
 }
 
-bool
-Context::given(const std::string &flag) const
-{
-    return explicitFlags.count(flag) != 0;
-}
-
 metrics::TaskScope
 Context::taskMetrics(size_t slot, std::string label) const
 {
@@ -204,7 +198,6 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
                 std::fprintf(stderr, "%s needs a value\n", a);
                 return 1;
             }
-            ctx.explicitFlags.insert(p->flag);
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", a);
             printUsage(*e, "tcpni_bench");

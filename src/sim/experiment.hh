@@ -41,7 +41,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -92,9 +91,6 @@ class Context
     long num(const std::string &flag) const;
     bool on(const std::string &flag) const;     //!< switch given?
 
-    /** Was the parameter explicitly passed on the command line? */
-    bool given(const std::string &flag) const;
-
     /**
      * If --json was given: open the file (fatal on failure), hand the
      * stream to @p writer, then print the standard
@@ -104,7 +100,6 @@ class Context
         const std::function<void(std::ostream &)> &writer) const;
 
     std::map<std::string, std::string> values;
-    std::set<std::string> explicitFlags;
 };
 
 /** A registered experiment definition. */

@@ -10,10 +10,9 @@
  * tree saturation and unbounded tail latency.
  *
  * This layer adds the sender-side half of a modern NIC transport as a
- * registry of policies, mirroring the PlacementPolicy / ModelRegistry
- * pattern (and, in spirit, FreeBSD's pluggable TCP stacks: named
- * implementations behind one function-table interface, selected per
- * configuration).  The NetworkInterface consults its policy instance
+ * registry of policies, mirroring the PlacementPolicy pattern (and,
+ * in spirit, FreeBSD's pluggable TCP stacks: named implementations
+ * behind one function-table interface, selected per configuration).  The NetworkInterface consults its policy instance
  *
  *  - on every send attempt (gate(): proceed or hold, where hold
  *    surfaces as the architectural SEND stall, exactly like a full
@@ -241,8 +240,8 @@ class Policy
     std::shared_ptr<metrics::Group> mgroup_;
 };
 
-/** A registered policy: name, origin (for duplicate diagnostics, as
- *  in ModelRegistry), and factory. */
+/** A registered policy: name, origin (for duplicate diagnostics), and
+ *  factory. */
 struct PolicyInfo
 {
     std::string name;

@@ -204,12 +204,17 @@ TEST(Table1Shape, OffChipLatencySensitivity)
 {
     // Section 4.2.3 claim C: raising the off-chip read latency from 2
     // to 8 cycles substantially increases off-chip costs while leaving
-    // the register-mapped model untouched.
+    // the register-mapped model untouched.  The 8-cycle point is the
+    // registry's faroff-opt model.
+    const ni::ModelInfo *far = ni::findModel("faroff-opt");
+    ASSERT_NE(far, nullptr);
+    EXPECT_EQ(far->model, ni::paperModels()[optOff].withOffchipDelay(8));
     Table1Harness off2(ni::paperModels()[optOff].withOffchipDelay(2));
-    Table1Harness off8(ni::paperModels()[optOff].withOffchipDelay(8));
+    Table1Harness off8(far->model);
     double p2 = off2.processingCost(ProcCase::read).processing;
     double p8 = off8.processingCost(ProcCase::read).processing;
     EXPECT_GT(p8, p2 + 3);
+    EXPECT_DOUBLE_EQ(p8, 11.0);
 
     Table1Harness reg2(ni::paperModels()[optReg].withOffchipDelay(2));
     Table1Harness reg8(ni::paperModels()[optReg].withOffchipDelay(8));

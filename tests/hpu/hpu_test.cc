@@ -3,9 +3,9 @@
  * The Handler Processing Unit: dispatch cost, the host-proxy escape
  * ring, the handler-time budget, and the CPU-offload property.
  *
- * The On-NI placement itself is always compiled (only its *registry*
- * entries are gated behind TCPNI_EXTRA_MODELS), so these tests run in
- * every build.
+ * The HpuDispatch tests also pin the registry's onni-basic and
+ * onni-opt Table-1 cells that leave the host CPU: dispatch, PRead
+ * (full, empty, deferred) and PWrite (empty, deferred).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,35 @@ namespace
 
 const ni::Model onniOpt{ni::Placement::onNi, true};
 const ni::Model onniBasic{ni::Placement::onNi, false};
+
+/** The Table-1 cells an On-NI model runs on the HPU. */
+struct OnNiCells
+{
+    double dispatch;
+    double preadFull, preadEmpty, preadDeferred;
+    double pwriteEmpty;
+    double pwriteDeferredBase, pwriteDeferredSlope;
+};
+
+void
+expectCells(cost::Table1Harness &h, const OnNiCells &want)
+{
+    using cost::ProcCase;
+    EXPECT_DOUBLE_EQ(h.processingCost(ProcCase::read).dispatching,
+                     want.dispatch);
+    EXPECT_DOUBLE_EQ(h.processingCost(ProcCase::preadFull).processing,
+                     want.preadFull);
+    EXPECT_DOUBLE_EQ(h.processingCost(ProcCase::preadEmpty).processing,
+                     want.preadEmpty);
+    EXPECT_DOUBLE_EQ(
+        h.processingCost(ProcCase::preadDeferred).processing,
+        want.preadDeferred);
+    EXPECT_DOUBLE_EQ(h.processingCost(ProcCase::pwriteEmpty).processing,
+                     want.pwriteEmpty);
+    cost::LinearCost deferred = h.pwriteDeferredCost();
+    EXPECT_DOUBLE_EQ(deferred.base, want.pwriteDeferredBase);
+    EXPECT_DOUBLE_EQ(deferred.slope, want.pwriteDeferredSlope);
+}
 
 /** A register-mapped client: PRead an empty element (defers), PWrite
  *  it, store the forwarded value at [r4], stop the server, halt.
@@ -99,27 +128,35 @@ TEST(HpuDispatch, OptimizedOnNiMatchesRegisterMapped)
     // The acceptance bound: the HPU's permanent register coupling
     // must make dispatch no slower than the best host placement (the
     // optimized register-mapped interface dispatches in 1 cycle).
+    const ni::ModelInfo *info = ni::findModel("onni-opt");
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->model, onniOpt);
     cost::Table1Harness reg(
         ni::Model{ni::Placement::registerFile, true});
-    cost::Table1Harness onni(onniOpt);
+    cost::Table1Harness onni(info->model);
     double reg_disp =
         reg.processingCost(cost::ProcCase::read).dispatching;
     double onni_disp =
         onni.processingCost(cost::ProcCase::read).dispatching;
     EXPECT_DOUBLE_EQ(reg_disp, 1.0);
     EXPECT_LE(onni_disp, reg_disp);
+    expectCells(onni, {1, 6, 8, 8, 3, 3, 0});
 }
 
 TEST(HpuDispatch, BasicOnNiMatchesBasicRegisterMapped)
 {
     // The basic HPU polls STATUS and indexes the software dispatch
     // table just like the basic register-mapped host -- same cost.
+    const ni::ModelInfo *info = ni::findModel("onni-basic");
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->model, onniBasic);
     cost::Table1Harness reg(
         ni::Model{ni::Placement::registerFile, false});
-    cost::Table1Harness onni(onniBasic);
+    cost::Table1Harness onni(info->model);
     EXPECT_DOUBLE_EQ(
         onni.processingCost(cost::ProcCase::read).dispatching,
         reg.processingCost(cost::ProcCase::read).dispatching);
+    expectCells(onni, {6, 9, 8, 8, 3, 3, 0});
 }
 
 // ---- end-to-end offload ----------------------------------------------

@@ -3,10 +3,10 @@
 
 Usage: metrics_invariance.py TCPNI_BENCH WORKDIR
 
-Runs `scale --sizes 64`, a small `serve` and `collective --paper-six`
-once without and once with --metrics, and requires identical result
-JSON.  Only host-side fields (wall time, throughput, peak RSS and the
-run's provenance) are dropped before comparing.  The sampler is a
+Runs `scale --sizes 64`, a small `serve` and `collective` once
+without and once with --metrics, and requires identical result JSON.
+Only host-side fields (wall time, throughput, peak RSS and the run's
+provenance) are dropped before comparing.  The sampler is a
 passive queue observer that fires no events, so even the `events`
 counts must match exactly.
 
@@ -28,7 +28,7 @@ CASES = [
     ("scale", ["scale", "--sizes", "64"], "--out", 16),
     ("serve", ["serve", "--width", "4", "--height", "4", "--msgs", "8",
                "--gap", "16", "--jobs", "2"], "--json", 16),
-    ("collective", ["collective", "--paper-six", "--jobs", "2"],
+    ("collective", ["collective", "--jobs", "2"],
      "--json", 1024),
 ]
 

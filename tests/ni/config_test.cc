@@ -188,76 +188,34 @@ TEST(PlacementPolicy, LoadUseDelayTracksConfig)
 
 TEST(ModelRegistry, PaperModelsComeFirstInPaperOrder)
 {
+    using ni::Placement;
+    const ni::Model order[] = {
+        {Placement::registerFile, true}, {Placement::onChipCache, true},
+        {Placement::offChipCache, true}, {Placement::registerFile, false},
+        {Placement::onChipCache, false}, {Placement::offChipCache, false},
+    };
     const auto &models = ni::registeredModels();
-    ASSERT_GE(models.size(), 6u);
+    ASSERT_EQ(models.size(), 9u);
     const auto &paper = ni::paperModels();
     for (size_t i = 0; i < paper.size(); ++i) {
-        EXPECT_EQ(models[i].model.placement, paper[i].placement);
-        EXPECT_EQ(models[i].model.optimized, paper[i].optimized);
-        EXPECT_EQ(models[i].name, paper[i].name());
-        EXPECT_EQ(models[i].shortName, paper[i].shortName());
+        EXPECT_EQ(paper[i], order[i]);
+        EXPECT_EQ(models[i].model, order[i]);
+        EXPECT_EQ(models[i].name, order[i].name());
+        EXPECT_EQ(models[i].shortName, order[i].shortName());
     }
 }
 
 TEST(ModelRegistry, FindByNameAndShortName)
 {
-    const ni::ModelInfo *by_short =
-        ni::ModelRegistry::instance().find("reg-opt");
+    const ni::ModelInfo *by_short = ni::findModel("reg-opt");
     ASSERT_NE(by_short, nullptr);
     EXPECT_EQ(by_short->model.placement, ni::Placement::registerFile);
     EXPECT_TRUE(by_short->model.optimized);
 
-    const ni::ModelInfo *by_name =
-        ni::ModelRegistry::instance().find(by_short->name);
+    const ni::ModelInfo *by_name = ni::findModel(by_short->name);
     EXPECT_EQ(by_name, by_short);
 
-    EXPECT_EQ(ni::ModelRegistry::instance().find("no-such-model"),
-              nullptr);
-}
-
-TEST(ModelRegistry, RejectsDuplicateNames)
-{
-    ni::ModelRegistry &reg = ni::ModelRegistry::instance();
-    ASSERT_GE(reg.size(), 1u);
-    const ni::ModelInfo first = reg.all().front();
-    const size_t before = reg.size();
-
-    ni::ModelInfo dup_name = first;
-    dup_name.shortName = "unique-short-name";
-    EXPECT_THROW(reg.add(dup_name), FatalError);
-
-    ni::ModelInfo dup_short = first;
-    dup_short.name = "A Unique Long Name";
-    EXPECT_THROW(reg.add(dup_short), FatalError);
-
-    // add() validates before mutating: the registry is unchanged.
-    EXPECT_EQ(reg.size(), before);
-    EXPECT_EQ(reg.find("unique-short-name"), nullptr);
-    EXPECT_EQ(reg.find("A Unique Long Name"), nullptr);
-}
-
-TEST(ModelRegistry, CollisionMessageNamesBothRegistrationSites)
-{
-    ni::ModelRegistry &reg = ni::ModelRegistry::instance();
-    ASSERT_GE(reg.size(), 1u);
-    const ni::ModelInfo first = reg.all().front();
-    ASSERT_FALSE(first.origin.empty());
-
-    ni::ModelInfo dup = first;
-    dup.origin = "config_test.cc (collision test)";
-    try {
-        reg.add(dup);
-        FAIL() << "duplicate registration should throw";
-    } catch (const FatalError &err) {
-        const std::string msg = err.what();
-        // Both the holder's and the newcomer's registration sites must
-        // be named, so the collision is actionable from the message.
-        EXPECT_NE(msg.find(first.origin), std::string::npos) << msg;
-        EXPECT_NE(msg.find("config_test.cc (collision test)"),
-                  std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find(first.shortName), std::string::npos) << msg;
-    }
+    EXPECT_EQ(ni::findModel("no-such-model"), nullptr);
 }
 
 TEST(ModelRegistry, NamesAreUnique)
@@ -271,11 +229,9 @@ TEST(ModelRegistry, NamesAreUnique)
     }
 }
 
-#ifdef TCPNI_EXTRA_MODELS
 TEST(ModelRegistry, FarOffchipVariantRegistered)
 {
-    const ni::ModelInfo *far =
-        ni::ModelRegistry::instance().find("faroff-opt");
+    const ni::ModelInfo *far = ni::findModel("faroff-opt");
     ASSERT_NE(far, nullptr);
     EXPECT_EQ(far->model.placement, ni::Placement::offChipCache);
     EXPECT_TRUE(far->model.optimized);
@@ -285,14 +241,12 @@ TEST(ModelRegistry, FarOffchipVariantRegistered)
 TEST(ModelRegistry, OnNiPairRegistered)
 {
     for (const char *name : {"onni-basic", "onni-opt"}) {
-        const ni::ModelInfo *info =
-            ni::ModelRegistry::instance().find(name);
+        const ni::ModelInfo *info = ni::findModel(name);
         ASSERT_NE(info, nullptr) << name;
         EXPECT_EQ(info->model.placement, ni::Placement::onNi);
         EXPECT_TRUE(info->model.policy().handlersOnNi());
     }
 }
-#endif
 
 TEST(ModelNames, DelegateToPolicyCanonicalNames)
 {
