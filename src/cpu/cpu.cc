@@ -1,5 +1,7 @@
 #include "cpu/cpu.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "ni/placement_policy.hh"
@@ -13,11 +15,20 @@ using isa::Opcode;
 
 Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
          ni::NetworkInterface *ni, CpuConfig config)
-    : SimObject(std::move(name), eq), mem_(mem), ni_(ni),
-      config_(config), tickEvent_(*this)
+    : Cpu(std::move(name), eq, mem, ni, config, ni::Port::cpu)
 {
-    regMappedNi_ = ni_ && ni_->config().policy().registerMapped();
-    if (ni_) {
+}
+
+Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
+         ni::NetworkInterface *ni, CpuConfig config, ni::Port port)
+    : SimObject(std::move(name), eq), mem_(mem), ni_(ni),
+      tickEvent_(&cpuTick_), config_(config), port_(port),
+      cpuTick_(*this, "cpu-tick")
+{
+    const bool host = port_ == ni::Port::cpu;
+    regMappedNi_ = ni_ && (!host ||
+                           ni_->config().policy().registerMapped());
+    if (ni_ && host) {
         ni_->setInterruptSink([this](Word handler) {
             // Latched here; taken at the next instruction boundary.
             pendingInterrupt_ = handler;
@@ -37,9 +48,11 @@ Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
         mgroup_->addCounter("ni_stall_cycles",
                             [this] { return niStallCycles_; },
                             "cycles stalled on NI SEND (full queue)");
-        mgroup_->addCounter("interrupts_taken",
-                            [this] { return interruptsTaken_; },
-                            "message-arrival interrupts taken");
+        if (host) {
+            mgroup_->addCounter("interrupts_taken",
+                                [this] { return interruptsTaken_; },
+                                "message-arrival interrupts taken");
+        }
     }
 }
 
@@ -77,8 +90,8 @@ void
 Cpu::start()
 {
     tcpni_assert(!halted_);
-    if (!tickEvent_.scheduled())
-        eventq().schedule(&tickEvent_, curTick());
+    if (!tickEvent_->scheduled())
+        eventq().schedule(tickEvent_, curTick());
 }
 
 bool
@@ -94,7 +107,7 @@ Cpu::readGpr(unsigned r)
     if (r == 0)
         return 0;
     if (isNiAliasedReg(r))
-        return ni_->readReg(r - isa::niRegBase);
+        return ni_->readReg(r - isa::niRegBase, port_);
     return regs_[r];
 }
 
@@ -106,7 +119,7 @@ Cpu::writeGpr(unsigned r, Word value, Tick ready_at)
     if (isNiAliasedReg(r)) {
         // NI registers are wired into the register file; results are
         // visible to the interface immediately and never interlock.
-        ni_->writeReg(r - isa::niRegBase, value);
+        ni_->writeReg(r - isa::niRegBase, value, port_);
         return;
     }
     regs_[r] = value;
@@ -151,7 +164,7 @@ Cpu::reg(unsigned r) const
     if (r == 0)
         return 0;
     if (isNiAliasedReg(r))
-        return const_cast<Cpu *>(this)->ni_->readReg(r - isa::niRegBase);
+        return ni_->readReg(r - isa::niRegBase, port_);
     return regs_[r];
 }
 
@@ -182,7 +195,7 @@ Cpu::tick()
         ++interruptsTaken_;
         ++cycles_;
         regions_.chargeCycles(pc_, 1);
-        eventq().schedule(&tickEvent_, now + 1);
+        eventq().schedule(tickEvent_, now + 1);
         return;
     }
 
@@ -196,15 +209,10 @@ Cpu::tick()
         stallCycles_ += stall;
         cycles_ += stall;
         regions_.chargeCycles(pc_, stall);
-        eventq().schedule(&tickEvent_, ready);
+        eventq().schedule(tickEvent_, ready);
         return;
     }
 
-    if (config_.trace) {
-        inform("%s %6llu  pc=%08x  %s", name().c_str(),
-               static_cast<unsigned long long>(now), pc_,
-               isa::disassemble(inst).c_str());
-    }
     TCPNI_TRACE(CPU, "pc=0x%08x %s", pc_,
                 isa::disassemble(inst).c_str());
 
@@ -215,24 +223,25 @@ Cpu::tick()
         ++niStallCycles_;
         ++cycles_;
         regions_.chargeCycles(ipc, 1);
-        eventq().schedule(&tickEvent_, now + 1);
+        eventq().schedule(tickEvent_, now + 1);
         return;
     }
 
+    const uint64_t cost = 1 + std::exchange(extraCycles_, 0);
     ++instructions_;
-    ++cycles_;
-    regions_.chargeCycles(ipc, 1);
+    cycles_ += cost;
+    regions_.chargeCycles(ipc, cost);
     regions_.countInstruction(ipc);
 
     if (instructions_ > config_.maxInstructions)
-        panic("CPU '%s' exceeded %llu instructions; runaway program?",
+        panic("'%s' exceeded %llu instructions; runaway program?",
               name().c_str(),
               static_cast<unsigned long long>(config_.maxInstructions));
 
     if (halted_)
         return;
 
-    eventq().schedule(&tickEvent_, now + 1);
+    eventq().schedule(tickEvent_, now + 1);
 }
 
 bool
@@ -246,7 +255,7 @@ Cpu::execute(const Instruction &inst)
         if (!regMappedNi_)
             panic("NI instruction bits require the register-file "
                   "coupling (pc=0x%08x)", pc_);
-        if (ni_->sendWouldStall(inst.ni.mode))
+        if (ni_->sendWouldStall(inst.ni.mode, port_))
             return false;
     }
     if (inst.ni.next && !regMappedNi_)
@@ -393,6 +402,8 @@ Cpu::execute(const Instruction &inst)
                 return false;
             }
             tcpni_assert(res == ni::CmdResult::ok);
+        } else if (vaddr == hookAddr_) {
+            extraCycles_ = hookedStore();
         } else {
             mem_.write(localOf(vaddr), data);
         }
@@ -446,7 +457,7 @@ Cpu::execute(const Instruction &inst)
     // Execute folded NI commands after the instruction's own
     // operation, in SEND-then-NEXT order.
     if (inst.ni.any()) {
-        ni::CmdResult res = ni_->command(inst.ni);
+        ni::CmdResult res = ni_->command(inst.ni, port_);
         if (res == ni::CmdResult::stall) {
             // The instruction body may have rewritten the o-register
             // the SEND addresses with, making the pre-check stale; a

@@ -34,6 +34,10 @@
  * line was tagged with in the assembler; the cycles (including stalls)
  * it consumes are accumulated per region.  The Table-1 harness tags its
  * kernels with "sending" / "dispatching" / "processing" regions.
+ *
+ * This is the only interpreter: the on-NI handler unit (hpu/hpu.hh)
+ * is a Cpu on the interface's HPU port, adding activation accounting
+ * and the host-proxy store on top.
  */
 
 #ifndef TCPNI_CPU_CPU_HH
@@ -54,7 +58,7 @@
 namespace tcpni
 {
 
-/** CPU configuration. */
+/** Processor configuration; both cores (Cpu and Hpu) take one. */
 struct CpuConfig
 {
     /** Extra load-use delay for local memory loads (88100 data cache
@@ -64,14 +68,27 @@ struct CpuConfig
     /** Upper bound on executed instructions; exceeding it panics.
      *  Guards tests and kernels against runaway loops. */
     uint64_t maxInstructions = 100'000'000;
-
-    /** Emit a disassembly trace of every executed instruction. */
-    bool trace = false;
 };
 
 /** Interrupt link register: a taken message interrupt saves the
  *  return address here (handlers end with `jmp r14`). */
 constexpr unsigned intLinkReg = 14;
+
+/** The event that runs a core's tick() under a fixed name. */
+template <class Core>
+class CoreTickEvent : public Event
+{
+  public:
+    CoreTickEvent(Core &core, const char *name)
+        : Event(cpuPri), core_(core), name_(name)
+    {}
+    void process() override { core_.tick(); }
+    std::string name() const override { return name_; }
+
+  private:
+    Core &core_;
+    const char *name_;
+};
 
 /** The processor model. */
 class Cpu : public SimObject
@@ -116,19 +133,39 @@ class Cpu : public SimObject
     std::map<std::string, uint64_t> regionInstructions() const;
     /** @} */
 
-  private:
-    class TickEvent : public Event
-    {
-      public:
-        explicit TickEvent(Cpu &cpu) : Event(cpuPri), cpu_(cpu) {}
-        void process() override { cpu_.tick(); }
-        std::string name() const override { return "cpu-tick"; }
+  protected:
+    /**
+     * A core on NI port @p port.  Port::hpu couples through the
+     * register file whatever the host placement, and installs no
+     * interrupt sink (that core *is* the reception path).
+     */
+    Cpu(std::string name, EventQueue &eq, Memory &mem,
+        ni::NetworkInterface *ni, CpuConfig config, ni::Port port);
 
-      private:
-        Cpu &cpu_;
-    };
-
+    /** Issue one instruction (or charge one stall) and schedule the
+     *  next tick. */
     void tick();
+
+    /** Route stores to @p addr to hookedStore() instead of memory. */
+    void hookStoresTo(Word addr) { hookAddr_ = addr; }
+
+    /** A store to the hooked address; returns the extra cycles the
+     *  storing instruction occupies the core. */
+    virtual Cycles hookedStore() { return 0; }
+
+    Memory &mem_;
+    ni::NetworkInterface *ni_;
+
+    /** The event that runs tick(); a derived core substitutes its
+     *  own, so its tick() wraps this one. */
+    Event *tickEvent_;
+
+    /** Telemetry group; null unless a metrics registry was installed
+     *  when this core was constructed. */
+    std::shared_ptr<metrics::Group> mgroup_;
+
+  private:
+    friend class CoreTickEvent<Cpu>;
 
     /** Execute @p inst; returns false if the instruction must retry
      *  (NI send stall). */
@@ -143,10 +180,10 @@ class Cpu : public SimObject
     /** Earliest tick at which @p inst can issue (interlocks). */
     Tick readyTick(const isa::Instruction &inst) const;
 
-    Memory &mem_;
-    ni::NetworkInterface *ni_;
     CpuConfig config_;
+    ni::Port port_;
     bool regMappedNi_ = false;
+    std::optional<Word> hookAddr_;
 
     Word regs_[isa::numRegs] = {};
     Tick readyAt_[isa::numRegs] = {};
@@ -156,6 +193,8 @@ class Cpu : public SimObject
      *  instruction boundary (interrupt-driven reception). */
     std::optional<Word> pendingInterrupt_;
     bool halted_ = true;
+    /** Extra cycles the executing instruction owes (hookedStore()). */
+    Cycles extraCycles_ = 0;
 
     uint64_t instructions_ = 0;
     uint64_t cycles_ = 0;
@@ -166,11 +205,7 @@ class Cpu : public SimObject
     /** Cost regions of the loaded programs. */
     isa::RegionTable regions_;
 
-    TickEvent tickEvent_;
-
-    /** Telemetry group; null unless a metrics registry was installed
-     *  when this CPU was constructed. */
-    std::shared_ptr<metrics::Group> mgroup_;
+    CoreTickEvent<Cpu> cpuTick_;
 };
 
 } // namespace tcpni

@@ -23,10 +23,8 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
     }
     if (cfg.ni.policy().handlersOnNi()) {
         hpu_ = std::make_unique<Hpu>(name + ".hpu", eq, *mem_, *ni_,
-                                     cfg.hpu);
+                                     cfg.cpu);
     }
-    // The CPU comes last so its interrupt sink is the one installed
-    // (the HPU registers none: it *is* the reception path).
     cpu_ = std::make_unique<Cpu>(name + ".cpu", eq, *mem_, ni_.get(),
                                  cfg.cpu);
 }

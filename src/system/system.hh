@@ -50,8 +50,7 @@ struct NodeConfig
 {
     Addr memBytes = 1 << 20;
     ni::NiConfig ni;
-    CpuConfig cpu;
-    HpuConfig hpu;      //!< used only by On-NI placements
+    CpuConfig cpu;      //!< the host CPU's, and the HPU's on On-NI nodes
 };
 
 /**

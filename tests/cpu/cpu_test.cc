@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/logging.hh"
 #include "cpu/cpu.hh"
 #include "isa/assembler.hh"
 
@@ -358,25 +357,4 @@ TEST(CpuTiming, RegionAttribution)
     EXPECT_EQ(cycles.at("beta"), 1u);
     auto insts = run.cpu->regionInstructions();
     EXPECT_EQ(insts.at("alpha"), 2u);
-}
-
-TEST(CpuGuards, RunawayLoopPanics)
-{
-    CpuConfig cfg;
-    cfg.maxInstructions = 1000;
-    EXPECT_THROW(Runner run(R"(
-        loop:
-            br loop
-            nop
-    )", cfg), PanicError);
-}
-
-TEST(CpuGuards, BranchInDelaySlotPanics)
-{
-    EXPECT_THROW(Runner run(R"(
-        br a
-        br a        ; branch in delay slot: architecture violation
-    a:
-        halt
-    )"), PanicError);
 }

@@ -81,6 +81,17 @@ wait:
     halt
 )";
 
+/** A register-mapped client node and an @p server_model server. */
+std::vector<NodeConfig>
+configs(const ni::Model &server_model)
+{
+    NodeConfig client;
+    client.ni = ni::Model{ni::Placement::registerFile, true}.config();
+    NodeConfig server;
+    server.ni = server_model.config();
+    return {client, server};
+}
+
 /** Two-node machine: register-mapped client, @p server_model server
  *  running the stock kernels (HPU + host proxy on On-NI nodes). */
 struct Machine
@@ -88,9 +99,8 @@ struct Machine
     System sys;
     isa::Program server;
 
-    explicit Machine(const ni::Model &server_model,
-                     HpuConfig hpu_cfg = {})
-        : sys("hpu_test", 2, 1, configs(server_model, hpu_cfg)),
+    explicit Machine(const ni::Model &server_model)
+        : sys("hpu_test", 2, 1, configs(server_model)),
           server(msg::assembleKernel(msg::handlerProgram(server_model)))
     {
         sys.node(1).boot(server, server.addrOf("entry"));
@@ -104,18 +114,6 @@ struct Machine
         sys.node(0).boot(client, client.addrOf("entry"));
         sys.node(0).cpu().setReg(7, 1u << ni::status::msgValidBit);
         sys.node(0).cpu().setReg(4, 0x100);
-    }
-
-    static std::vector<NodeConfig>
-    configs(const ni::Model &server_model, const HpuConfig &hpu_cfg)
-    {
-        NodeConfig client;
-        client.ni =
-            ni::Model{ni::Placement::registerFile, true}.config();
-        NodeConfig server;
-        server.ni = server_model.config();
-        server.hpu = hpu_cfg;
-        return {client, server};
     }
 };
 
@@ -211,27 +209,66 @@ TEST(HpuSystem, EscapesPostToHostRing)
 
 // ---- handler-time budget ---------------------------------------------
 
+/** An On-NI server whose one handler spins @p iterations times (3
+ *  cycles each) before its NEXT, then halts; the client sends it one
+ *  message.  The HPU measures it against the policy's budget. */
+struct SpinMachine
+{
+    System sys{"hpu_budget", 2, 1, configs(onniOpt)};
+
+    explicit SpinMachine(Word iterations)
+    {
+        isa::Program server = msg::assembleKernel(R"(
+entry:
+    and  r5, status, r7
+    beqz r5, entry
+    nop
+spin:
+    addi r1, r1, -1
+    bnez r1, spin
+    nop
+    add  r0, r0, r0 !next
+    halt
+)");
+        sys.node(1).boot(server, server.addrOf("entry"));
+        sys.node(1).hpu()->setReg(1, iterations);
+        sys.node(1).hpu()->setReg(7, 1u << ni::status::msgValidBit);
+        isa::Program client = msg::assembleKernel(R"(
+entry:
+    li   o0, (1 << NODE_SHIFT)
+    send 15
+    halt
+)");
+        sys.node(0).boot(client, client.addrOf("entry"));
+    }
+};
+
 TEST(HpuSystem, BudgetOverrunsAreCountedNotEnforced)
 {
-    HpuConfig tight;
-    tight.handlerBudget = 1;    // nothing real fits in one cycle
-    Machine m(onniOpt, tight);
+    SpinMachine m(40);     // ~120 cycles against a 64-cycle budget
     ASSERT_TRUE(m.sys.run(100000));
 
     Hpu *hpu = m.sys.node(1).hpu();
     ASSERT_NE(hpu, nullptr);
-    EXPECT_GT(hpu->budgetOverruns(), 0u);
-    EXPECT_GT(hpu->maxHandlerCycles(), 1u);
-    // The budget is a diagnostic contract, not a watchdog: the run
-    // still completes correctly.
-    EXPECT_EQ(m.sys.node(0).mem().read(0x100), 0x77u);
+    EXPECT_EQ(hpu->budget(), 64u);
+    EXPECT_EQ(hpu->handlersRun(), 1u);
+    EXPECT_EQ(hpu->budgetOverruns(), 1u);
+    EXPECT_GT(hpu->maxHandlerCycles(), hpu->budget());
+    // The budget is a diagnostic contract, not a watchdog: the handler
+    // still ran to its NEXT and the HPU to its halt.
+    EXPECT_TRUE(hpu->halted());
 }
 
 TEST(HpuSystem, GenerousBudgetNeverOverruns)
 {
-    HpuConfig loose;
-    loose.handlerBudget = 10000;
-    Machine m(onniOpt, loose);
+    // A handler well inside the policy's budget, and the stock
+    // kernels' whole I-structure exchange, overrun nothing.
+    SpinMachine spin(2);
+    ASSERT_TRUE(spin.sys.run(100000));
+    EXPECT_EQ(spin.sys.node(1).hpu()->handlersRun(), 1u);
+    EXPECT_EQ(spin.sys.node(1).hpu()->budgetOverruns(), 0u);
+
+    Machine m(onniOpt);
     ASSERT_TRUE(m.sys.run(100000));
     EXPECT_EQ(m.sys.node(1).hpu()->budgetOverruns(), 0u);
 }

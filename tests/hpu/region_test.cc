@@ -1,10 +1,14 @@
 /**
  * @file
- * Cost-region attribution on both processor models (Cpu and Hpu share
- * isa::RegionTable): programs loaded at different bases, an
- * overlapping re-load, and an address outside every program.
+ * Behaviour both processor models share through the one interpreter
+ * (the Hpu is a Cpu on the interface's HPU port), typed over
+ * {Cpu, Hpu}: cost-region attribution for programs loaded at
+ * different bases, an overlapping re-load and an address outside
+ * every program; and the loud-failure guards (runaway loop, branch in
+ * a delay slot).  The HPU's own guards follow: the cache-mapped
+ * command window and the host-proxy ring.
  *
- * The expected counts are those of per-word, later-load-wins
+ * The expected region counts are those of per-word, later-load-wins
  * tagging: each word belongs to the region of the latest load that
  * covered it, and a word no load covered belongs to region "".
  */
@@ -17,9 +21,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.hh"
 #include "cpu/cpu.hh"
 #include "hpu/hpu.hh"
 #include "isa/assembler.hh"
+#include "msg/kernels.hh"
+#include "msg/protocol.hh"
 #include "ni/network_interface.hh"
 #include "noc/network.hh"
 
@@ -68,40 +75,78 @@ struct Result
     Word r1;
 };
 
+/** One core of type @p Proc on a standalone interface and memory. */
+template <typename Proc>
+struct Rig
+{
+    EventQueue eq;
+    IdealNetwork net{"net", eq, 1};
+    ni::NetworkInterface ni{"ni", eq, 0, net, ni::NiConfig{}};
+    Memory mem{64 * 1024};
+    std::unique_ptr<Proc> proc;
+
+    explicit Rig(CpuConfig cfg = {})
+    {
+        if constexpr (std::is_same_v<Proc, Cpu>)
+            proc = std::make_unique<Cpu>("cpu", eq, mem, nullptr, cfg);
+        else
+            proc = std::make_unique<Hpu>("hpu", eq, mem, ni, cfg);
+    }
+
+    /** Run from @p pc until the core halts or the queue drains. */
+    void
+    run(Addr pc)
+    {
+        proc->reset(pc);
+        proc->start();
+        eq.run();
+    }
+};
+
 /** Load @p srcs in order, write a bare `halt` at 0x3000 (outside
  *  every program), run from 0x1000 to the halt. */
 template <typename Proc>
 Result
 run(const std::vector<const char *> &srcs)
 {
-    EventQueue eq;
-    IdealNetwork net("net", eq, 1);
-    ni::NetworkInterface ni("ni", eq, 0, net, ni::NiConfig{});
-    Memory mem(64 * 1024);
-    std::unique_ptr<Proc> proc;
-    if constexpr (std::is_same_v<Proc, Cpu>)
-        proc = std::make_unique<Cpu>("cpu", eq, mem, nullptr);
-    else
-        proc = std::make_unique<Hpu>("hpu", eq, mem, ni);
-
+    Rig<Proc> rig;
     for (const char *src : srcs)
-        proc->loadProgram(isa::assemble(src));
-    mem.write(0x3000, isa::assemble("halt\n").words.at(0));
+        rig.proc->loadProgram(isa::assemble(src));
+    rig.mem.write(0x3000, isa::assemble("halt\n").words.at(0));
+    rig.run(0x1000);
+    EXPECT_TRUE(rig.proc->halted());
+    return {rig.proc->regionCycles(), rig.proc->regionInstructions(),
+            rig.proc->reg(1)};
+}
 
-    proc->reset(0x1000);
-    proc->start();
-    eq.run();
-    EXPECT_TRUE(proc->halted());
-    return {proc->regionCycles(), proc->regionInstructions(),
-            proc->reg(1)};
+/** Assemble @p src (kernel symbols known), run it on a @p Proc and
+ *  return the message of the panic that stops it ("" if none). */
+template <typename Proc>
+std::string
+panicOf(const char *src, CpuConfig cfg = {})
+{
+    Rig<Proc> rig(cfg);
+    isa::Program p = msg::assembleKernel(src);
+    rig.proc->loadProgram(p);
+    try {
+        rig.run(p.base);
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 template <typename Proc>
 class RegionAttribution : public ::testing::Test
 {};
 
+template <typename Proc>
+class CpuGuards : public ::testing::Test
+{};
+
 using Procs = ::testing::Types<Cpu, Hpu>;
 TYPED_TEST_SUITE(RegionAttribution, Procs);
+TYPED_TEST_SUITE(CpuGuards, Procs);
 
 } // namespace
 
@@ -124,4 +169,58 @@ TYPED_TEST(RegionAttribution, FullReloadHidesCoveredProgram)
     EXPECT_EQ(r.insts, want);
     EXPECT_EQ(r.cycles, want);
     EXPECT_EQ(r.r1, 4u);
+}
+
+TYPED_TEST(CpuGuards, RunawayLoopPanics)
+{
+    CpuConfig cfg;
+    cfg.maxInstructions = 1000;
+    const char *src = R"(
+        loop:
+            br loop
+            nop
+    )";
+    EXPECT_PRED_FORMAT2(::testing::IsSubstring, "runaway",
+                        panicOf<TypeParam>(src, cfg));
+}
+
+TYPED_TEST(CpuGuards, BranchInDelaySlotPanics)
+{
+    const char *src = R"(
+        br a
+        br a        ; branch in delay slot: architecture violation
+    a:
+        halt
+    )";
+    EXPECT_PRED_FORMAT2(::testing::IsSubstring, "branch in a delay slot",
+                        panicOf<TypeParam>(src));
+}
+
+TEST(HpuGuards, CommandWindowAccessPanics)
+{
+    // The HPU reaches the NI through the register file; touching the
+    // 0xffff0000 window is a kernel-selection bug.
+    for (const char *src : {"li r1, 0xffff0000\nldi r2, r1, 0\nhalt\n",
+                            "li r1, 0xffff0000\nsti r0, r1, 0\nhalt\n"}) {
+        EXPECT_PRED_FORMAT2(::testing::IsSubstring,
+                            "cache-mapped NI access", panicOf<Hpu>(src));
+    }
+}
+
+TEST(HpuGuards, HostRingOverflowPanics)
+{
+    // 65 posts with no host draining the ring: the 65th finds all
+    // msg::hostRingSlots slots full.
+    const char *src = R"(
+        li   r3, HPU_PROXY
+        addi r1, r0, 65
+    post:
+        st   r0, r3, r0
+        addi r1, r1, -1
+        bnez r1, post
+        nop
+        halt
+    )";
+    EXPECT_PRED_FORMAT2(::testing::IsSubstring, "ring overflow (pi=64 ci=0)",
+                        panicOf<Hpu>(src));
 }
