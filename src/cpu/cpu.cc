@@ -241,7 +241,8 @@ Cpu::tick()
     if (halted_)
         return;
 
-    eventq().schedule(tickEvent_, now + 1);
+    // The next instruction issues once this one's cycles have elapsed.
+    eventq().schedule(tickEvent_, now + cost);
 }
 
 bool

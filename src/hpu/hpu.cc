@@ -65,14 +65,12 @@ Hpu::beginHandler()
 }
 
 void
-Hpu::endHandler()
+Hpu::endHandler(Tick end)
 {
     const uint64_t spent = cycles() - handlerStartCycles_;
     ++handlersRun_;
     maxHandlerCycles_ = std::max(maxHandlerCycles_, spent);
     handlerBusyCycles_ += spent;
-    // The activation ends with the cycle its NEXT (or halt) retires.
-    const Tick end = curTick() + 1;
     TCPNI_TRACE(HPU, "handler end: type %u msg #%llu, %llu cycle(s)",
                 handlerType_,
                 static_cast<unsigned long long>(handlerTraceId_),
@@ -136,12 +134,15 @@ Hpu::tick()
         beginHandler();
 
     const uint64_t retired = instructions();
+    const uint64_t spent = cycles();
     const Addr ipc = pc();
     Cpu::tick();
     if (!handlerActive_ || instructions() == retired)
         return;
+    // The activation ends with the last cycle of the instruction whose
+    // NEXT (or halt) retires, host-proxy cycles included.
     if (halted() || isa::decode(mem_.read(ipc)).ni.next)
-        endHandler();
+        endHandler(curTick() + (cycles() - spent));
 }
 
 } // namespace tcpni

@@ -95,7 +95,8 @@ class Hpu : public Cpu
 
     /** @{ Handler-activation accounting (budget + lifecycle). */
     void beginHandler();
-    void endHandler();
+    /** Close the activation; @p end is the tick after its last cycle. */
+    void endHandler(Tick end);
     /** @} */
 
     Cycles budget_ = 0;

@@ -5,8 +5,9 @@
  * {Cpu, Hpu}: cost-region attribution for programs loaded at
  * different bases, an overlapping re-load and an address outside
  * every program; and the loud-failure guards (runaway loop, branch in
- * a delay slot).  The HPU's own guards follow: the cache-mapped
- * command window and the host-proxy ring.
+ * a delay slot).  The HPU's own guards and timing follow: the
+ * cache-mapped command window, the host-proxy ring, and the cycles a
+ * proxy post occupies the HPU.
  *
  * The expected region counts are those of per-word, later-load-wins
  * tagging: each word belongs to the region of the latest load that
@@ -223,4 +224,24 @@ TEST(HpuGuards, HostRingOverflowPanics)
     )";
     EXPECT_PRED_FORMAT2(::testing::IsSubstring, "ring overflow (pi=64 ci=0)",
                         panicOf<Hpu>(src));
+}
+
+TEST(HpuTiming, ProxyPostOccupiesTheHpu)
+{
+    // A post costs Hpu::hostProxyCycles beyond its issue cycle, and
+    // the HPU issues nothing else meanwhile: the cycles it reports are
+    // the ticks it ran, from start() through its halting cycle.
+    Rig<Hpu> rig;
+    isa::Program p = msg::assembleKernel(R"(
+        li   r3, HPU_PROXY
+        st   r0, r3, r0
+        halt
+    )");
+    rig.proc->loadProgram(p);
+    const Tick start = rig.eq.curTick();
+    rig.run(p.base);
+    ASSERT_TRUE(rig.proc->halted());
+    EXPECT_EQ(rig.proc->hostProxies(), 1u);
+    EXPECT_EQ(rig.proc->cycles(), 4 + Hpu::hostProxyCycles);
+    EXPECT_EQ(rig.proc->cycles(), rig.eq.curTick() - start + 1);
 }
