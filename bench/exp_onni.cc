@@ -160,7 +160,7 @@ runModel(const ni::Model &model, unsigned flood, unsigned elems)
         msg::assembleKernel(msg::handlerProgram(model));
     machine.node(1).boot(server, server.addrOf("entry"));
     machine.node(1).mem().write(msg::allocPtrAddr, 0x40000);
-    if (model.policy().handlersOnNi()) {
+    if (model.policy().handlersOnNi) {
         isa::Program host =
             msg::assembleKernel(msg::hostProxyProgram(model));
         machine.node(1).bootHost(host, host.addrOf("entry"));

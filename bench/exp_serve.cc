@@ -228,11 +228,9 @@ parsePolicies(const std::string &csv)
     while (std::getline(is, item, ',')) {
         if (item.empty())
             continue;
-        if (!transport::PolicyRegistry::instance().find(item)) {
+        if (!transport::findPolicy(item)) {
             fatal("exp_serve: unknown policy '%s' (registered: %s)",
-                  item.c_str(),
-                  transport::PolicyRegistry::instance().names()
-                      .c_str());
+                  item.c_str(), transport::policyNames().c_str());
         }
         out.push_back(item);
     }

@@ -117,7 +117,7 @@ runVariant(const ni::Model &server_model, unsigned flood)
         msg::assembleKernel(msg::handlerProgram(server_model));
     machine.node(1).boot(server, server.addrOf("entry"));
     machine.node(1).mem().write(msg::allocPtrAddr, 0x40000);
-    if (server_model.policy().handlersOnNi()) {
+    if (server_model.policy().handlersOnNi) {
         isa::Program host = msg::assembleKernel(
             msg::hostProxyProgram(server_model));
         machine.node(1).bootHost(host, host.addrOf("entry"));

@@ -28,7 +28,7 @@ main()
 {
     sys::NodeConfig cfg;
     cfg.ni.placement = ni::Placement::registerFile;
-    cfg.ni.features = ni::Features::optimized();
+    cfg.ni.optimized = true;
     sys::System machine("istructure", 2, 1, cfg);
 
     // Server: stock optimized register-mapped handler program.  The

@@ -31,7 +31,7 @@ main()
     // --- build a 2x1 machine with register-mapped optimized NIs ---
     sys::NodeConfig cfg;
     cfg.ni.placement = ni::Placement::registerFile;
-    cfg.ni.features = ni::Features::optimized();
+    cfg.ni.optimized = true;
     sys::System machine("quickstart", 2, 1, cfg);
 
     // --- node 1: the server ---

@@ -29,7 +29,7 @@ main()
 {
     sys::NodeConfig cfg;
     cfg.ni.placement = ni::Placement::offChipCache;
-    cfg.ni.features = ni::Features::basic();
+    cfg.ni.optimized = false;
     sys::System machine("remote-memory", 2, 2, cfg);
 
     // Servers on nodes 1..3: the basic (Figure 5) handler loop.

@@ -62,7 +62,7 @@ Table1Harness::Table1Harness(ni::Model model, bool basic_sw_checks,
 {
     handlerProg_ = msg::assembleKernel(
         msg::handlerProgram(model_, basic_sw_checks, no_overlap));
-    if (model_.policy().handlersOnNi())
+    if (model_.policy().handlersOnNi)
         hostProg_ = msg::assembleKernel(msg::hostProxyProgram(model_));
 }
 
@@ -211,7 +211,7 @@ Table1Harness::runServer(const std::vector<Message> &msgs,
 
     mem_prep(mem1);
 
-    if (model_.policy().handlersOnNi()) {
+    if (model_.policy().handlersOnNi) {
         // On-NI models: the handler kernel runs on the interface's
         // HPU; the host CPU runs the proxy service loop that drains
         // the escape ring (deferred-list work and the STOP).

@@ -27,7 +27,7 @@ Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
 {
     const bool host = port_ == ni::Port::cpu;
     regMappedNi_ = ni_ && (!host ||
-                           ni_->config().policy().registerMapped());
+                           ni_->config().policy().registerMapped);
     if (ni_ && host) {
         ni_->setInterruptSink([this](Word handler) {
             // Latched here; taken at the next instruction boundary.

@@ -13,7 +13,7 @@ namespace tcpni
 Hpu::Hpu(std::string name, EventQueue &eq, Memory &mem,
          ni::NetworkInterface &ni, CpuConfig config)
     : Cpu(std::move(name), eq, mem, &ni, config, ni::Port::hpu),
-      budget_(ni.config().policy().handlerTimeBudget()),
+      budget_(ni.config().policy().handlerTimeBudget),
       hpuTick_(*this, "hpu-tick")
 {
     tickEvent_ = &hpuTick_;
@@ -107,7 +107,7 @@ Hpu::hookedStore()
     // The effective handler id: the encoded 4-bit type when the
     // interface has Section-2.2.1 types, the word-4 software id
     // otherwise.  The protocol assigns them the same values.
-    Word id = ni_->config().features.encodedTypes
+    Word id = ni_->config().optimized
                   ? ni_->currentType()
                   : ni_->readReg(ni::regI4);
     Addr slot = msg::hostRingBase +

@@ -2230,18 +2230,18 @@ std::string
 handlerProgram(const ni::Model &model, bool basic_sw_checks,
                bool no_overlap, bool collectives)
 {
-    // The policy's addressing mode is the instruction-sequence
-    // selection hook: register-operand kernels for a register-file
+    // The placement's registerMapped column selects the instruction
+    // sequences: register-operand kernels for a register-file
     // coupling, load/store kernels for a memory-mapped one.  On-NI
     // models override both: the HPU is register-coupled whatever the
     // host placement looks like, and CPU-only work escapes through
     // the host-proxy ring.
-    if (model.policy().handlersOnNi()) {
+    if (model.policy().handlersOnNi) {
         return model.optimized
             ? hpuOptHandlers(collectives)
             : hpuBasicHandlers(basic_sw_checks, collectives);
     }
-    bool reg = model.policy().registerMapped();
+    bool reg = model.policy().registerMapped;
     if (model.optimized) {
         if (reg)
             return regOptHandlers(collectives);
@@ -2595,7 +2595,7 @@ cacheSendBody(Kind k, bool basic)
 std::string
 senderProgram(const ni::Model &model, Kind kind, unsigned count)
 {
-    bool reg = model.policy().registerMapped();
+    bool reg = model.policy().registerMapped;
     bool basic = !model.optimized;
     SendFields f = fieldsFor(kind);
 
@@ -2626,7 +2626,7 @@ senderProgram(const ni::Model &model, Kind kind, unsigned count)
 std::string
 collectiveDriverProgram(const ni::Model &model, unsigned count)
 {
-    bool reg = model.policy().registerMapped();
+    bool reg = model.policy().registerMapped;
     bool basic = !model.optimized;
     // A combine frame on node 1 and a conservative hop budget (the
     // experiment driver computes depth+2 for the real tree).
@@ -2714,8 +2714,8 @@ kernelCorpus(const ni::Model &model)
         jobs.push_back({"handlers", handlerProgram(model), true});
         // The no-overlap variant exists only for the cache-mapped
         // host kernels; On-NI handlers are register-coupled.
-        if (!model.policy().registerMapped() &&
-            !model.policy().handlersOnNi()) {
+        if (!model.policy().registerMapped &&
+            !model.policy().handlersOnNi) {
             jobs.push_back({"handlers-no-overlap",
                             handlerProgram(model, false, true), true});
         }

@@ -1,24 +1,11 @@
 #include "ni/config.hh"
 
 #include "common/logging.hh"
-#include "ni/placement_policy.hh"
 
 namespace tcpni
 {
 namespace ni
 {
-
-const PlacementPolicy &
-NiConfig::policy() const
-{
-    return placementPolicy(placement);
-}
-
-Cycles
-NiConfig::loadUseDelay() const
-{
-    return policy().loadUseDelay(*this);
-}
 
 void
 NiConfig::validate() const
@@ -35,18 +22,16 @@ NiConfig::validate() const
         fatal("NiConfig: outputThreshold (%u) exceeds outputQueueDepth (%u); "
               "oafull would never raise", outputThreshold, outputQueueDepth);
     }
-    if (privQueueDepth == 0)
-        fatal("NiConfig: privQueueDepth must be nonzero");
 
     // Transport knobs (src/transport): the policy name must resolve
-    // in the registry, the window must admit at least one in-flight
+    // in the policy table, the window must admit at least one in-flight
     // message, and the pacing rate must sit inside its AIMD bounds
     // (a rate outside [min, max] would be "corrected" on the first
     // adaptation, silently ignoring the configuration).
-    if (!transport::PolicyRegistry::instance().find(transport.policy)) {
+    if (!transport::findPolicy(transport.policy)) {
         fatal("NiConfig: unknown transport policy '%s' (registered: "
               "%s)", transport.policy.c_str(),
-              transport::PolicyRegistry::instance().names().c_str());
+              transport::policyNames().c_str());
     }
     if (transport.window < 1)
         fatal("NiConfig: transport.window must be >= 1");
@@ -72,29 +57,18 @@ NiConfig::validate() const
         fatal("NiConfig: transport.paceAiHoldoff must be >= 1");
 }
 
-const PlacementPolicy &
-Model::policy() const
-{
-    return placementPolicy(placement);
-}
-
 std::string
 Model::name() const
 {
     return std::string(optimized ? "Optimized " : "Basic ") +
-           policy().name();
+           policy().name;
 }
 
 std::string
 Model::shortName() const
 {
-    return policy().shortName() + (optimized ? "-opt" : "-basic");
-}
-
-std::string
-placementName(Placement p)
-{
-    return placementPolicy(p).name();
+    return std::string(policy().shortName) +
+           (optimized ? "-opt" : "-basic");
 }
 
 } // namespace ni

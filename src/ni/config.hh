@@ -1,26 +1,27 @@
 /**
  * @file
  * Configuration of a network interface instance: its placement
- * (Section 3's three implementations) and which of the Section-2.2
- * hardware optimizations are present.
+ * (Section 3's three implementations, plus On-NI) and whether it
+ * carries the Section-2.2 hardware optimizations.
  *
  * The paper's six evaluation models are the cross product of
  * { off-chip cache, on-chip cache, register-file } placement with
- * { basic, optimized } feature sets.  For the ablation benchmarks the
- * individual optimizations can also be toggled independently.
+ * { basic, optimized }.  The optimizations are all-or-nothing: the
+ * kernel library has handler and sender sequences only for the basic
+ * and the optimized interface, so `optimized` is one bit.
  *
- * Everything that *differs by placement* (access latency, addressing
- * mode, folded NI commands, kernel sequence selection) lives behind
- * the PlacementPolicy interface (placement_policy.hh); the model set
- * itself is extensible through the registry (model_registry.hh).
+ * Everything that *differs by placement* (access latency, register
+ * mapping, kernel sequence selection) is a column of the placement
+ * table (placement_policy.hh); the model set is the constant table in
+ * model_registry.hh.
  */
 
 #ifndef TCPNI_NI_CONFIG_HH
 #define TCPNI_NI_CONFIG_HH
 
-#include <cstdint>
 #include <string>
 
+#include "ni/placement_policy.hh"
 #include "sim/types.hh"
 #include "transport/transport.hh"
 
@@ -29,46 +30,16 @@ namespace tcpni
 namespace ni
 {
 
-class PlacementPolicy;
-
-/** Where the interface sits relative to the processor (Section 3). */
-enum class Placement : uint8_t
-{
-    offChipCache,   //!< Sec 3.1: on the external cache bus (the NIC chip)
-    onChipCache,    //!< Sec 3.2: on the internal cache bus
-    registerFile,   //!< Sec 3.3: mapped into the register file
-    onNi,           //!< handlers execute on the interface itself (HPU)
-};
-
-/** Which Section-2.2 hardware optimizations are implemented. */
-struct Features
-{
-    bool encodedTypes = true;       //!< Sec 2.2.1: 4-bit type in SEND
-    bool fastReplyForward = true;   //!< Sec 2.2.2: REPLY / FORWARD modes
-    bool hwDispatch = true;         //!< Sec 2.2.3: MsgIp / NextMsgIp
-    bool hwBoundaryChecks = true;   //!< Sec 2.2.4: iafull/oafull in MsgIp
-
-    static Features basic()
-    {
-        return {false, false, false, false};
-    }
-    static Features optimized() { return {}; }
-
-    bool
-    anyOptimization() const
-    {
-        return encodedTypes || fastReplyForward || hwDispatch ||
-               hwBoundaryChecks;
-    }
-
-    bool operator==(const Features &) const = default;
-};
-
 /** Full configuration of one network interface. */
 struct NiConfig
 {
     Placement placement = Placement::registerFile;
-    Features features = Features::optimized();
+
+    /** All four Section-2.2 optimizations (false: the basic
+     *  interface): 2.2.1 encoded 4-bit types in SEND, 2.2.2 the
+     *  REPLY / FORWARD modes, 2.2.3 MsgIp / NextMsgIp dispatch and
+     *  2.2.4 the iafull/oafull boundary checks folded into MsgIp. */
+    bool optimized = true;
 
     unsigned inputQueueDepth = 16;
     unsigned outputQueueDepth = 16;
@@ -77,23 +48,8 @@ struct NiConfig
     unsigned inputThreshold = 12;
     unsigned outputThreshold = 12;
 
-    /** Capacity of the privileged escrow queue (Section 2.1.3).
-     *  Overflow is fatal -- in hardware the OS must drain it.  The
-     *  backing store is allocated lazily on first use. */
-    unsigned privQueueDepth = 1024;
-
-    /**
-     * Extra load-use delay cycles the processor sees on a load from
-     * this interface; placement-dependent (see PlacementPolicy).
-     */
-    Cycles loadUseDelay() const;
-
     /** Off-chip read latency knob for the Section 4.2.3 sensitivity. */
     Cycles offChipLoadUseDelay = 2;
-
-    /** Emit an inform() line for every message sent and received
-     *  (suppressed when logging::quiet is set). */
-    bool traceMessages = false;
 
     /** Output-side transport policy and its knobs (src/transport).
      *  The default "naive" policy is the paper's interface verbatim:
@@ -101,8 +57,25 @@ struct NiConfig
      *  untouched. */
     transport::TransportConfig transport;
 
-    /** The placement-policy implementation for this configuration. */
-    const PlacementPolicy &policy() const;
+    /** Capacity of the privileged escrow queue (Section 2.1.3).
+     *  Overflow is fatal -- in hardware the OS must drain it.  The
+     *  backing store is allocated lazily on first use. */
+    static constexpr unsigned privQueueDepth = 1024;
+
+    /** This configuration's row of the placement table. */
+    const PlacementPolicy &
+    policy() const
+    {
+        return placementPolicy(placement);
+    }
+
+    /** Extra load-use delay cycles the processor sees on a load from
+     *  this interface: the off-chip knob on an off-chip row, else 0. */
+    Cycles
+    loadUseDelay() const
+    {
+        return policy().offChip ? offChipLoadUseDelay : 0;
+    }
 
     /**
      * Check the configuration's internal consistency: queue depths
@@ -114,9 +87,9 @@ struct NiConfig
     void validate() const;
 };
 
-/** One evaluation model: a placement plus a feature set.  The paper's
- *  six models use the default off-chip latency; the registry's
- *  Section 4.2.3 "far off-chip" variant raises it. */
+/** One evaluation model: a placement, basic or optimized.  The
+ *  paper's six models use the default off-chip latency; the
+ *  registry's Section 4.2.3 "far off-chip" variant raises it. */
 struct Model
 {
     Placement placement;
@@ -131,7 +104,7 @@ struct Model
     {
         NiConfig c;
         c.placement = placement;
-        c.features = optimized ? Features::optimized() : Features::basic();
+        c.optimized = optimized;
         c.offChipLoadUseDelay = offchipLoadUseDelay;
         return c;
     }
@@ -146,8 +119,12 @@ struct Model
         return m;
     }
 
-    /** The placement-policy implementation for this model. */
-    const PlacementPolicy &policy() const;
+    /** This model's row of the placement table. */
+    const PlacementPolicy &
+    policy() const
+    {
+        return placementPolicy(placement);
+    }
 
     std::string name() const;
     std::string shortName() const;
@@ -155,8 +132,12 @@ struct Model
     bool operator==(const Model &) const = default;
 };
 
-/** Canonical placement name, from the placement policy. */
-std::string placementName(Placement p);
+/** Canonical placement name, from the placement table. */
+inline std::string
+placementName(Placement p)
+{
+    return placementPolicy(p).name;
+}
 
 } // namespace ni
 } // namespace tcpni

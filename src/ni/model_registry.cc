@@ -1,7 +1,5 @@
 #include "ni/model_registry.hh"
 
-#include "ni/placement_policy.hh"
-
 namespace tcpni
 {
 namespace ni
@@ -10,12 +8,13 @@ namespace ni
 namespace
 {
 
-/** The entry of a model named after its placement policy. */
+/** The entry of a model named after its placement row. */
 ModelInfo
 entry(const Model &m)
 {
     return {m.name(), m.shortName(),
-            (m.optimized ? "Opt " : "Basic ") + m.policy().columnLabel(),
+            (m.optimized ? "Opt " : "Basic ") +
+                std::string(m.policy().columnLabel),
             m};
 }
 
@@ -32,7 +31,7 @@ registeredModels()
         entry({Placement::onChipCache, false}),
         entry({Placement::offChipCache, false}),
         // Section 4.2.3's far off-chip variant: same off-chip
-        // placement policy, load-use delay raised from 2 to 8 cycles.
+        // placement row, load-use delay raised from 2 to 8 cycles.
         {"Optimized Far Off-chip", "faroff-opt", "Opt Far-off",
          Model{Placement::offChipCache, true}.withOffchipDelay(8)},
         // On-NI handler execution (src/hpu): handlers run on the

@@ -1,7 +1,7 @@
 /**
  * @file
  * The evaluation-model registry: one constant table of the nine
- * (placement, feature-set) models every experiment, test and
+ * (placement, basic/optimized) models every experiment, test and
  * tcpni_lint draws from.
  *
  * The paper's six models (three placements x {basic, optimized}) come

@@ -240,9 +240,10 @@ NetworkInterface::writeReg(unsigned reg, Word value, Port port)
         // message already sits in the input registers fires at once,
         // so no arrival between NEXT and re-enable can be lost.  The
         // conventional handler epilogue therefore re-enables in the
-        // delay slot of its `jmp r14` return.
+        // delay slot of its `jmp r14` return.  Interrupts vector to
+        // MsgIp, so they need Section 2.2.3's hardware dispatch.
         if (interruptSink_ && bits(control_, control::intEnableBit) &&
-            inputValid_ && config_.features.hwDispatch) {
+            inputValid_ && config_.optimized) {
             control_ &= ~(1u << control::intEnableBit);
             ++interrupts_;
             interruptSink_(msgIp());
@@ -269,8 +270,9 @@ NetworkInterface::dispatchFor(bool valid, uint8_t type, Word word1) const
     if (excCode_ != ExcCode::none)
         return dispatch::handlerAddr(ipBase_, dispatch::excType);
 
-    bool ia = config_.features.hwBoundaryChecks && iafull();
-    bool oa = config_.features.hwBoundaryChecks && oafull();
+    // Section 2.2.4: the boundary checks fold into MsgIp.
+    bool ia = config_.optimized && iafull();
+    bool oa = config_.optimized && oafull();
 
     // Figure 7 case 2: a type-0 message below both thresholds carries
     // its handler address in word 1.
@@ -283,7 +285,8 @@ NetworkInterface::dispatchFor(bool valid, uint8_t type, Word word1) const
 Word
 NetworkInterface::msgIp() const
 {
-    if (!config_.features.hwDispatch)
+    // Section 2.2.3: MsgIp exists only with hardware dispatch.
+    if (!config_.optimized)
         return 0;
     return dispatchFor(inputValid_, currentType_, inputRegs_[1]);
 }
@@ -291,7 +294,8 @@ NetworkInterface::msgIp() const
 Word
 NetworkInterface::nextMsgIp() const
 {
-    if (!config_.features.hwDispatch)
+    // Section 2.2.3: so does NextMsgIp.
+    if (!config_.optimized)
         return 0;
     if (inputQueue_.empty())
         return dispatchFor(false, 0, 0);
@@ -401,12 +405,6 @@ NetworkInterface::enqueueSend(Message msg)
                     outputQueue_.size());
         return CmdResult::ok;
     }
-    if (config_.traceMessages) {
-        inform("%llu %s TX %s",
-               static_cast<unsigned long long>(curTick()),
-               name().c_str(), msg.toString().c_str());
-    }
-
     msg.traceId = eventq().nextTraceId();
     msg.injectTick = curTick();
     if (auto *s = trace::sink())
@@ -515,13 +513,15 @@ CmdResult
 NetworkInterface::command(const isa::NiCommand &cmd, Port port)
 {
     if (cmd.mode != isa::SendMode::none) {
-        if (cmd.mode != isa::SendMode::send &&
-            !config_.features.fastReplyForward) {
+        // Section 2.2.2: REPLY / FORWARD.
+        if (cmd.mode != isa::SendMode::send && !config_.optimized) {
             panic("REPLY/FORWARD send modes are a Section-2.2.2 "
                   "optimization absent from this (basic) interface");
         }
-        uint8_t type = config_.features.encodedTypes ? cmd.type : 0;
-        if (config_.features.hwDispatch && type == dispatch::excType) {
+        // Section 2.2.1: the 4-bit type encoded in SEND; type 1 is
+        // Section 2.2.3's exception vector.
+        uint8_t type = config_.optimized ? cmd.type : 0;
+        if (type == dispatch::excType) {
             panic("message type 1 is reserved for the exception "
                   "handler (Section 2.2.4)");
         }
@@ -619,9 +619,10 @@ NetworkInterface::refill()
     // Interrupt-driven reception: a message advancing into empty
     // input registers interrupts the processor.  The enable bit
     // clears on delivery so the handler runs uninterrupted until it
-    // re-enables (Section 2.1 allows either reception style).
+    // re-enables (Section 2.1 allows either reception style).  The
+    // vector is MsgIp (Section 2.2.3).
     if (interruptSink_ && bits(control_, control::intEnableBit) &&
-        config_.features.hwDispatch) {
+        config_.optimized) {
         control_ &= ~(1u << control::intEnableBit);
         ++interrupts_;
         TCPNI_TRACE(DISPATCH, "arrival interrupt -> handler 0x%08x",
@@ -691,8 +692,8 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
         // Section 2.1.3: privileged messages and messages for inactive
         // processes are stored in privileged state for the OS.
         if (privQueue_.capacity() == 0)
-            privQueue_.reset(config_.privQueueDepth);
-        if (privQueue_.size() >= config_.privQueueDepth)
+            privQueue_.reset(NiConfig::privQueueDepth);
+        if (privQueue_.size() >= NiConfig::privQueueDepth)
             panic("privileged queue overflow on node %u", node_);
         TCPNI_TRACE(NI, "RX escrows %s to the privileged queue",
                     msg.toString().c_str());
@@ -713,12 +714,6 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
                     inputQueue_.size(), msg.toString().c_str());
         return false;
     }
-    if (config_.traceMessages) {
-        inform("%llu %s RX %s",
-               static_cast<unsigned long long>(curTick()),
-               name().c_str(), msg.toString().c_str());
-    }
-
     Message m = msg;
     if (m.traceId == 0) {
         // Injected directly by a test or harness, bypassing a sending

@@ -1,121 +1,108 @@
 /**
  * @file
- * The placement-policy layer: everything that differs between the
- * paper's three NI placements (Section 3) expressed as one small
- * interface, so that the CPU coupling, the kernel library, the Table-1
- * cost model, and the static verifier never branch on the raw
- * Placement enum.
+ * The placement table: everything that differs between the paper's
+ * three NI placements (Section 3), plus the On-NI extension, as one
+ * constant row per Placement.  The CPU coupling, the kernel library,
+ * the Table-1 cost model and the static verifier read these columns
+ * and never branch on the raw Placement enum.
  *
- * A policy answers four questions about its placement:
+ * A row answers four questions about its placement:
  *
- *  - addressing: are the NI registers aliased into the processor's
- *    register file, or reached through a memory-mapped command window?
- *    This is also the kernel-library's instruction-sequence selection
- *    hook: msg/kernels.cc picks the register-operand or load/store
- *    handler and sender sequences from it.
- *  - folded commands: can SEND / NEXT / REPLY / FORWARD be encoded as
- *    instruction bits (`!send`, `!next`) instead of command-window
- *    accesses?  (Section 2.1's register-file coupling only.)
- *  - access latency: how many extra load-use delay cycles does the
- *    processor see on a read from the interface?
- *  - composition: can a compiler compute message values straight into
- *    the output registers (the lower bound of the paper's sending-cost
- *    ranges), and does the optimized handler set carry an escape
- *    dispatch table for >4-bit identifiers?
+ *  - registerMapped: are the NI registers aliased into the processor's
+ *    register file (Section 3.3), or reached through a memory-mapped
+ *    command window?  Register mapping also folds SEND / NEXT /
+ *    REPLY / FORWARD into instruction bits (`!send`, `!next`), and it
+ *    is msg/kernels.cc's selector between the register-operand and
+ *    the load/store handler and sender sequences.
+ *  - offChip: does a load from the interface cross the chip boundary
+ *    and pay NiConfig::offChipLoadUseDelay (Section 3.1)?
+ *  - escapeTable: does the optimized handler set dispatch >4-bit
+ *    identifiers through an escape table (Section 2.2.1)?
+ *  - handlersOnNi / handlerTimeBudget: do the handlers run on a
+ *    handler processing unit inside the interface (sPIN-style), and
+ *    how many cycles may one activation take?
  *
- * Adding a placement means writing one policy implementation here and
- * registering a model in model_registry.cc; no other layer changes.
+ * Adding a placement means adding an enum value, its row here and a
+ * model in model_registry.cc; no other layer changes.
  */
 
 #ifndef TCPNI_NI_PLACEMENT_POLICY_HH
 #define TCPNI_NI_PLACEMENT_POLICY_HH
 
-#include <string>
+#include <cstddef>
+#include <cstdint>
 
-#include "ni/config.hh"
+#include "sim/types.hh"
 
 namespace tcpni
 {
 namespace ni
 {
 
-/** How the processor addresses the interface registers. */
-enum class Addressing : uint8_t
+/** Where the interface sits relative to the processor (Section 3). */
+enum class Placement : uint8_t
 {
-    registerFile,   //!< NI registers aliased into the GPR file
-    memoryMapped,   //!< loads/stores into the NI command window
+    offChipCache,   //!< Sec 3.1: on the external cache bus (the NIC chip)
+    onChipCache,    //!< Sec 3.2: on the internal cache bus
+    registerFile,   //!< Sec 3.3: mapped into the register file
+    onNi,           //!< handlers execute on the interface itself (HPU)
 };
 
-class PlacementPolicy
+/** One placement's row of the table. */
+struct PlacementPolicy
 {
-  public:
-    virtual ~PlacementPolicy() = default;
+    const char *name;         //!< "Register Mapped", "On-chip Cache", ...
+    const char *shortName;    //!< CLI tag: "reg", "on", "off", "onni"
+    const char *columnLabel;  //!< table column: "Reg", "On-chip", ...
 
-    /** The placement this policy implements. */
-    virtual Placement kind() const = 0;
+    /** NI registers live in the register file; otherwise loads and
+     *  stores reach them through the command window. */
+    bool registerMapped;
 
-    /** Canonical placement name ("Register Mapped", ...). */
-    virtual std::string name() const = 0;
+    /** Loads from the interface pay NiConfig::offChipLoadUseDelay. */
+    bool offChip;
 
-    /** Canonical short tag ("reg", "on", "off"). */
-    virtual std::string shortName() const = 0;
-
-    /** Canonical table-column label ("Reg", "On-chip", "Off-chip"). */
-    virtual std::string columnLabel() const = 0;
-
-    /**
-     * Addressing mode; also the kernel instruction-sequence selection
-     * hook (msg/kernels.cc emits register-operand sequences for
-     * registerFile and load/store sequences for memoryMapped).
-     */
-    virtual Addressing addressing() const = 0;
-
-    /** NI registers live in the register file? */
-    bool
-    registerMapped() const
-    {
-        return addressing() == Addressing::registerFile;
-    }
-
-    /** SEND/NEXT/REPLY/FORWARD encodable as instruction bits
-     *  (Section 2.1); otherwise they are command-window accesses. */
-    virtual bool foldedNiCommands() const = 0;
+    /** The optimized handler set has an escape dispatch table. */
+    bool escapeTable;
 
     /**
-     * Extra load-use delay cycles the processor sees on a read from
-     * this interface, given the configuration's off-chip latency knob
-     * (Section 3.1: two cycles on an 88100; Section 4.2.3 raises it).
+     * The handlers run on the interface's HPU, compiled against
+     * HPU-local register access with no NI load-use delay however the
+     * *host* addresses the interface; CPU-only work escapes through
+     * the host proxy.
      */
-    virtual Cycles loadUseDelay(const NiConfig &cfg) const = 0;
+    bool handlersOnNi;
 
-    /** Can a compiler compute message values directly into the output
-     *  registers (lower bound of the paper's sending ranges)? */
-    virtual bool directCompose() const = 0;
+    /** Cycles one handler activation may occupy the HPU (sPIN's
+     *  handler contract); 0 without an HPU. */
+    Cycles handlerTimeBudget;
 
-    /** Does the optimized handler set dispatch >4-bit identifiers
-     *  through an escape table (Section 2.2.1)? */
-    virtual bool optimizedKernelHasEscape() const = 0;
-
-    /**
-     * Do the message handlers execute on the interface itself (a
-     * handler processing unit in the style of sPIN), rather than on
-     * the host CPU?  When true, handler kernels are compiled against
-     * HPU-local register access (register-file view with zero NI
-     * load-use delay) regardless of how the *host* addresses the
-     * interface, and CPU-only work escapes through the host proxy.
-     */
-    virtual bool handlersOnNi() const { return false; }
-
-    /**
-     * Bound on the cycles one handler activation may occupy the HPU
-     * (sPIN's handler contract).  Zero means no budget; nonzero only
-     * makes sense together with handlersOnNi().
-     */
-    virtual Cycles handlerTimeBudget() const { return 0; }
+    /** Can a compiler compute message values straight into the output
+     *  registers (the lower bound of the paper's sending ranges)?
+     *  Only GPR output registers can be computed into (Section 3.3). */
+    constexpr bool directCompose() const { return registerMapped; }
 };
 
-/** The policy implementation for @p p (a process-lifetime singleton). */
-const PlacementPolicy &placementPolicy(Placement p);
+/** The rows, indexed by Placement. */
+inline constexpr PlacementPolicy placementTable[] = {
+    // Section 3.1: the interface on the external cache bus.
+    {"Off-chip Cache", "off", "Off-chip", false, true, false, false, 0},
+    // Section 3.2: the internal cache bus; reads at cache speed.
+    {"On-chip Cache", "on", "On-chip", false, false, false, false, 0},
+    // Section 3.3: interface registers aliased into the register file.
+    {"Register Mapped", "reg", "Reg", true, false, true, false, 0},
+    // On-NI: the host reaches the interface through an off-chip
+    // NIC's command window (senders and the proxy kernel pay the
+    // off-chip delay), but the handlers run on the HPU.
+    {"On-NI", "onni", "On-NI", false, true, true, true, 64},
+};
+
+/** The row for @p p. */
+constexpr const PlacementPolicy &
+placementPolicy(Placement p)
+{
+    return placementTable[static_cast<size_t>(p)];
+}
 
 } // namespace ni
 } // namespace tcpni

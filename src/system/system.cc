@@ -21,7 +21,7 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
         tpolicy_->attachMetrics(name + ".transport", eq);
         ni_->setTransportPolicy(tpolicy_.get());
     }
-    if (cfg.ni.policy().handlersOnNi()) {
+    if (cfg.ni.policy().handlersOnNi) {
         hpu_ = std::make_unique<Hpu>(name + ".hpu", eq, *mem_, *ni_,
                                      cfg.cpu);
     }

@@ -54,9 +54,10 @@ TrafficGen::start()
 {
     auto &ni = sys_.node(node_).ni();
     // Interrupt-driven reception dispatches through MsgIp; without
-    // the hardware-dispatch feature the NI never interrupts and
-    // arrivals would sit undrained, backpressuring the mesh forever.
-    tcpni_assert(ni.config().features.hwDispatch);
+    // Section 2.2.3's hardware dispatch (a basic interface) the NI
+    // never interrupts and arrivals would sit undrained,
+    // backpressuring the mesh forever.
+    tcpni_assert(ni.config().optimized);
     ni.setInterruptSink([this](Word) { drain(); });
     ni.writeReg(ni::regControl,
                 ni.readReg(ni::regControl) |

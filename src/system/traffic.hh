@@ -117,8 +117,8 @@ class TrafficGen
     TrafficGen(System &sys, NodeId node, const TrafficConfig &cfg);
 
     /** Install the interrupt sink, enable interrupt-driven reception,
-     *  and schedule the first send.  Requires the hardware-dispatch
-     *  feature (interrupt reception runs through MsgIp). */
+     *  and schedule the first send.  Requires an optimized interface
+     *  (interrupt reception runs through Section 2.2.3's MsgIp). */
     void start();
 
     uint64_t sent() const { return sent_; }

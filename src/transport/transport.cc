@@ -120,7 +120,7 @@ namespace
 
 /** The paper's behavior: never hold.  Selecting "naive" explicitly
  *  behaves identically to the System's fast path of installing no
- *  policy at all; the class exists so the registry is total and unit
+ *  policy at all; the class exists so the table is total and unit
  *  tests can exercise the interface uniformly. */
 class NaivePolicy : public Policy
 {
@@ -138,77 +138,53 @@ class NaivePolicy : public Policy
     bool wouldHold(NodeId, Tick) const override { return false; }
 };
 
+std::unique_ptr<Policy>
+makeNaivePolicy(const TransportConfig &cfg)
+{
+    return std::make_unique<NaivePolicy>(cfg);
+}
+
 } // namespace
 
 std::unique_ptr<Policy> makeWindowPolicy(const TransportConfig &cfg);
 std::unique_ptr<Policy> makePacedPolicy(const TransportConfig &cfg);
 
-PolicyRegistry::PolicyRegistry()
+const std::array<PolicyInfo, 3> &
+registeredPolicies()
 {
-    add({"naive",
-         "the paper's interface: no output-side flow control",
-         "transport.cc (built-in)",
-         [](const TransportConfig &cfg) {
-             return std::make_unique<NaivePolicy>(cfg);
-         }});
-    add({"window",
+    static constexpr std::array<PolicyInfo, 3> policies = {{
+        {"naive", "the paper's interface: no output-side flow control",
+         makeNaivePolicy},
+        {"window",
          "static per-destination credit window, credits returned on "
          "delivery",
-         "window.cc (built-in)",
-         makeWindowPolicy});
-    add({"paced",
+         makeWindowPolicy},
+        {"paced",
          "token-bucket pacing with AIMD rate adaptation on oafull "
          "feedback",
-         "paced.cc (built-in)",
-         makePacedPolicy});
-}
-
-PolicyRegistry &
-PolicyRegistry::instance()
-{
-    static PolicyRegistry reg;
-    return reg;
-}
-
-void
-PolicyRegistry::add(PolicyInfo info)
-{
-    if (info.name.empty())
-        fatal("transport::PolicyRegistry: empty policy name");
-    if (!info.make)
-        fatal("transport::PolicyRegistry: policy '%s' has no factory",
-              info.name.c_str());
-    for (const PolicyInfo &e : entries_) {
-        if (e.name == info.name) {
-            fatal("transport::PolicyRegistry: duplicate policy '%s' "
-                  "(held by %s, re-registered by %s)",
-                  info.name.c_str(),
-                  e.origin.empty() ? "<unknown>" : e.origin.c_str(),
-                  info.origin.empty() ? "<unknown>"
-                                      : info.origin.c_str());
-        }
-    }
-    entries_.push_back(std::move(info));
+         makePacedPolicy},
+    }};
+    return policies;
 }
 
 const PolicyInfo *
-PolicyRegistry::find(const std::string &name) const
+findPolicy(const std::string &name)
 {
-    for (const PolicyInfo &e : entries_) {
-        if (e.name == name)
-            return &e;
+    for (const PolicyInfo &p : registeredPolicies()) {
+        if (name == p.name)
+            return &p;
     }
     return nullptr;
 }
 
 std::string
-PolicyRegistry::names() const
+policyNames()
 {
     std::string out;
-    for (const PolicyInfo &e : entries_) {
+    for (const PolicyInfo &p : registeredPolicies()) {
         if (!out.empty())
             out += ", ";
-        out += e.name;
+        out += p.name;
     }
     return out;
 }
@@ -216,11 +192,10 @@ PolicyRegistry::names() const
 std::unique_ptr<Policy>
 makePolicy(const TransportConfig &cfg)
 {
-    const PolicyInfo *info = PolicyRegistry::instance().find(cfg.policy);
+    const PolicyInfo *info = findPolicy(cfg.policy);
     if (!info) {
         fatal("transport: unknown policy '%s' (registered: %s)",
-              cfg.policy.c_str(),
-              PolicyRegistry::instance().names().c_str());
+              cfg.policy.c_str(), policyNames().c_str());
     }
     return info->make(cfg);
 }

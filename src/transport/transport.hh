@@ -10,9 +10,11 @@
  * tree saturation and unbounded tail latency.
  *
  * This layer adds the sender-side half of a modern NIC transport as a
- * registry of policies, mirroring the PlacementPolicy pattern (and,
- * in spirit, FreeBSD's pluggable TCP stacks: named implementations
- * behind one function-table interface, selected per configuration).  The NetworkInterface consults its policy instance
+ * constant table of policies, the same shape as the model table
+ * (ni/model_registry.hh) and, in spirit, FreeBSD's pluggable TCP
+ * stacks: named implementations behind one virtual interface,
+ * selected per configuration by TransportConfig::policy.  The
+ * NetworkInterface consults its policy instance
  *
  *  - on every send attempt (gate(): proceed or hold, where hold
  *    surfaces as the architectural SEND stall, exactly like a full
@@ -54,12 +56,10 @@
 #ifndef TCPNI_TRANSPORT_TRANSPORT_HH
 #define TCPNI_TRANSPORT_TRANSPORT_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
@@ -76,7 +76,7 @@ constexpr uint32_t rateOne = 1024;
 /** Transport knobs carried by NiConfig; validated with it. */
 struct TransportConfig
 {
-    /** Policy name; must resolve in the PolicyRegistry. */
+    /** Policy name; must name a row of registeredPolicies(). */
     std::string policy = "naive";
 
     /** window: max messages in flight per destination (>= 1). */
@@ -121,7 +121,7 @@ class Policy
     explicit Policy(const TransportConfig &cfg) : cfg_(cfg) {}
     virtual ~Policy();
 
-    /** Registry name of this policy. */
+    /** Table name of this policy. */
     virtual const char *name() const = 0;
 
     /** Gate a send attempt to @p dst at @p now.  May mutate policy
@@ -240,45 +240,25 @@ class Policy
     std::shared_ptr<metrics::Group> mgroup_;
 };
 
-/** A registered policy: name, origin (for duplicate diagnostics), and
- *  factory. */
+/** One row of the policy table. */
 struct PolicyInfo
 {
-    std::string name;
-    std::string description;
-    std::string origin;
-    std::function<std::unique_ptr<Policy>(const TransportConfig &)>
-        make;
+    const char *name;
+    const char *description;
+    std::unique_ptr<Policy> (*make)(const TransportConfig &);
 };
 
-/**
- * The process-wide policy registry, seeded with naive / window /
- * paced.  Extensions register at static-init time or from main();
- * a duplicate name is fatal and names both origins.
- */
-class PolicyRegistry
-{
-  public:
-    static PolicyRegistry &instance();
+/** The three policies: naive, window, paced. */
+const std::array<PolicyInfo, 3> &registeredPolicies();
 
-    void add(PolicyInfo info);
+/** Look up by name; nullptr when absent. */
+const PolicyInfo *findPolicy(const std::string &name);
 
-    /** Look up by name; nullptr when absent. */
-    const PolicyInfo *find(const std::string &name) const;
+/** "naive, window, paced" -- for diagnostics. */
+std::string policyNames();
 
-    const std::vector<PolicyInfo> &all() const { return entries_; }
-
-    /** "naive, window, paced" -- for diagnostics. */
-    std::string names() const;
-
-  private:
-    PolicyRegistry();
-
-    std::vector<PolicyInfo> entries_;
-};
-
-/** Instantiate @p cfg.policy from the registry; fatal()s on an
- *  unknown name, listing the registered ones. */
+/** Instantiate @p cfg.policy from the table; fatal()s on an unknown
+ *  name, listing the table's. */
 std::unique_ptr<Policy> makePolicy(const TransportConfig &cfg);
 
 } // namespace transport

@@ -27,7 +27,7 @@ requiredTypes(const ni::Model &model)
         msg::typeRead, msg::typeWrite, msg::typePRead, msg::typePWrite,
         msg::typeAck, msg::typeStop,
     };
-    if (model.optimized && model.policy().optimizedKernelHasEscape())
+    if (model.optimized && model.policy().escapeTable)
         types.insert(msg::typeEscape);
     return types;
 }
@@ -269,9 +269,10 @@ deriveHandlerContract(const isa::Program &prog, const ni::Model &model)
 
     Contract c;
     // On-NI models compile their handlers against the HPU's permanent
-    // register coupling, whatever the host placement's addressing is.
-    c.kernelRegMapped = model.policy().registerMapped() ||
-                        model.policy().handlersOnNi();
+    // register coupling, whether or not the host placement is
+    // register-mapped.
+    c.kernelRegMapped = model.policy().registerMapped ||
+                        model.policy().handlersOnNi;
     commonDerive(prog, c);
     if (c.roots.empty())
         return c;
@@ -456,8 +457,8 @@ deriveSenderContract(const isa::Program &prog, const ni::Model &model)
 {
     Contract c;
     // Senders always run on the host CPU, so they see the placement's
-    // own addressing even on On-NI models.
-    c.kernelRegMapped = model.policy().registerMapped();
+    // own register mapping even on On-NI models.
+    c.kernelRegMapped = model.policy().registerMapped;
     commonDerive(prog, c);
     // A sender is one straight entry walk; nothing is pinned for it
     // (the walk itself establishes every register it uses).

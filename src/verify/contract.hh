@@ -121,7 +121,7 @@ struct Contract
     std::vector<Root> roots;
 
     /** The register view the kernel is compiled against.  Usually the
-     *  policy's addressing mode, but On-NI models split: their
+     *  placement's registerMapped, but On-NI models split: their
      *  *handler* kernels run on the register-coupled HPU while their
      *  *sender* kernels run on the (memory-mapped) host CPU. */
     bool kernelRegMapped = false;

@@ -174,7 +174,7 @@ analyzeProtocol(const ni::Model &model,
 
     // proto-escape: On-NI models (handlers run on the HPU) must keep
     // the single-writer I-structure rule.
-    if (model.policy().handlersOnNi()) {
+    if (model.policy().handlersOnNi) {
         for (const ProtoKernel &k : kernels) {
             if (!k.handlers)
                 continue;

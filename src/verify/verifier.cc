@@ -722,7 +722,7 @@ hazardScan(const isa::Program &prog, const ni::Model &model,
                             ? 0
                             : model.config().loadUseDelay();
     bool reg_mapped = contract.kernelRegMapped ||
-                      model.policy().registerMapped();
+                      model.policy().registerMapped;
 
     // Pessimistic block boundaries: every root entry and branch target
     // resets the pipeline model.
@@ -864,7 +864,7 @@ void
 budgetScan(const isa::Program &prog, const ni::Model &model,
            const Contract &contract, Report &rep)
 {
-    Cycles budget = model.policy().handlerTimeBudget();
+    Cycles budget = model.policy().handlerTimeBudget;
     if (budget == 0)
         return;
 
@@ -901,7 +901,7 @@ verify(const isa::Program &prog, const ni::Model &model,
 {
     Report rep = contract.diags;
     bool reg_mapped = contract.kernelRegMapped ||
-                      model.policy().registerMapped();
+                      model.policy().registerMapped;
     std::set<size_t> visited;
     std::set<size_t> ni_loads;
 

@@ -38,7 +38,7 @@
  *   region     reachable code missing a .region cost tag
  *   hazard     (notes) statically-estimated load-use stalls under the
  *              model's interface placement.  The stall depth is the
- *              placement policy's loadUseDelay() -- 2 cycles for the
+ *              configuration's loadUseDelay() -- 2 cycles for the
  *              paper's off-chip NIC, 8 for the Section-4.2.3 far
  *              off-chip variant, 1 on-chip -- and 0 for kernels that
  *              run register-coupled (register-file placement, and the

@@ -105,7 +105,7 @@ struct Machine
     {
         sys.node(1).boot(server, server.addrOf("entry"));
         sys.node(1).mem().write(msg::allocPtrAddr, 0x40000);
-        if (server_model.policy().handlersOnNi()) {
+        if (server_model.policy().handlersOnNi) {
             isa::Program host = msg::assembleKernel(
                 msg::hostProxyProgram(server_model));
             sys.node(1).bootHost(host, host.addrOf("entry"));

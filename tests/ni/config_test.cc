@@ -1,6 +1,6 @@
 /**
  * @file
- * NiConfig::validate(), the placement-policy layer, and the model
+ * NiConfig::validate(), the placement table, and the model
  * registry.
  */
 
@@ -71,8 +71,7 @@ TEST(NiConfigValidate, RejectsZeroOutputDepth)
 
 TEST(NiConfigValidate, AcceptsEveryRegisteredTransportPolicy)
 {
-    for (const auto &info :
-         transport::PolicyRegistry::instance().all()) {
+    for (const auto &info : transport::registeredPolicies()) {
         ni::NiConfig cfg;
         cfg.transport.policy = info.name;
         EXPECT_NO_THROW(cfg.validate()) << info.name;
@@ -146,38 +145,48 @@ TEST(NiConfigValidate, RejectsZeroPaceAiKnobs)
     EXPECT_THROW(holdoff.validate(), FatalError);
 }
 
-TEST(PlacementPolicy, SingletonsMatchPlacement)
+TEST(PlacementTable, RowsPinEveryField)
 {
-    for (ni::Placement p : {ni::Placement::offChipCache,
-                            ni::Placement::onChipCache,
-                            ni::Placement::registerFile}) {
-        EXPECT_EQ(ni::placementPolicy(p).kind(), p);
+    struct Row
+    {
+        ni::Placement p;
+        const char *name, *shortName, *columnLabel;
+        bool registerMapped, offChip, escapeTable, handlersOnNi;
+        Cycles budget;
+    };
+    const Row rows[] = {
+        {ni::Placement::offChipCache, "Off-chip Cache", "off", "Off-chip",
+         false, true, false, false, 0},
+        {ni::Placement::onChipCache, "On-chip Cache", "on", "On-chip",
+         false, false, false, false, 0},
+        {ni::Placement::registerFile, "Register Mapped", "reg", "Reg",
+         true, false, true, false, 0},
+        {ni::Placement::onNi, "On-NI", "onni", "On-NI", false, true, true,
+         true, 64},
+    };
+    ASSERT_EQ(std::size(ni::placementTable), std::size(rows));
+    for (const Row &r : rows) {
+        const ni::PlacementPolicy &pol = ni::placementPolicy(r.p);
+        EXPECT_STREQ(pol.name, r.name);
+        EXPECT_STREQ(pol.shortName, r.shortName) << r.name;
+        EXPECT_STREQ(pol.columnLabel, r.columnLabel) << r.name;
+        EXPECT_EQ(pol.registerMapped, r.registerMapped) << r.name;
+        EXPECT_EQ(pol.offChip, r.offChip) << r.name;
+        EXPECT_EQ(pol.escapeTable, r.escapeTable) << r.name;
+        EXPECT_EQ(pol.handlersOnNi, r.handlersOnNi) << r.name;
+        EXPECT_EQ(pol.handlerTimeBudget, r.budget) << r.name;
+        // Only GPR output registers can be computed into directly.
+        EXPECT_EQ(pol.directCompose(), r.registerMapped) << r.name;
     }
 }
 
-TEST(PlacementPolicy, AddressingAndFolding)
-{
-    const auto &reg = ni::placementPolicy(ni::Placement::registerFile);
-    EXPECT_TRUE(reg.registerMapped());
-    EXPECT_TRUE(reg.foldedNiCommands());
-    EXPECT_TRUE(reg.directCompose());
-    EXPECT_TRUE(reg.optimizedKernelHasEscape());
-
-    for (ni::Placement p : {ni::Placement::offChipCache,
-                            ni::Placement::onChipCache}) {
-        const auto &pol = ni::placementPolicy(p);
-        EXPECT_FALSE(pol.registerMapped());
-        EXPECT_FALSE(pol.foldedNiCommands());
-        EXPECT_FALSE(pol.directCompose());
-        EXPECT_FALSE(pol.optimizedKernelHasEscape());
-    }
-}
-
-TEST(PlacementPolicy, LoadUseDelayTracksConfig)
+TEST(PlacementTable, LoadUseDelayTracksConfig)
 {
     ni::NiConfig cfg;
-    cfg.placement = ni::Placement::offChipCache;
     cfg.offChipLoadUseDelay = 8;
+    cfg.placement = ni::Placement::offChipCache;
+    EXPECT_EQ(cfg.loadUseDelay(), 8u);
+    cfg.placement = ni::Placement::onNi;
     EXPECT_EQ(cfg.loadUseDelay(), 8u);
 
     cfg.placement = ni::Placement::onChipCache;
@@ -244,7 +253,7 @@ TEST(ModelRegistry, OnNiPairRegistered)
         const ni::ModelInfo *info = ni::findModel(name);
         ASSERT_NE(info, nullptr) << name;
         EXPECT_EQ(info->model.placement, ni::Placement::onNi);
-        EXPECT_TRUE(info->model.policy().handlersOnNi());
+        EXPECT_TRUE(info->model.policy().handlersOnNi);
     }
 }
 

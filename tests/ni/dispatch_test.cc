@@ -14,7 +14,7 @@ NiConfig
 optCfg()
 {
     NiConfig c;
-    c.features = Features::optimized();
+    c.optimized = true;
     return c;
 }
 
@@ -171,7 +171,7 @@ TEST_F(MsgIpDispatch, ExceptionOverridesDispatch)
 TEST_F(MsgIpDispatch, BasicInterfaceHasNoMsgIp)
 {
     NiConfig basic;
-    basic.features = Features::basic();
+    basic.optimized = false;
     build(basic);
     send(*ni0, 1, 0);
     drain();

@@ -1,6 +1,9 @@
 #include "ni_fixture.hh"
 
+#include <sstream>
+
 #include "common/logging.hh"
+#include "common/trace.hh"
 
 using namespace tcpni;
 using namespace tcpni::ni;
@@ -12,7 +15,7 @@ NiConfig
 optCfg()
 {
     NiConfig c;
-    c.features = Features::optimized();
+    c.optimized = true;
     return c;
 }
 
@@ -20,7 +23,7 @@ NiConfig
 basicCfg()
 {
     NiConfig c;
-    c.features = Features::basic();
+    c.optimized = false;
     return c;
 }
 
@@ -292,20 +295,22 @@ TEST_F(NiFlowControl, QueueLengthsInStatus)
 
 TEST_F(NiBasicOps, MessageTracing)
 {
-    NiConfig cfg = optCfg();
-    cfg.traceMessages = true;
-    build(cfg);
+    build(optCfg());
 
-    // Capture stderr around a traced send + receive.
-    testing::internal::CaptureStderr();
-    bool saved = logging::quiet;
-    logging::quiet = false;
+    // Capture the NI trace flag's lines around a send + receive.
+    const bool was_on = trace::enabled(trace::Flag::NI);
+    std::ostringstream log;
+    trace::setStream(&log);
+    trace::enable(trace::Flag::NI);
     send(*ni0, 1, 3, 0x42);
     drain();
-    logging::quiet = saved;
-    std::string log = testing::internal::GetCapturedStderr();
+    if (!was_on)
+        trace::disable(trace::Flag::NI);
+    trace::setStream(nullptr);
 
-    EXPECT_NE(log.find("ni0 TX"), std::string::npos) << log;
-    EXPECT_NE(log.find("ni1 RX"), std::string::npos) << log;
-    EXPECT_NE(log.find("type=3"), std::string::npos) << log;
+    EXPECT_NE(log.str().find("ni0: SEND id="), std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("ni1: RX id="), std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("type=3"), std::string::npos) << log.str();
 }

@@ -10,7 +10,7 @@ NiConfig
 cfg()
 {
     NiConfig c;
-    c.features = Features::optimized();
+    c.optimized = true;
     return c;
 }
 

@@ -319,7 +319,7 @@ TEST(NiSaturation, FloodAssertsIafullVariantThenDrains)
 
     NiConfig cfg;
     cfg.placement = Placement::registerFile;
-    cfg.features = Features::optimized();
+    cfg.optimized = true;
     cfg.inputQueueDepth = 8;
     cfg.inputThreshold = 4;
     std::vector<std::unique_ptr<NetworkInterface>> nis;
@@ -395,7 +395,7 @@ TEST(NiSaturation, BackpressureAssertsOafullThenOverflowException)
 
     NiConfig cfg;
     cfg.placement = Placement::registerFile;
-    cfg.features = Features::optimized();
+    cfg.optimized = true;
     cfg.outputQueueDepth = 4;
     cfg.outputThreshold = 2;
     cfg.inputQueueDepth = 2;

@@ -156,12 +156,12 @@ runAndCheck(const FuzzCase &c, bool barrier)
     isa::Program server = msg::assembleKernel(
         msg::handlerProgram(model, false, false, true));
     isa::Program host;
-    if (model.policy().handlersOnNi())
+    if (model.policy().handlersOnNi)
         host = msg::assembleKernel(msg::hostProxyProgram(model));
     for (NodeId n = 1; n < c.nodes; ++n) {
         machine.node(n).boot(server, server.addrOf("entry"));
         machine.node(n).mem().write(msg::allocPtrAddr, 0x8000);
-        if (model.policy().handlersOnNi())
+        if (model.policy().handlersOnNi)
             machine.node(n).bootHost(host, host.addrOf("entry"));
     }
     tree.initFrames(machine, globalWord(0, notifyAddr), c.op);

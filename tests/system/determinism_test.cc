@@ -58,7 +58,7 @@ runWorkload()
 
     NodeConfig cfg;
     cfg.ni.placement = ni::Placement::registerFile;
-    cfg.ni.features = ni::Features::optimized();
+    cfg.ni.optimized = true;
     System machine("det", 2, 2, cfg);
 
     ni::Model model{ni::Placement::registerFile, true};

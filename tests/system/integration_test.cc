@@ -18,8 +18,7 @@ nodeCfg(ni::Placement p, bool optimized)
 {
     NodeConfig cfg;
     cfg.ni.placement = p;
-    cfg.ni.features =
-        optimized ? ni::Features::optimized() : ni::Features::basic();
+    cfg.ni.optimized = optimized;
     return cfg;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the transport-policy layer: the registry, the
+ * Unit tests for the transport-policy layer: the policy table, the
  * wouldHold()/gate() agreement contract every policy must keep (the
  * CPU's stall pre-check depends on it), and the window / paced
  * gating semantics in isolation.
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
 #include "transport/transport.hh"
@@ -20,30 +19,22 @@ using transport::Verdict;
 namespace
 {
 
-TEST(PolicyRegistry, SeedsTheThreeBuiltins)
+TEST(PolicyTable, ListsTheThreeBuiltins)
 {
-    auto &reg = transport::PolicyRegistry::instance();
-    for (const char *name : {"naive", "window", "paced"}) {
-        const auto *info = reg.find(name);
-        ASSERT_NE(info, nullptr) << name;
+    const char *const names[] = {"naive", "window", "paced"};
+    const auto &table = transport::registeredPolicies();
+    ASSERT_EQ(table.size(), std::size(names));
+    for (size_t i = 0; i < table.size(); ++i) {
+        EXPECT_STREQ(table[i].name, names[i]);
+        EXPECT_NE(*table[i].description, '\0') << names[i];
+        EXPECT_EQ(transport::findPolicy(names[i]), &table[i]);
         TransportConfig cfg;
-        cfg.policy = name;
-        auto p = transport::makePolicy(cfg);
-        EXPECT_STREQ(p->name(), name);
+        cfg.policy = names[i];
+        EXPECT_STREQ(table[i].make(cfg)->name(), names[i]);
+        EXPECT_STREQ(transport::makePolicy(cfg)->name(), names[i]);
     }
-    EXPECT_EQ(reg.find("carrier-pigeon"), nullptr);
-}
-
-TEST(PolicyRegistry, DuplicateNameIsFatal)
-{
-    EXPECT_THROW(transport::PolicyRegistry::instance().add(
-                     {"naive", "imposter", "policy_test.cc",
-                      [](const TransportConfig &) {
-                          TransportConfig c;
-                          c.policy = "naive";
-                          return transport::makePolicy(c);
-                      }}),
-                 FatalError);
+    EXPECT_EQ(transport::findPolicy("carrier-pigeon"), nullptr);
+    EXPECT_EQ(transport::policyNames(), "naive, window, paced");
 }
 
 TEST(NaivePolicy, NeverHolds)

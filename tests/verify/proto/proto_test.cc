@@ -77,8 +77,8 @@ summarize(const isa::Program &prog, const ni::Model &model,
           unsigned min_words, unsigned max_words, bool iafull = true)
 {
     v::Contract c;
-    c.kernelRegMapped = model.policy().registerMapped() ||
-                        model.policy().handlersOnNi();
+    c.kernelRegMapped = model.policy().registerMapped ||
+                        model.policy().handlersOnNi;
     v::Root r;
     r.entry = static_cast<Addr>(prog.symbols.at(label));
     r.name = label;

@@ -592,7 +592,7 @@ s:
 
 TEST(Hazard, StallDepthFollowsPlacementPolicy)
 {
-    // The note's cycle count comes from PlacementPolicy::loadUseDelay,
+    // The note's cycle count comes from NiConfig::loadUseDelay(),
     // not a hard-wired constant: the far off-chip variant (delay 8)
     // must report an 8-cycle stall for the very same kernel that
     // stalls 2 cycles on the paper's off-chip model.
