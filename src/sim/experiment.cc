@@ -1,7 +1,8 @@
 #include "sim/experiment.hh"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -71,6 +72,25 @@ printUsage(const Experiment &e, const char *prog)
     }
 }
 
+/** Parse @p text as a decimal count in [0, 4294967295] into @p out.
+ *  @return "" on success, else a diagnostic naming @p flag and the
+ *  text (a sign, a letter or an overflow must not run as some other
+ *  value). */
+std::string
+parseCount(const std::string &flag, const std::string &text,
+           uint32_t &out)
+{
+    uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > UINT32_MAX) {
+        return flag + " takes a decimal count in [0, 4294967295], got '" +
+               text + "'";
+    }
+    out = static_cast<uint32_t>(v);
+    return "";
+}
+
 /** Can @p path be opened for writing?  The probe appends nothing and
  *  truncates nothing, and removes the file again if it created it. */
 bool
@@ -99,7 +119,11 @@ Context::str(const std::string &flag) const
 long
 Context::num(const std::string &flag) const
 {
-    return std::atol(str(flag).c_str());
+    uint32_t v = 0;
+    const std::string err = parseCount(flag, str(flag), v);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    return v;
 }
 
 bool
@@ -166,10 +190,19 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
     std::string metrics_out;
     Tick sample_interval = 1024;
 
+    // A driver-level count; false (after the diagnostic) when bad.
+    auto count = [](const char *flag, const char *text, uint32_t &out) {
+        const std::string err = parseCount(flag, text, out);
+        if (!err.empty())
+            std::fprintf(stderr, "%s\n", err.c_str());
+        return err.empty();
+    };
+
     for (int i = 0; i < argc; ++i) {
         const char *a = argv[i];
         if (!std::strcmp(a, "--jobs") && i + 1 < argc) {
-            ctx.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!count(a, argv[++i], ctx.jobs))
+                return 1;
         } else if (!std::strcmp(a, "--metrics")) {
             metrics_on = true;
         } else if (!std::strcmp(a, "--metrics-out") && i + 1 < argc) {
@@ -177,8 +210,10 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
             metrics_on = true;
         } else if (!std::strcmp(a, "--sample-interval") &&
                    i + 1 < argc) {
-            sample_interval =
-                static_cast<Tick>(std::strtoull(argv[++i], nullptr, 10));
+            uint32_t ticks = 0;
+            if (!count(a, argv[++i], ticks))
+                return 1;
+            sample_interval = ticks;
             metrics_on = true;
         } else if (e->acceptsJson && !std::strcmp(a, "--json") &&
                    i + 1 < argc) {

@@ -88,6 +88,8 @@ class Context
 
     /** Parameter value by flag (e.g. "--n"); default when unset. */
     const std::string &str(const std::string &flag) const;
+    /** Parameter value as a decimal count in [0, 4294967295];
+     *  fatal()s naming the flag and the text on anything else. */
     long num(const std::string &flag) const;
     bool on(const std::string &flag) const;     //!< switch given?
 
