@@ -145,38 +145,54 @@ TEST(NiConfigValidate, RejectsZeroPaceAiKnobs)
     EXPECT_THROW(holdoff.validate(), FatalError);
 }
 
-TEST(PlacementTable, RowsPinEveryField)
+TEST(PlacementPolicy, SingletonsMatchPlacement)
 {
     struct Row
     {
         ni::Placement p;
         const char *name, *shortName, *columnLabel;
-        bool registerMapped, offChip, escapeTable, handlersOnNi;
-        Cycles budget;
     };
     const Row rows[] = {
-        {ni::Placement::offChipCache, "Off-chip Cache", "off", "Off-chip",
-         false, true, false, false, 0},
-        {ni::Placement::onChipCache, "On-chip Cache", "on", "On-chip",
-         false, false, false, false, 0},
-        {ni::Placement::registerFile, "Register Mapped", "reg", "Reg",
-         true, false, true, false, 0},
-        {ni::Placement::onNi, "On-NI", "onni", "On-NI", false, true, true,
-         true, 64},
+        {ni::Placement::offChipCache, "Off-chip Cache", "off", "Off-chip"},
+        {ni::Placement::onChipCache, "On-chip Cache", "on", "On-chip"},
+        {ni::Placement::registerFile, "Register Mapped", "reg", "Reg"},
+        {ni::Placement::onNi, "On-NI", "onni", "On-NI"},
     };
     ASSERT_EQ(std::size(ni::placementTable), std::size(rows));
     for (const Row &r : rows) {
         const ni::PlacementPolicy &pol = ni::placementPolicy(r.p);
+        // The row for a placement is the table entry at its index.
+        EXPECT_EQ(&pol, &ni::placementTable[static_cast<size_t>(r.p)]);
         EXPECT_STREQ(pol.name, r.name);
         EXPECT_STREQ(pol.shortName, r.shortName) << r.name;
         EXPECT_STREQ(pol.columnLabel, r.columnLabel) << r.name;
-        EXPECT_EQ(pol.registerMapped, r.registerMapped) << r.name;
-        EXPECT_EQ(pol.offChip, r.offChip) << r.name;
-        EXPECT_EQ(pol.escapeTable, r.escapeTable) << r.name;
-        EXPECT_EQ(pol.handlersOnNi, r.handlersOnNi) << r.name;
-        EXPECT_EQ(pol.handlerTimeBudget, r.budget) << r.name;
+    }
+}
+
+TEST(PlacementPolicy, AddressingAndFolding)
+{
+    struct Row
+    {
+        ni::Placement p;
+        bool registerMapped, offChip, escapeTable, handlersOnNi;
+        Cycles budget;
+    };
+    const Row rows[] = {
+        {ni::Placement::offChipCache, false, true, false, false, 0},
+        {ni::Placement::onChipCache, false, false, false, false, 0},
+        {ni::Placement::registerFile, true, false, true, false, 0},
+        {ni::Placement::onNi, false, true, true, true, 64},
+    };
+    ASSERT_EQ(std::size(ni::placementTable), std::size(rows));
+    for (const Row &r : rows) {
+        const ni::PlacementPolicy &pol = ni::placementPolicy(r.p);
+        EXPECT_EQ(pol.registerMapped, r.registerMapped) << pol.name;
+        EXPECT_EQ(pol.offChip, r.offChip) << pol.name;
+        EXPECT_EQ(pol.escapeTable, r.escapeTable) << pol.name;
+        EXPECT_EQ(pol.handlersOnNi, r.handlersOnNi) << pol.name;
+        EXPECT_EQ(pol.handlerTimeBudget, r.budget) << pol.name;
         // Only GPR output registers can be computed into directly.
-        EXPECT_EQ(pol.directCompose(), r.registerMapped) << r.name;
+        EXPECT_EQ(pol.directCompose(), r.registerMapped) << pol.name;
     }
 }
 
