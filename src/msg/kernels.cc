@@ -1,5 +1,7 @@
 #include "msg/kernels.hh"
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -87,6 +89,245 @@ assembleKernel(const std::string &src)
 namespace
 {
 
+std::string
+trim(const std::string &s)
+{
+    size_t b = s.find_first_not_of(" \t");
+    if (b == std::string::npos)
+        return "";
+    return s.substr(b, s.find_last_not_of(" \t") - b + 1);
+}
+
+/** Word index of an operand `iN` (@p bank 'i') or `oN`, else -1. */
+int
+niWord(const std::string &op, char bank)
+{
+    if (op.size() < 2 || op[0] != bank ||
+        op.find_first_not_of("0123456789", 1) != std::string::npos)
+        return -1;
+    return std::stoi(op.substr(1));
+}
+
+bool
+isNiReg(const std::string &op)
+{
+    return niWord(op, 'i') >= 0 || niWord(op, 'o') >= 0 ||
+           op == "status" || op == "control" || op == "msgip" ||
+           op == "nextmsgip" || op == "ipbase";
+}
+
+/** "mn a, b, c" -> {"mn", "a", "b", "c"}. */
+std::vector<std::string>
+splitInsn(const std::string &code)
+{
+    std::istringstream is(code);
+    std::vector<std::string> v(1);
+    is >> v[0];
+    for (std::string op; std::getline(is, op, ',');)
+        v.push_back(trim(op));
+    return v;
+}
+
+/**
+ * One NI access form and its spelling, per line, in each of the four
+ * (register|cache) x (optimized|basic) spellings; nullptr keeps the
+ * source line.  Placeholders: {d}/{s} a register r0..r15, {n} a word
+ * index, {x}/{t} any non-NI operand, {z} a type whose id is 0; $s is
+ * the spelling's scratch register and $z its zero-id register.
+ */
+struct NiRule
+{
+    const char *form;
+    const char *spell[4];   //!< reg-opt, reg-basic, cache-opt, cache-basic
+};
+
+const NiRule niRules[] = {
+    {"add {d}, i{n}, r0",
+     {nullptr, nullptr, "ldi  {d}, r10, NI_I{n}", "ldi  {d}, r10, NI_I{n}"}},
+    {"addi {d}, i{n}, {x}",
+     {nullptr, nullptr, "ldi  {d}, r10, NI_I{n}\naddi {d}, {d}, {x}",
+      "ldi  {d}, r10, NI_I{n}\naddi {d}, {d}, {x}"}},
+    {"add o{n}, {s}, r0",
+     {nullptr, nullptr, "sti  {s}, r10, NI_O{n}", "sti  {s}, r10, NI_O{n}"}},
+    {"addi o{n}, r0, 0",
+     {nullptr, nullptr, "sti  r0, r10, NI_O{n}", "sti  r0, r10, NI_O{n}"}},
+    {"ld o{n}, {s}, {x}",
+     {nullptr, nullptr, "ld   $s, {s}, {x}\nsti  $s, r10, NI_O{n}",
+      "ld   $s, {s}, {x}\nsti  $s, r10, NI_O{n}"}},
+    {"ldi o{n}, {s}, {x}",
+     {nullptr, nullptr, "ldi  $s, {s}, {x}\nsti  $s, r10, NI_O{n}",
+      "ldi  $s, {s}, {x}\nsti  $s, r10, NI_O{n}"}},
+    {"next",
+     {nullptr, nullptr, "ldi  r0, r10, NI_NEXT", "ldi  r0, r10, NI_NEXT"}},
+    {"send {z}",
+     {"send {z}", "addi o4, r0, {z}\nsend",
+      "ldi  r0, r10, NI_SEND | NI_TYPE*{z}", "sti  $z, r10, NI_O4 | NI_SEND"}},
+    {"send {t}",
+     {"send {t}", "addi o4, r0, {t}\nsend",
+      "ldi  r0, r10, NI_SEND | NI_TYPE*{t}",
+      "addi $s, r0, {t}\nsti  $s, r10, NI_O4 | NI_SEND"}},
+    {"send {t}, held",
+     {"send {t}", "send", "ldi  r0, r10, NI_SEND | NI_TYPE*{t}",
+      "ldi  r0, r10, NI_SEND"}},
+    {"msgid {z}", {"", "addi o4, r0, {z}", "", "sti  $z, r10, NI_O4"}},
+    {"msgid {t}",
+     {"", "addi o4, r0, {t}", "", "addi $s, r0, {t}\nsti  $s, r10, NI_O4"}},
+    {"jmp msgip",
+     {nullptr, "br   disp_coll",
+      ".region dispatching\nldi  r15, r10, NI_MSGIP\njmp  r15",
+      "br   disp_coll"}},
+};
+
+bool
+isGpr(const std::string &op)
+{
+    return op.size() >= 2 && op[0] == 'r' &&
+           op.find_first_not_of("0123456789", 1) == std::string::npos &&
+           std::stoi(op.substr(1)) < 16;
+}
+
+/** Match @p insn against the split form @p pat, binding placeholders. */
+bool
+matchForm(const std::vector<std::string> &insn,
+          const std::vector<std::string> &pat,
+          std::map<std::string, std::string> &bind)
+{
+    if (pat.size() != insn.size() || pat[0] != insn[0])
+        return false;
+    bind.clear();
+    for (size_t i = 1; i < pat.size(); ++i) {
+        const std::string &p = pat[i], &o = insn[i];
+        size_t open = p.find('{');
+        if (open == std::string::npos) {
+            if (p != o)
+                return false;
+            continue;
+        }
+        char key = p[open + 1];
+        bool ok;
+        if (key == 'n') {
+            ok = niWord(o, p[0]) >= 0;
+        } else if (key == 'd' || key == 's') {
+            ok = isGpr(o);
+        } else if (key == 'z') {
+            auto sym = kernelSymbols().find(o);
+            ok = o == "0" ||
+                 (sym != kernelSymbols().end() && sym->second == 0);
+        } else {
+            ok = !isNiReg(o);
+        }
+        if (!ok)
+            return false;
+        bind[p.substr(open, 3)] = o.substr(open);
+    }
+    return true;
+}
+
+} // namespace
+
+std::string
+lowerNiAccess(const std::string &src, const NiSpelling &sp)
+{
+    const int column = (sp.registerMapped ? 0 : 2) + (sp.optimized ? 0 : 1);
+    const std::map<std::string, bool> facts = {
+        {"reg", sp.registerMapped}, {"cache", !sp.registerMapped},
+        {"opt", sp.optimized}, {"basic", !sp.optimized},
+        {"hpu", sp.hpu}, {"host", !sp.hpu}};
+    std::istringstream in(src);
+    std::ostringstream out;
+    unsigned lineno = 0;
+    for (std::string raw; std::getline(in, raw);) {
+        ++lineno;
+        auto reject = [&](const char *why) {
+            fatal("kernel source line %u: %s: '%s'", lineno, why,
+                  trim(raw).c_str());
+        };
+
+        // A leading [tags] guard keeps the line only in the spellings
+        // that match every tag.
+        std::string line = raw;
+        if (std::string head = trim(raw); !head.empty() && head[0] == '[') {
+            size_t close = head.find(']');
+            if (close == std::string::npos)
+                reject("unterminated spelling guard");
+            bool keep = true;
+            std::istringstream tags(head.substr(1, close - 1));
+            for (std::string t; tags >> t;) {
+                auto fact = facts.find(t);
+                if (fact == facts.end())
+                    reject("unknown spelling guard");
+                keep &= fact->second;
+            }
+            if (!keep)
+                continue;
+            std::string rest = trim(head.substr(close + 1));
+            line = rest.empty() ? "" : "    " + rest;
+        }
+
+        size_t semi = line.find(';');
+        std::string code = trim(line.substr(0, semi));
+        if (code.empty() || code[0] == '.' || code.back() == ':') {
+            out << line << "\n";
+            continue;
+        }
+        if (code.find('!') != std::string::npos)
+            reject("instruction-bit NI command has no portable spelling");
+        std::vector<std::string> insn = splitInsn(code);
+        for (size_t i = 1; i < insn.size(); ++i) {
+            if (std::max(niWord(insn[i], 'i'), niWord(insn[i], 'o')) > 4)
+                reject("NI word index outside 0..4");
+        }
+
+        static const auto forms = [] {
+            std::vector<std::vector<std::string>> v;
+            for (const NiRule &r : niRules)
+                v.push_back(splitInsn(r.form));
+            return v;
+        }();
+        const NiRule *rule = nullptr;
+        std::map<std::string, std::string> bind;
+        for (size_t r = 0; r < forms.size() && !rule; ++r) {
+            if (matchForm(insn, forms[r], bind))
+                rule = &niRules[r];
+        }
+        if (!rule) {
+            static const std::set<std::string> ni_ops = {
+                "next", "send", "msgid", "reply", "forward"};
+            if (ni_ops.count(insn[0]))
+                reject("unknown NI pseudo-op");
+            if (std::any_of(insn.begin() + 1, insn.end(), isNiReg))
+                reject("no spelling rule for this NI access");
+        }
+        if (!rule || !rule->spell[column]) {
+            out << line << "\n";
+            continue;
+        }
+
+        // Spell it; the source comment rides on the last line.
+        std::string text = rule->spell[column];
+        bind["$s"] = sp.scratch;
+        bind["$z"] = sp.zeroIdReg;
+        for (const auto &[key, val] : bind) {
+            for (size_t at; (at = text.find(key)) != std::string::npos;)
+                text.replace(at, key.size(), val);
+        }
+        std::string comment =
+            semi == std::string::npos ? "" : line.substr(semi);
+        std::istringstream lines(text);
+        for (std::string l; std::getline(lines, l);) {
+            out << "    " << l;
+            if (lines.peek() == EOF && !comment.empty())
+                out << std::string(l.size() < 27 ? 27 - l.size() : 1, ' ')
+                    << comment;
+            out << "\n";
+        }
+    }
+    return out.str();
+}
+
+namespace
+{
+
 /** Pad to the next dispatch-table slot. */
 const char *slotAlign = "    .align HANDLER_STRIDE\n";
 
@@ -162,77 +403,61 @@ optVariantBanks(bool reg_mapped, bool has_escape, bool collectives)
 }
 
 /**
- * Base-table dispatch slots for the collective types (9..12): the
- * bodies are far larger than a 128-byte slot, so each slot is one
- * branch.  The h_* labels double as the static verifier's marker that
- * this kernel implements the collective protocol (verify/contract.cc
- * keys the extra required types off `h_barup`).
+ * Base-table dispatch slots 7..@p last: unassigned types halt loudly;
+ * with @p collectives each collective type (9..12) branches to its
+ * body, which is far larger than a 128-byte slot.  The h_* labels
+ * double as the static verifier's marker that this kernel implements
+ * the collective protocol (verify/contract.cc keys the extra required
+ * types off `h_barup`).
  */
 std::string
-optCollSlots()
+optMiddleSlots(bool collectives, unsigned last)
 {
-    static const struct { const char *slot, *body; } slots[] = {
-        {"h_barup", "coll_barup"}, {"h_bardn", "coll_bardn"},
-        {"h_mcast", "coll_mcast"}, {"h_reduce", "coll_reduce"},
-    };
+    static const char *coll[] = {"barup", "bardn", "mcast", "reduce"};
     std::ostringstream os;
-    for (const auto &s : slots) {
-        os << "    .region dispatching\n"
-           << s.slot << ":\n"
-           << "    br   " << s.body << "\n"
-           << "    nop\n" << slotAlign;
+    for (unsigned s = 7; s <= last; ++s) {
+        if (collectives && s >= typeBarUp && s <= typeReduce) {
+            const char *t = coll[s - typeBarUp];
+            os << "    .region dispatching\nh_" << t << ":\n    br   hb_"
+               << t << "\n    nop\n";
+        } else {
+            os << "    halt\n";
+        }
+        os << slotAlign;
     }
     return os.str();
 }
 
 /**
- * The collective handler bodies shared by the register-coupled
- * handler sets (optimized register-mapped host kernels and the HPU).
- * Dispatch slots 9..12 branch here.  The discipline the protocol
- * analyzer certifies:
+ * The collective tree handlers (BARUP/BARDN/MCAST/REDUCE), one source
+ * lowered by lowerNiAccess() for every spelling.  Optimized dispatch
+ * slots 9..12 branch here; the basic software table points here.  The
+ * discipline the protocol analyzer certifies:
  *
  *  - consume-before-send: every path copies its input words into
  *    scalars and retires the input-queue slot (NEXT) before its first
  *    SEND, so a full input queue can always drain (proto-deadlock);
  *  - static hop decrement: every retransmitted tree message carries
- *    hop-1 in word 1, computed from i1 before NEXT, bounding the
- *    fan-out statically (proto-forward);
+ *    hop-1 in word 1, computed from i1 before NEXT (proto-forward);
  *  - the combine frame is an I-structure: CF_COUNT is armed to fan+1,
  *    these handlers are its only writers, and the join re-arms the
  *    count and accumulator before any send, so back-to-back
  *    collectives pipeline over the same frames.
  *
- * With @p hpu the root completion escapes through the host-proxy ring
- * -- one store to r3 = HPU_PROXY *before* NEXT, while the joining
- * message is still current so the proxy slot carries the right id and
- * frame pointer -- and the host proxy publishes the completion SEND
- * (hp_coll).  Interior nodes never escape: their hops cost zero host
- * cycles.  Host kernels send the root completion directly.
+ * On the HPU the root completion escapes through the host-proxy ring
+ * -- one store to r3 = HPU_PROXY before NEXT, while the joining
+ * message is still current -- and the host proxy publishes the
+ * completion SEND (hp_coll); interior hops cost zero host cycles.
+ * The [opt] comment and [cache opt] blank lines keep the cache-mapped
+ * listings line for line with the lint golden; the [reg ...] o2
+ * writes are redundant (output words persist across sends) but are
+ * the register-mapped schedules' words.
  */
-std::string
-regCollBodies(bool hpu)
-{
-    const char *barup_complete = hpu
-        ? "    st   r0, r3, r0            ; escape: host sends completion\n"
-          "    next\n"
-        : "    next\n";
-    const char *barup_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    send T_SEND\n";
-    const char *red_complete = barup_complete;
-    const char *red_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    add  o2, r7, r0\n"
-          "    send T_SEND\n";
-
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (slots 9..12 branch here) ------
+const char *const collectiveSource = R"(
+    ; ------ collective tree handlers ------
     ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
     .region processing
-coll_barup:
+hb_barup:
     add  r5, i0, r0
     addi r6, i1, -1            ; hop budget, statically decremented
     ldi  r7, r5, CF_COUNT
@@ -252,23 +477,28 @@ coll_barup:
     ldi  r7, r5, CF_DONE
     addi r7, r7, 1
     sti  r7, r5, CF_DONE
-)" << barup_complete << R"(
-    ; release every child
+[hpu]       st   r0, r3, r0    ; escape: host sends completion
+    next
+[opt]       ; release every child
     add  o1, r6, r0
+    msgid T_BARDN              ; the id persists across the sends
     ldi  r9, r5, CF_FAN
     addi r2, r5, CF_CHILD
 coll_barup_fan:
     beqz r9, coll_barup_done
     nop
     ld   o0, r2, r0
-    send T_BARDN
+    send T_BARDN, held
     addi r2, r2, 4
     br   coll_barup_fan
     addi r9, r9, -1            ; delay
 coll_barup_done:
-)" << barup_notify << R"(
+[host]      ldi  o0, r5, CF_NOTIFY
+[host]      addi o1, r0, 0
+[host]      send T_SEND
     jmp  msgip
     nop
+[cache opt]
 coll_barup_up:
     ; interior join: forward the arrival to the parent frame
     next
@@ -277,6 +507,7 @@ coll_barup_up:
     send T_BARUP
     jmp  msgip
     nop
+[cache opt]
 coll_out:
     next
     jmp  msgip
@@ -284,7 +515,7 @@ coll_out:
 
     ; BARDN: i0 = own frame FP, i1 = hop budget.
     .region processing
-coll_bardn:
+hb_bardn:
     add  r5, i0, r0
     addi r6, i1, -1
     ldi  r7, r5, CF_DONE
@@ -292,13 +523,14 @@ coll_bardn:
     sti  r7, r5, CF_DONE
     next
     add  o1, r6, r0
+    msgid T_BARDN
     ldi  r9, r5, CF_FAN
     addi r2, r5, CF_CHILD
 coll_bardn_fan:
     beqz r9, coll_bardn_done
     nop
     ld   o0, r2, r0
-    send T_BARDN
+    send T_BARDN, held
     addi r2, r2, 4
     br   coll_bardn_fan
     addi r9, r9, -1
@@ -311,7 +543,7 @@ coll_bardn_done:
 
     ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
     .region processing
-coll_mcast:
+hb_mcast:
     add  r5, i0, r0
     addi r6, i1, -1
     add  r8, i2, r0
@@ -322,27 +554,28 @@ coll_mcast:
     next
     add  o1, r6, r0
     add  o2, r8, r0
+    msgid T_MCAST
     ldi  r9, r5, CF_FAN
     addi r2, r5, CF_CHILD
 coll_mcast_fan:
     beqz r9, coll_mcast_done
     nop
     ld   o0, r2, r0
-    send T_MCAST
+    send T_MCAST, held
     addi r2, r2, 4
     br   coll_mcast_fan
     addi r9, r9, -1
 coll_mcast_done:
     ldi  o0, r5, CF_NOTIFY
     addi o1, r0, 0
-    add  o2, r8, r0
+[reg opt]   add  o2, r8, r0
     send T_SEND
     jmp  msgip
     nop
 
     ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
     .region processing
-coll_reduce:
+hb_reduce:
     add  r5, i0, r0
     addi r6, i1, -1
     add  r8, i2, r0
@@ -382,23 +615,29 @@ coll_red_join:
     ldi  r2, r5, CF_DONE
     addi r2, r2, 1
     sti  r2, r5, CF_DONE
-)" << red_complete << R"(
+[hpu]       st   r0, r3, r0    ; escape: host sends completion
+    next
     add  o1, r6, r0
     add  o2, r7, r0
+    msgid T_MCAST
     ldi  r9, r5, CF_FAN
     addi r2, r5, CF_CHILD
 coll_red_fan:
     beqz r9, coll_red_done
     nop
     ld   o0, r2, r0
-    send T_MCAST
+    send T_MCAST, held
     addi r2, r2, 4
     br   coll_red_fan
     addi r9, r9, -1
 coll_red_done:
-)" << red_notify << R"(
+[host]      ldi  o0, r5, CF_NOTIFY
+[host]      addi o1, r0, 0
+[reg host]  add  o2, r7, r0
+[host]      send T_SEND
     jmp  msgip
     nop
+[cache opt]
 coll_red_up:
     ; interior join: forward the partial reduction to the parent
     next
@@ -410,225 +649,108 @@ coll_red_up:
     jmp  msgip
     nop
 )";
-    return os.str();
+
+/** The collective bodies in @p sp's spelling. */
+std::string
+collBodies(const NiSpelling &sp)
+{
+    return lowerNiAccess(collectiveSource, sp);
 }
 
 /**
- * The collective handler bodies for the optimized cache-mapped
- * kernels: the regCollBodies() logic through the memory-mapped
- * command window.  Dispatch re-reads MsgIp after NEXT (the no-overlap
- * tail) on every exit path -- correct under both cache-opt variants,
- * so both share these bodies.
+ * Hand-scheduled (the paper's Table-1 schedule): the optimized
+ * register-mapped handler set.  Handlers live in the MsgIp dispatch
+ * table; every handler ends with `jmp nextmsgip` whose delay slot holds
+ * the final processing instruction (the Section-2.2.3 overlap), so
+ * dispatch costs a single cycle.
+ *
+ * With @p hpu it is the On-NI set: the register-coupled HPU runs these
+ * fast paths, and the deferred-list work (parking a PREAD, every
+ * PWRITE) and the STOP notice escape to the host -- one store to
+ * HPU_PROXY (r3) ships the message to hostProxyProgram, keeping every
+ * handler within its time budget.  The host proxy is the single writer
+ * of I-structure state, so no HPU fill races a park; the ring is FIFO.
  */
 std::string
-cacheCollBodies()
+regOptHandlers(bool collectives, bool hpu)
 {
-    // The shared post-NEXT dispatch exit.
-    const char *exit_tail =
-        "    .region dispatching\n"
-        "    ldi  r15, r10, NI_MSGIP\n"
-        "    jmp  r15\n"
-        "    nop\n";
+    const char *pread_slow = hpu ? R"(
+    ; EMPTY or DEFERRED: parking this reader is host work.
+    .region dispatching
+    jmp  nextmsgip
+    .region processing
+    st   r0, r3, r0 !next
+)" : R"(
+    ; EMPTY or DEFERRED: append this reader to the deferred list.
+    ldi  r8, r0, ALLOC_PTR
+    addi r7, r8, DN_SIZE
+    sti  r7, r0, ALLOC_PTR
+    st   i1, r8, r0            ; node.fp
+    bnez r5, pread_defer
+    sti  i2, r8, DN_IP         ; delay: node.ip
+    sti  r0, r8, DN_NEXT       ; EMPTY: list ends here
+    br   pread_link
+    nop
+pread_defer:
+    sti  r6, r8, DN_NEXT       ; DEFERRED: chain the old head
+pread_link:
+    sti  r8, i0, IS_VALUE
+    addi r7, r0, TAG_DEFERRED
+    .region dispatching
+    jmp  nextmsgip
+    .region processing
+    st   r7, i0, r0 !next
+)";
+    const char *pwrite = hpu ? R"(
+    ; slot 5: PWRITE escapes (the host is the I-structure's writer).
+    .region dispatching
+h_pwrite:
+    jmp  nextmsgip
+    .region processing
+    st   r0, r3, r0 !next
+)" : R"(
+    ; slot 5: PWRITE.  i0 = element, i1 = ack word, i2 = value.
+    .region processing
+h_pwrite:
+    ld   r5, i0, r0            ; tag
+    ld   r6, i0, r4            ; deferred-list head (if any)
+    st   i2, i0, r4            ; value
+    addi r7, r0, TAG_FULL
+    st   r7, i0, r0            ; tag = FULL
+    beqz i1, pwrite_chk
+    add  o0, i1, r0            ; delay: ack destination (harmless)
+    send T_ACK
+pwrite_chk:
+    addi r7, r5, -TAG_DEFERRED
+    bnez r7, pwrite_done
+    nop
+pwrite_loop:
+    ; Forward the value to each deferred reader.  FORWARD mode takes
+    ; the value straight from i2 (Section 2.2.2).
+    ldi  o0, r6, DN_FP
+    ldi  o1, r6, DN_IP
+    forward 0
+    ldi  r6, r6, DN_NEXT
+    bnez r6, pwrite_loop
+    nop
+pwrite_done:
+    .region dispatching
+    jmp  nextmsgip
+    .region processing
+    next
+)";
+    const char *stop = hpu ? R"(
+    ; slot 15: STOP -- tell the host service loop to halt, then stop.
+    .region processing
+h_stop:
+    sti  r0, r3, 0
+    halt
+)" : R"(
+    ; slot 15: STOP -- the harness halts the server.
+h_stop:
+    halt
+)";
 
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (slots 9..12 branch here) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-coll_barup:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, coll_out
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, coll_barup_up
-    nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    ; release every child
-    sti  r6, r10, NI_O1
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_barup_fan:
-    beqz r9, coll_barup_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARDN
-    addi r2, r2, 4
-    br   coll_barup_fan
-    addi r9, r9, -1            ; delay
-coll_barup_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-coll_barup_up:
-    ; interior join: forward the arrival to the parent frame
-    ldi  r0, r10, NI_NEXT
-    sti  r8, r10, NI_O0
-    sti  r6, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARUP
-)" << exit_tail << R"(
-coll_out:
-    ldi  r0, r10, NI_NEXT
-)" << exit_tail << R"(
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-coll_bardn:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_bardn_fan:
-    beqz r9, coll_bardn_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARDN
-    addi r2, r2, 4
-    br   coll_bardn_fan
-    addi r9, r9, -1
-coll_bardn_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-coll_mcast:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r8, r10, NI_O2
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_mcast_fan:
-    beqz r9, coll_mcast_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST
-    addi r2, r2, 4
-    br   coll_mcast_fan
-    addi r9, r9, -1
-coll_mcast_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-coll_reduce:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    ldi  r9, r10, NI_I3
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, coll_red_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, coll_red_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   coll_red_join
-    nop
-coll_red_xor:
-    xor  r7, r7, r8
-    br   coll_red_join
-    nop
-coll_red_and:
-    and  r7, r7, r8
-coll_red_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, coll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, coll_red_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_red_fan:
-    beqz r9, coll_red_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST
-    addi r2, r2, 4
-    br   coll_red_fan
-    addi r9, r9, -1
-coll_red_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-coll_red_up:
-    ; interior join: forward the partial reduction to the parent
-    ldi  r0, r10, NI_NEXT
-    sti  r2, r10, NI_O0
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    sti  r9, r10, NI_O3
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_REDUCE
-)" << exit_tail;
-    return os.str();
-}
-
-/**
- * The optimized register-mapped handler set.  Handlers live in the
- * MsgIp dispatch table; every handler ends with `jmp nextmsgip` whose
- * delay slot holds the final processing instruction (the Section-2.2.3
- * overlap), so dispatch costs a single cycle.
- */
-std::string
-regOptHandlers(bool collectives)
-{
     std::ostringstream os;
     os << R"(
     ; ------ optimized register-mapped handler table ------
@@ -672,57 +794,7 @@ h_pread:
     jmp  nextmsgip
     .region processing
     reply 0 !next
-pread_slow:
-    ; EMPTY or DEFERRED: append this reader to the deferred list.
-    ldi  r8, r0, ALLOC_PTR
-    addi r7, r8, DN_SIZE
-    sti  r7, r0, ALLOC_PTR
-    st   i1, r8, r0            ; node.fp
-    bnez r5, pread_defer
-    sti  i2, r8, DN_IP         ; delay: node.ip
-    sti  r0, r8, DN_NEXT       ; EMPTY: list ends here
-    br   pread_link
-    nop
-pread_defer:
-    sti  r6, r8, DN_NEXT       ; DEFERRED: chain the old head
-pread_link:
-    sti  r8, i0, IS_VALUE
-    addi r7, r0, TAG_DEFERRED
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    st   r7, i0, r0 !next
-)" << slotAlign << R"(
-    ; slot 5: PWRITE.  i0 = element, i1 = ack word, i2 = value.
-    .region processing
-h_pwrite:
-    ld   r5, i0, r0            ; tag
-    ld   r6, i0, r4            ; deferred-list head (if any)
-    st   i2, i0, r4            ; value
-    addi r7, r0, TAG_FULL
-    st   r7, i0, r0            ; tag = FULL
-    beqz i1, pwrite_chk
-    add  o0, i1, r0            ; delay: ack destination (harmless)
-    send T_ACK
-pwrite_chk:
-    addi r7, r5, -TAG_DEFERRED
-    bnez r7, pwrite_done
-    nop
-pwrite_loop:
-    ; Forward the value to each deferred reader.  FORWARD mode takes
-    ; the value straight from i2 (Section 2.2.2).
-    ldi  o0, r6, DN_FP
-    ldi  o1, r6, DN_IP
-    forward 0
-    ldi  r6, r6, DN_NEXT
-    bnez r6, pwrite_loop
-    nop
-pwrite_done:
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    next
-)" << slotAlign << R"(
+pread_slow:)" << pread_slow << slotAlign << pwrite << slotAlign << R"(
     ; slot 6: ACK -- decrement the addressed completion counter.
     .region processing
 h_ack:
@@ -732,21 +804,7 @@ h_ack:
     jmp  nextmsgip
     .region processing
     st   r5, i0, r0 !next
-)" << slotAlign;
-
-    // Slots 7..8: unassigned types halt loudly; 9..12 dispatch the
-    // collective tree handlers when enabled; 13 is unassigned.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    os << "    halt\n" << slotAlign;
-
-    os << R"(
+)" << slotAlign << optMiddleSlots(collectives, 13) << R"(
     ; slot 14: the ESCAPE type (Section 2.2.1): messages whose real
     ; identifier does not fit in four bits carry it in word 4; the
     ; escape handler dispatches through a software table, exactly the
@@ -757,12 +815,9 @@ h_escape:
     ld   r6, r13, r5           ; r13 = escape table base (setup)
     jmp  r6
     nop
-)" << slotAlign << R"(
-    ; slot 15: STOP -- the harness halts the server.
-h_stop:
-    halt
-)" << slotAlign << optVariantBanks(true, true, collectives)
-       << (collectives ? regCollBodies(false) : "") << R"(
+)" << slotAlign << stop << slotAlign
+       << optVariantBanks(true, true, collectives)
+       << (collectives ? collBodies({true, true, hpu}) : "") << R"(
     ; ------ escape-dispatched handlers (identifiers >= 16) ------
     ; id 0 in the escape table: store word 2 at the address in word 1.
     .region processing
@@ -801,7 +856,7 @@ h_send2:
 entry:
     li   ipbase, 0x4000
     addi r4, r0, 4
-    ; escape dispatch table: one entry so far
+)" << (hpu ? "    li   r3, HPU_PROXY\n" : "") << R"(    ; escape dispatch table: one entry so far
     li   r13, ESC_TABLE
     li   r2, h_esc_poke
     sti  r2, r13, 0
@@ -810,6 +865,33 @@ entry:
 )";
     return os.str();
 }
+
+/** The optimized cache-mapped sets' shared slots 0..1 and entry. */
+const char *const cacheOptPoll = R"(
+    .region dispatching
+poll:
+    ldi  r15, r10, NI_MSGIP
+    jmp  r15
+    nop
+    .align HANDLER_STRIDE
+
+    .region exception
+exc:
+    halt
+    .align HANDLER_STRIDE
+)";
+const char *const cacheOptEntry = R"(
+    ; ------ entry ------
+    .region setup
+entry:
+    li   r10, NI_BASE
+    li   r11, NI_O2 | NI_REPLY | NI_NEXT
+    addi r4, r0, 4
+    li   r5, 0x4000
+    sti  r5, r10, NI_IPBASE
+    br   poll
+    nop
+)";
 
 /**
  * The optimized cache-mapped handler set (on- and off-chip share the
@@ -826,17 +908,7 @@ cacheOptHandlers(bool collectives)
     ; ------ optimized cache-mapped handler table ------
     ; r10 = NI_BASE, r11 = reply-store offset, r4 = 4, r15 = target
     .org 0x4000
-
-    .region dispatching
-poll:
-    ldi  r15, r10, NI_MSGIP
-    jmp  r15
-    nop
-)" << slotAlign << R"(
-    .region exception
-exc:
-    halt
-)" << slotAlign << R"(
+)" << cacheOptPoll << R"(
     ; slot 2: READ.
     .region dispatching
 h_read:
@@ -949,26 +1021,11 @@ h_ack:
     jmp  r15
     .region processing
     ldi  r0, r10, NI_NEXT
-)" << slotAlign;
-
-    // Slots 7..8 and 13..14 (no escape type here) halt loudly; 9..12
-    // dispatch the collective tree handlers when enabled.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    for (int s = 13; s <= 14; ++s)
-        os << "    halt\n" << slotAlign;
-
-    os << R"(
+)" << slotAlign << optMiddleSlots(collectives, 14) << R"(
 h_stop:
     halt
 )" << slotAlign << optVariantBanks(false, false, collectives)
-       << (collectives ? cacheCollBodies() : "") << R"(
+       << (collectives ? collBodies({false, true}) : "") << R"(
     ; ------ type-0 (Send) inlets ------
     .region dispatching
 h_send0:
@@ -1003,18 +1060,7 @@ h_send2:
     jmp  r15
     .region processing
     st   r7, r9, r4
-
-    ; ------ entry ------
-    .region setup
-entry:
-    li   r10, NI_BASE
-    li   r11, NI_O2 | NI_REPLY | NI_NEXT
-    addi r4, r0, 4
-    li   r5, 0x4000
-    sti  r5, r10, NI_IPBASE
-    br   poll
-    nop
-)";
+)" << cacheOptEntry;
     return os.str();
 }
 
@@ -1043,17 +1089,7 @@ cacheOptHandlersNoOverlap(bool collectives)
     os << R"(
     ; ------ optimized cache-mapped handlers, no dispatch overlap ------
     .org 0x4000
-
-    .region dispatching
-poll:
-    ldi  r15, r10, NI_MSGIP
-    jmp  r15
-    nop
-)" << slotAlign << R"(
-    .region exception
-exc:
-    halt
-)" << slotAlign << R"(
+)" << cacheOptPoll << R"(
     .region processing
 h_read:
     ldi  r5, r10, NI_I0
@@ -1133,27 +1169,11 @@ h_ack:
     addi r6, r6, -1
     st   r6, r5, r0
     ldi  r0, r10, NI_NEXT
-)" << tail() << slotAlign;
-
-    // Same slot layout as the overlapped variant; the collective
-    // bodies dispatch MsgIp-after-NEXT on every exit, which is the
-    // no-overlap discipline already, so the bodies are shared.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    for (int s = 13; s <= 14; ++s)
-        os << "    halt\n" << slotAlign;
-
-    os << R"(
+)" << tail() << slotAlign << optMiddleSlots(collectives, 14) << R"(
 h_stop:
     halt
 )" << slotAlign << optVariantBanks(false, false, collectives)
-       << (collectives ? cacheCollBodies() : "") << R"(
+       << (collectives ? collBodies({false, true}) : "") << R"(
     ; ------ type-0 (Send) inlets ------
     .region processing
 h_send0:
@@ -1172,18 +1192,7 @@ h_send2:
     ldi  r7, r10, NI_I3 | NI_NEXT
     st   r6, r9, r0
     st   r7, r9, r4
-)" << tail() << R"(
-    ; ------ entry ------
-    .region setup
-entry:
-    li   r10, NI_BASE
-    li   r11, NI_O2 | NI_REPLY | NI_NEXT
-    addi r4, r0, 4
-    li   r5, 0x4000
-    sti  r5, r10, NI_IPBASE
-    br   poll
-    nop
-)";
+)" << tail() << cacheOptEntry;
     return os.str();
 }
 
@@ -1236,473 +1245,92 @@ cacheBasicDispTail(const std::string &tag, bool sw_checks)
 std::string
 basicTableInit(bool collectives)
 {
-    struct Entry { unsigned id; const char *label; };
+    struct Entry { unsigned id; const char *label; bool coll = false; };
     static const Entry entries[] = {
         {0, "hb_send0"}, {7, "hb_send1"}, {8, "hb_send2"},
         {2, "hb_read"}, {3, "hb_write"}, {4, "hb_pread"},
         {5, "hb_pwrite"}, {6, "hb_ack"}, {15, "hb_stop"},
-    };
-    static const Entry coll_entries[] = {
-        {typeBarUp, "hb_barup"}, {typeBarDn, "hb_bardn"},
-        {typeMcast, "hb_mcast"}, {typeReduce, "hb_reduce"},
+        {typeBarUp, "hb_barup", true}, {typeBarDn, "hb_bardn", true},
+        {typeMcast, "hb_mcast", true}, {typeReduce, "hb_reduce", true},
     };
     std::ostringstream os;
     for (const auto &e : entries) {
+        if (e.coll && !collectives)
+            continue;
         os << "    li   r2, " << e.label << "\n"
            << "    sti  r2, r13, " << e.id * 4 << "\n";
     }
-    if (collectives) {
-        for (const auto &e : coll_entries) {
-            os << "    li   r2, " << e.label << "\n"
-               << "    sti  r2, r13, " << e.id * 4 << "\n";
-        }
-    }
     return os.str();
 }
 
 /**
- * The collective handler bodies for the basic register-mapped models
- * (host-resident and On-NI): the regCollBodies() logic with the
- * 32-bit message id written to o4 before each send and the shared
- * software poll-and-dispatch tail (disp_coll) on every exit.  See
- * regCollBodies() for the consume-before-send / hop-decrement
- * discipline.
+ * Hand-scheduled (the paper's Table-1 schedule): the basic
+ * register-mapped handler set.  With @p hpu it is the basic On-NI set,
+ * with the same host-proxy escapes as regOptHandlers(hpu).
  */
 std::string
-regBasicCollHandlers(bool hpu, bool sw_checks)
+regBasicHandlers(bool sw_checks, bool collectives, bool hpu)
 {
-    const char *root_escape = hpu
-        ? "    st   r0, r3, r0            ; escape: host sends completion\n"
-        : "";
-    const char *barup_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    addi o4, r0, T_SEND\n"
-          "    send\n";
-    const char *red_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    add  o2, r7, r0\n"
-          "    addi o4, r0, T_SEND\n"
-          "    send\n";
-
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (software-dispatched) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-hb_barup:
-    add  r5, i0, r0
-    addi r6, i1, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, bcoll_out
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, bbarup_up
+    const char *pread_slow = hpu ? R"(
+    ; EMPTY or DEFERRED: parking this reader is host work.
+    st   r0, r3, r0 !next
+)" : R"(
+    ; EMPTY or DEFERRED (same code as optimized: no reply to build).
+    ldi  r8, r0, ALLOC_PTR
+    addi r7, r8, DN_SIZE
+    sti  r7, r0, ALLOC_PTR
+    st   i1, r8, r0
+    bnez r5, bpread_defer
+    sti  i2, r8, DN_IP
+    sti  r0, r8, DN_NEXT
+    br   bpread_link
     nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-)" << root_escape << R"(
-    next
-    add  o1, r6, r0
-    addi o4, r0, T_BARDN
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bbarup_fan:
-    beqz r9, bbarup_done
-    nop
-    ld   o0, r2, r0
+bpread_defer:
+    sti  r6, r8, DN_NEXT
+bpread_link:
+    sti  r8, i0, IS_VALUE
+    addi r7, r0, TAG_DEFERRED
+    st   r7, i0, r0 !next
+)";
+    const char *pwrite = hpu ? R"(
+    ; Every PWRITE escapes: the host is the I-structure's writer.
+    st   r0, r3, r0 !next
+)" : R"(
+    ld   r5, i0, r0
+    ld   r6, i0, r4
+    st   i2, i0, r4
+    addi r7, r0, TAG_FULL
+    st   r7, i0, r0
+    beqz i1, bpwrite_chk
+    add  o0, i1, r0
+    addi o4, r0, T_ACK
     send
-    addi r2, r2, 4
-    br   bbarup_fan
-    addi r9, r9, -1
-bbarup_done:
-)" << barup_notify << R"(
-    br   disp_coll
+bpwrite_chk:
+    addi r7, r5, -TAG_DEFERRED
+    bnez r7, bpwrite_done
     nop
-bbarup_up:
-    ; interior join: forward the arrival to the parent frame
-    next
-    add  o0, r8, r0
-    add  o1, r6, r0
-    addi o4, r0, T_BARUP
-    send
-    br   disp_coll
-    nop
-bcoll_out:
-    next
-    br   disp_coll
-    nop
-
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-hb_bardn:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    next
-    add  o1, r6, r0
-    addi o4, r0, T_BARDN
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bbardn_fan:
-    beqz r9, bbardn_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bbardn_fan
-    addi r9, r9, -1
-bbardn_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
+    add  o2, i2, r0            ; value persists across sends
     addi o4, r0, T_SEND
+bpwrite_loop:
+    ldi  o0, r6, DN_FP
+    ldi  o1, r6, DN_IP
     send
-    br   disp_coll
+    ldi  r6, r6, DN_NEXT
+    bnez r6, bpwrite_loop
     nop
-
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-hb_mcast:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
+bpwrite_done:
     next
-    add  o1, r6, r0
-    add  o2, r8, r0
-    addi o4, r0, T_MCAST
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bmcast_fan:
-    beqz r9, bmcast_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bmcast_fan
-    addi r9, r9, -1
-bmcast_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
-    addi o4, r0, T_SEND
-    send
-    br   disp_coll
-    nop
-
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
+)";
+    const char *stop = hpu ? R"(
     .region processing
-hb_reduce:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    add  r9, i3, r0
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, bred_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, bred_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   bred_join
-    nop
-bred_xor:
-    xor  r7, r7, r8
-    br   bred_join
-    nop
-bred_and:
-    and  r7, r7, r8
-bred_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, bcoll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, bred_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-)" << root_escape << R"(
-    next
-    add  o1, r6, r0
-    add  o2, r7, r0
-    addi o4, r0, T_MCAST
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bred_fan:
-    beqz r9, bred_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bred_fan
-    addi r9, r9, -1
-bred_done:
-)" << red_notify << R"(
-    br   disp_coll
-    nop
-bred_up:
-    ; interior join: forward the partial reduction to the parent
-    next
-    add  o0, r2, r0
-    add  o1, r6, r0
-    add  o2, r7, r0
-    add  o3, r9, r0            ; the op rides along
-    addi o4, r0, T_REDUCE
-    send
-    br   disp_coll
-    nop
-)" << regBasicDispTail("coll", sw_checks);
-    return os.str();
-}
+hb_stop:
+    sti  r0, r3, 0             ; tell the host service loop to halt
+    halt
+)" : R"(
+hb_stop:
+    halt
+)";
 
-/**
- * The collective handler bodies for the basic cache-mapped model: the
- * cacheCollBodies() logic with the id stored to O4 (once per fan
- * loop -- the output registers persist across sends) and the shared
- * software dispatch tail.
- */
-std::string
-cacheBasicCollHandlers(bool sw_checks)
-{
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (software-dispatched) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-hb_barup:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, cbcoll_out
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, cbbarup_up
-    nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARDN
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbbarup_fan:
-    beqz r9, cbbarup_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbbarup_fan
-    addi r9, r9, -1
-cbbarup_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbbarup_up:
-    ; interior join: forward the arrival to the parent frame
-    ldi  r0, r10, NI_NEXT
-    sti  r8, r10, NI_O0
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARUP
-    sti  r3, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbcoll_out:
-    ldi  r0, r10, NI_NEXT
-    br   disp_coll
-    nop
-
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-hb_bardn:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARDN
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbbardn_fan:
-    beqz r9, cbbardn_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbbardn_fan
-    addi r9, r9, -1
-cbbardn_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-hb_mcast:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r8, r10, NI_O2
-    addi r3, r0, T_MCAST
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbmcast_fan:
-    beqz r9, cbmcast_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbmcast_fan
-    addi r9, r9, -1
-cbmcast_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-hb_reduce:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    ldi  r9, r10, NI_I3
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, cbred_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, cbred_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   cbred_join
-    nop
-cbred_xor:
-    xor  r7, r7, r8
-    br   cbred_join
-    nop
-cbred_and:
-    and  r7, r7, r8
-cbred_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, cbcoll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, cbred_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    addi r3, r0, T_MCAST
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbred_fan:
-    beqz r9, cbred_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbred_fan
-    addi r9, r9, -1
-cbred_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbred_up:
-    ; interior join: forward the partial reduction to the parent
-    ldi  r0, r10, NI_NEXT
-    sti  r2, r10, NI_O0
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    sti  r9, r10, NI_O3
-    addi r3, r0, T_REDUCE
-    sti  r3, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-)" << cacheBasicDispTail("coll", sw_checks);
-    return os.str();
-}
-
-/** The basic register-mapped handler set. */
-std::string
-regBasicHandlers(bool sw_checks, bool collectives)
-{
     std::ostringstream os;
     os << R"(
     ; ------ basic register-mapped handlers ------
@@ -1713,7 +1341,7 @@ entry:
     li   r12, ST_MSGVALID
     li   r11, ST_IAFULL | ST_OAFULL
     li   r13, DISPATCH_TABLE
-    addi r4, r0, 4
+)" << (hpu ? "    li   r3, HPU_PROXY\n" : "") << R"(    addi r4, r0, 4
 )" << basicTableInit(collectives) << R"(
     br   disp_poll
     nop
@@ -1751,24 +1379,7 @@ hb_pread:
     ld   r6, i0, r4
     addi r7, r5, -TAG_FULL
     beqz r7, bpread_full
-    nop
-    ; EMPTY or DEFERRED (same code as optimized: no reply to build).
-    ldi  r8, r0, ALLOC_PTR
-    addi r7, r8, DN_SIZE
-    sti  r7, r0, ALLOC_PTR
-    st   i1, r8, r0
-    bnez r5, bpread_defer
-    sti  i2, r8, DN_IP
-    sti  r0, r8, DN_NEXT
-    br   bpread_link
-    nop
-bpread_defer:
-    sti  r6, r8, DN_NEXT
-bpread_link:
-    sti  r8, i0, IS_VALUE
-    addi r7, r0, TAG_DEFERRED
-    st   r7, i0, r0 !next
-)" << regBasicDispTail("pread_slow", sw_checks) << R"(
+    nop)" << pread_slow << regBasicDispTail("pread_slow", sw_checks) << R"(
     .region processing
 bpread_full:
     add  o0, i1, r0
@@ -1777,43 +1388,17 @@ bpread_full:
     add  o2, r6, r0 !send !next
 )" << regBasicDispTail("pread_full", sw_checks) << R"(
     .region processing
-hb_pwrite:
-    ld   r5, i0, r0
-    ld   r6, i0, r4
-    st   i2, i0, r4
-    addi r7, r0, TAG_FULL
-    st   r7, i0, r0
-    beqz i1, bpwrite_chk
-    add  o0, i1, r0
-    addi o4, r0, T_ACK
-    send
-bpwrite_chk:
-    addi r7, r5, -TAG_DEFERRED
-    bnez r7, bpwrite_done
-    nop
-    add  o2, i2, r0            ; value persists across sends
-    addi o4, r0, T_SEND
-bpwrite_loop:
-    ldi  o0, r6, DN_FP
-    ldi  o1, r6, DN_IP
-    send
-    ldi  r6, r6, DN_NEXT
-    bnez r6, bpwrite_loop
-    nop
-bpwrite_done:
-    next
-)" << regBasicDispTail("pwrite", sw_checks) << R"(
+hb_pwrite:)" << pwrite << regBasicDispTail("pwrite", sw_checks) << R"(
     .region processing
 hb_ack:
     ld   r5, i0, r0
     addi r5, r5, -1
     st   r5, i0, r0 !next
-)" << regBasicDispTail("ack", sw_checks) << R"(
-hb_stop:
-    halt
-)";
-    if (collectives)
-        os << regBasicCollHandlers(false, sw_checks);
+)" << regBasicDispTail("ack", sw_checks) << stop;
+    if (collectives) {
+        os << collBodies({true, false, hpu})
+           << regBasicDispTail("coll", sw_checks);
+    }
     if (sw_checks) {
         // A queue crossed its threshold: a real runtime would shed
         // load here (Section 2.2.4); the measurement harness never
@@ -1824,7 +1409,8 @@ hb_stop:
     return os.str();
 }
 
-/** The basic cache-mapped handler set. */
+/** Hand-scheduled (the paper's Table-1 schedule), loads hoisted to
+ *  hide the load-use delay: the basic cache-mapped handler set. */
 std::string
 cacheBasicHandlers(bool sw_checks, bool collectives)
 {
@@ -1959,266 +1545,11 @@ hb_ack:
 hb_stop:
     halt
 )";
-    if (collectives)
-        os << cacheBasicCollHandlers(sw_checks);
-    if (sw_checks)
-        os << "qfull:\n    halt\n";
-    return os.str();
-}
-
-/**
- * The On-NI (HPU) optimized handler set.  The HPU is permanently
- * register-coupled to its interface, so the fast paths are exactly the
- * optimized register-mapped handlers: one-cycle dispatch through MsgIp
- * with the final processing instruction in the jmp delay slot.  What
- * changes is the sPIN-style division of labor: anything that builds or
- * walks the deferred-reader lists (unbounded pointer-chasing work)
- * escapes to the host through the proxy ring -- a single store to
- * HPU_PROXY (pinned in r3 by setup) ships the message's effective id
- * and input words to the host service loop (hostProxyProgram), keeping
- * every handler's on-NI occupancy within the policy's handler-time
- * budget.
- */
-std::string
-hpuOptHandlers(bool collectives)
-{
-    std::ostringstream os;
-    os << R"(
-    ; ------ optimized On-NI (HPU) handler table ------
-    .org 0x4000
-
-    ; slot 0: poll/idle -- spin on MsgIp until a message dispatches.
-    .region dispatching
-poll:
-    jmp  msgip
-    nop
-)" << slotAlign << R"(
-    ; slot 1: exception handler.
-    .region exception
-exc:
-    halt
-)" << slotAlign << R"(
-    ; slot 2: READ -- the paper's two-instruction remote read.
-    .region dispatching
-h_read:
-    jmp  nextmsgip
-    .region processing
-    ld   o2, i0, r0 !reply=0 !next
-)" << slotAlign << R"(
-    ; slot 3: WRITE.
-    .region dispatching
-h_write:
-    jmp  nextmsgip
-    .region processing
-    st   i1, i0, r0 !next
-)" << slotAlign << R"(
-    ; slot 4: PREAD.  i0 = element, i1 = FP, i2 = IP.
-    .region processing
-h_pread:
-    ld   r5, i0, r0            ; tag
-    ld   r6, i0, r4            ; value / deferred-list head
-    addi r7, r5, -TAG_FULL
-    bnez r7, pread_slow
-    add  o2, r6, r0            ; delay: value into o2 (harmless if slow)
-    ; FULL: reply (i1,i2 head the message via REPLY mode).
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    reply 0 !next
-pread_slow:
-    ; EMPTY or DEFERRED: parking this reader on the deferred list is
-    ; host work -- post the message to the proxy ring and move on.
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    st   r0, r3, r0 !next
-)" << slotAlign << R"(
-    ; slot 5: PWRITE.  i0 = element, i1 = ack word, i2 = value.
-    ; Every PWRITE escapes: the host proxy is the *single writer* of
-    ; I-structure state, so an HPU-side fill could never race a park
-    ; the host is executing concurrently.  The ring is FIFO, which
-    ; serializes this PWrite behind any PRead it raced on the wire.
-    .region dispatching
-h_pwrite:
-    jmp  nextmsgip
-    .region processing
-    st   r0, r3, r0 !next
-)" << slotAlign << R"(
-    ; slot 6: ACK -- decrement the addressed completion counter.
-    .region processing
-h_ack:
-    ld   r5, i0, r0
-    addi r5, r5, -1
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    st   r5, i0, r0 !next
-)" << slotAlign;
-
-    // Slots 7..8: unassigned types halt loudly; 9..12 dispatch the
-    // collective tree handlers when enabled; 13 is unassigned.  The
-    // collective bodies run entirely on the HPU -- interior tree hops
-    // never touch the host; only the root completion escapes.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
     if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
+        // r14 holds the generic reply id T_SEND (= 0).
+        os << collBodies({false, false, false, "r3", "r14"})
+           << cacheBasicDispTail("coll", sw_checks);
     }
-    os << "    halt\n" << slotAlign;
-
-    os << R"(
-    ; slot 14: the ESCAPE type, dispatched through a software table
-    ; exactly as on the register-mapped optimized model.
-    .region dispatching
-h_escape:
-    slli r5, i4, 2
-    ld   r6, r13, r5           ; r13 = escape table base (setup)
-    jmp  r6
-    nop
-)" << slotAlign << R"(
-    ; slot 15: STOP -- tell the host service loop to halt, then stop.
-    .region processing
-h_stop:
-    sti  r0, r3, 0
-    halt
-)" << slotAlign << optVariantBanks(true, true, collectives)
-       << (collectives ? regCollBodies(true) : "") << R"(
-    ; ------ escape-dispatched handlers (identifiers >= 16) ------
-    ; id 0 in the escape table: store word 2 at the address in word 1.
-    .region processing
-h_esc_poke:
-    st   i2, i1, r0 !next
-    .region dispatching
-    jmp  nextmsgip
-    nop
-
-    ; ------ type-0 (Send) inlets, dispatched through word 1 ------
-    .region dispatching
-h_send0:
-    jmp  nextmsgip
-    .region processing
-    add  r9, i0, r0 !next      ; frame pointer into the thread register
-
-    .region processing
-h_send1:
-    add  r9, i0, r0
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    st   i2, r9, r0 !next      ; data word 0 into the frame
-
-    .region processing
-h_send2:
-    add  r9, i0, r0
-    st   i2, r9, r0
-    .region dispatching
-    jmp  nextmsgip
-    .region processing
-    st   i3, r9, r4 !next      ; data word 1
-
-    ; ------ entry ------
-    .region setup
-entry:
-    li   ipbase, 0x4000
-    addi r4, r0, 4
-    li   r3, HPU_PROXY
-    ; escape dispatch table: one entry so far
-    li   r13, ESC_TABLE
-    li   r2, h_esc_poke
-    sti  r2, r13, 0
-    br   poll
-    nop
-)";
-    return os.str();
-}
-
-/** The basic On-NI (HPU) handler set: the basic register-mapped
- *  handlers with the same host-proxy escapes as hpuOptHandlers(). */
-std::string
-hpuBasicHandlers(bool sw_checks, bool collectives)
-{
-    std::ostringstream os;
-    os << R"(
-    ; ------ basic On-NI (HPU) handlers ------
-    ; r12 = msg-valid mask, r13 = dispatch table, r4 = 4, r3 = proxy
-    .org 0x4000
-    .region setup
-entry:
-    li   r12, ST_MSGVALID
-    li   r11, ST_IAFULL | ST_OAFULL
-    li   r13, DISPATCH_TABLE
-    li   r3, HPU_PROXY
-    addi r4, r0, 4
-)" << basicTableInit(collectives) << R"(
-    br   disp_poll
-    nop
-)" << regBasicDispTail("poll", sw_checks) << R"(
-    ; READ: copy the continuation, set the reply id, fused load+send.
-    .region processing
-hb_read:
-    add  o0, i1, r0
-    add  o1, i2, r0
-    addi o4, r0, T_SEND
-    ld   o2, i0, r0 !send !next
-)" << regBasicDispTail("read", sw_checks) << R"(
-    .region processing
-hb_write:
-    st   i1, i0, r0 !next
-)" << regBasicDispTail("write", sw_checks) << R"(
-    .region processing
-hb_send0:
-    add  r9, i0, r0 !next
-)" << regBasicDispTail("send0", sw_checks) << R"(
-    .region processing
-hb_send1:
-    add  r9, i0, r0
-    st   i2, r9, r0 !next
-)" << regBasicDispTail("send1", sw_checks) << R"(
-    .region processing
-hb_send2:
-    add  r9, i0, r0
-    st   i2, r9, r0
-    st   i3, r9, r4 !next
-)" << regBasicDispTail("send2", sw_checks) << R"(
-    .region processing
-hb_pread:
-    ld   r5, i0, r0
-    ld   r6, i0, r4
-    addi r7, r5, -TAG_FULL
-    beqz r7, bpread_full
-    nop
-    ; EMPTY or DEFERRED: parking this reader is host work.
-    st   r0, r3, r0 !next
-)" << regBasicDispTail("pread_slow", sw_checks) << R"(
-    .region processing
-bpread_full:
-    add  o0, i1, r0
-    add  o1, i2, r0
-    addi o4, r0, T_SEND
-    add  o2, r6, r0 !send !next
-)" << regBasicDispTail("pread_full", sw_checks) << R"(
-    .region processing
-hb_pwrite:
-    ; Every PWRITE escapes: the host proxy is the single writer of
-    ; I-structure state (see hpuOptHandlers).
-    st   r0, r3, r0 !next
-)" << regBasicDispTail("pwrite", sw_checks) << R"(
-    .region processing
-hb_ack:
-    ld   r5, i0, r0
-    addi r5, r5, -1
-    st   r5, i0, r0 !next
-)" << regBasicDispTail("ack", sw_checks) << R"(
-    .region processing
-hb_stop:
-    sti  r0, r3, 0             ; tell the host service loop to halt
-    halt
-)";
-    if (collectives)
-        os << regBasicCollHandlers(true, sw_checks);
     if (sw_checks)
         os << "qfull:\n    halt\n";
     return os.str();
@@ -2230,25 +1561,18 @@ std::string
 handlerProgram(const ni::Model &model, bool basic_sw_checks,
                bool no_overlap, bool collectives)
 {
-    // The placement's registerMapped column selects the instruction
-    // sequences: register-operand kernels for a register-file
-    // coupling, load/store kernels for a memory-mapped one.  On-NI
-    // models override both: the HPU is register-coupled whatever the
-    // host placement looks like, and CPU-only work escapes through
-    // the host-proxy ring.
-    if (model.policy().handlersOnNi) {
-        return model.optimized
-            ? hpuOptHandlers(collectives)
-            : hpuBasicHandlers(basic_sw_checks, collectives);
-    }
-    bool reg = model.policy().registerMapped;
+    // The placement row's registerMapped bit selects register-operand
+    // or load/store kernels; the HPU is register-coupled whatever the
+    // host placement, and escapes CPU-only work to the host proxy.
+    bool hpu = model.policy().handlersOnNi;
+    bool reg = model.policy().registerMapped || hpu;
     if (model.optimized) {
         if (reg)
-            return regOptHandlers(collectives);
+            return regOptHandlers(collectives, hpu);
         return no_overlap ? cacheOptHandlersNoOverlap(collectives)
                           : cacheOptHandlers(collectives);
     }
-    return reg ? regBasicHandlers(basic_sw_checks, collectives)
+    return reg ? regBasicHandlers(basic_sw_checks, collectives, hpu)
                : cacheBasicHandlers(basic_sw_checks, collectives);
 }
 
@@ -2261,25 +1585,8 @@ hostProxyProgram(const ni::Model &model)
     // REPLY/FORWARD substitution (which reads the *current* input
     // registers, long since advanced) is unusable here -- every
     // outgoing message is a plain SEND with o0..o2 stored explicitly
-    // through the cache-mapped command window.
-    bool basic = !model.optimized;
-
-    auto send_t = [&](unsigned type) {
-        std::ostringstream s;
-        if (basic) {
-            if (type != typeSend)
-                s << "    addi r1, r0, " << type << "\n";
-            s << "    sti  " << (type == typeSend ? "r0" : "r1")
-              << ", r10, NI_O4\n"
-                 "    ldi  r0, r10, NI_SEND\n";
-        } else {
-            s << "    ldi  r0, r10, NI_SEND | NI_TYPE*" << type << "\n";
-        }
-        return s.str();
-    };
-
-    std::ostringstream os;
-    os << R"(
+    // through the cache-mapped command window, its id staged in r1.
+    return lowerNiAccess(R"(
     ; ------ host-side proxy service loop (On-NI models) ------
     ; Drains the HPU's escape ring: each slot is one message whose
     ; handler needed CPU-only work (deferred-list manipulation), or
@@ -2329,7 +1636,8 @@ hp_coll:
     sti  r6, r10, NI_O0
     sti  r0, r10, NI_O1
     sti  r7, r10, NI_O2
-)" << send_t(typeSend) << R"(
+    msgid T_SEND
+    send T_SEND, held
     br   hp_next
     nop
 
@@ -2348,7 +1656,8 @@ hp_pread:
     sti  r6, r10, NI_O0
     sti  r7, r10, NI_O1
     sti  r8, r10, NI_O2
-)" << send_t(typeSend) << R"(
+    msgid T_SEND
+    send T_SEND, held
     br   hp_next
     nop
 hp_pread_park:
@@ -2389,7 +1698,8 @@ hp_pwrite:
     beqz r6, hp_pwrite_chk
     nop
     sti  r6, r10, NI_O0
-)" << send_t(typeAck) << R"(
+    msgid T_ACK
+    send T_ACK, held
 hp_pwrite_chk:
     addi r3, r3, -TAG_DEFERRED
     bnez r3, hp_next           ; EMPTY or FULL: nobody parked
@@ -2401,7 +1711,8 @@ hp_pwrite_loop:
     ldi  r3, r8, DN_IP
     sti  r1, r10, NI_O0
     sti  r3, r10, NI_O1
-)" << send_t(typeSend) << R"(
+    msgid T_SEND
+    send T_SEND, held
     ldi  r8, r8, DN_NEXT
     bnez r8, hp_pwrite_loop
     nop
@@ -2412,8 +1723,7 @@ hp_next:
     sti  r9, r0, HP_CI         ; publish consumption to the HPU
     br   hp_poll
     nop
-)";
-    return os.str();
+)", {false, model.optimized, false, "r1"});
 }
 
 namespace
@@ -2627,7 +1937,6 @@ std::string
 collectiveDriverProgram(const ni::Model &model, unsigned count)
 {
     bool reg = model.policy().registerMapped;
-    bool basic = !model.optimized;
     // A combine frame on node 1 and a conservative hop budget (the
     // experiment driver computes depth+2 for the real tree).
     const uint64_t frame = (1ull << 24) | collFrameAddr;
@@ -2646,57 +1955,20 @@ collectiveDriverProgram(const ni::Model &model, unsigned count)
        << "    lis  r1, " << count << "\n"
        << "loop:\n"
        << "    .region sending\n";
-    if (reg) {
-        const char *head =
-            "    add  o0, r5, r0\n"
-            "    add  o1, r6, r0\n";
-        if (basic) {
-            os << head
-               << "    addi o4, r0, T_BARUP\n    send\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    addi o4, r0, T_MCAST\n    send\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    add  o3, r8, r0\n"
-                  "    addi o4, r0, T_REDUCE\n    send\n";
-        } else {
-            os << head << "    send T_BARUP\n"
-               << head
-               << "    add  o2, r7, r0\n    send T_MCAST\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    add  o3, r8, r0\n    send T_REDUCE\n";
-        }
-    } else {
-        const char *head =
-            "    sti  r5, r10, NI_O0\n"
-            "    sti  r6, r10, NI_O1\n";
-        if (basic) {
-            os << head
-               << "    addi r2, r0, T_BARUP\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    addi r2, r0, T_MCAST\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    sti  r8, r10, NI_O3\n"
-                  "    addi r2, r0, T_REDUCE\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n";
-        } else {
-            os << head
-               << "    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARUP\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    sti  r8, r10, NI_O3\n"
-                  "    ldi  r0, r10, NI_SEND | NI_TYPE*T_REDUCE\n";
-        }
-    }
+    // A BARUP arrival, an MCAST and a REDUCE, ids staged in r2.
+    os << lowerNiAccess(R"(    add  o0, r5, r0
+    add  o1, r6, r0
+    send T_BARUP
+    add  o0, r5, r0
+    add  o1, r6, r0
+    add  o2, r7, r0
+    send T_MCAST
+    add  o0, r5, r0
+    add  o1, r6, r0
+    add  o2, r7, r0
+    add  o3, r8, r0
+    send T_REDUCE
+)", {reg, model.optimized, false, "r2"});
     os << "    .region loop\n"
        << "    addi r1, r1, -1\n"
        << "    bnez r1, loop\n"

@@ -1,39 +1,55 @@
 /**
  * @file
- * The handler-kernel library: hand-written assembly implementing the
- * paper's message handlers for every interface model.
- *
- * Two kinds of programs are generated:
+ * The handler-kernel library: the assembly implementing the paper's
+ * message handlers for every interface model.
  *
  *  - handlerProgram(model): a complete message-handling server -- the
- *    dispatch machinery plus handlers for every protocol message type
- *    (Send with 0/1/2 data words, Read, Write, PRead, PWrite, Ack,
- *    Stop).  Optimized models dispatch through MsgIp / NextMsgIp with
- *    handlers living in the hardware dispatch table; basic models poll
- *    STATUS and dispatch through a software table indexed by the
- *    32-bit message id in word 4 (the Figure-5 sequence).
+ *    dispatch machinery plus handlers for every protocol message type.
+ *    Optimized models dispatch through MsgIp / NextMsgIp with handlers
+ *    in the hardware dispatch table; basic models poll STATUS and
+ *    dispatch through a software table indexed by the 32-bit id in
+ *    word 4 (the Figure-5 sequence).
+ *  - senderProgram(model, kind, count): a loop composing `count`
+ *    messages, the composition tagged `.region sending`.
  *
- *  - senderProgram(model, kind, count): a loop that composes and sends
- *    `count` identical messages of the given kind, with the per-message
- *    composition instructions tagged `.region sending`.
+ * Every instruction carries a cost region ("sending", "dispatching",
+ * "processing", ...) so the Table-1 harness measures exactly the
+ * quantities the paper reports.  Conventions (EXPERIMENTS.md):
+ * processing kernels fold SEND/NEXT into their final access; sending
+ * kernels issue an explicit SEND; optimized handlers hoist the
+ * NextMsgIp read to overlap the interface latency (Section 2.2.3);
+ * basic handlers inline the poll-and-dispatch tail (Figure 5).
  *
- * Every instruction is tagged with a cost region ("sending",
- * "dispatching", "processing", ...) so the Table-1 harness can measure
- * exactly the quantities the paper reports.
+ * Hand-scheduled: the five Table-1 handler sets (register/cache x
+ * optimized/basic, plus cache-mapped optimized without the overlap)
+ * are the paper's schedules, and the cache-mapped ones hoist loads to
+ * hide the load-use delay, which no per-line rule reproduces.  The
+ * register-mapped sets double as the On-NI (HPU) sets, differing only
+ * at the host-proxy escapes.  Lowered: the collective tree bodies, the
+ * collective driver and the host proxy's sends are written once with
+ * register-mapped operands and the NI pseudo-ops below, and
+ * lowerNiAccess() spells them from the placement row's registerMapped
+ * bit and the model's optimized bit (r10 = NI_BASE, $s = scratch):
  *
- * Conventions (documented in EXPERIMENTS.md):
- *  - processing kernels fold SEND/NEXT commands into their final
- *    access, as the paper's optimized examples do;
- *  - sending kernels issue an explicit SEND (matching the paper's
- *    sending counts, which list the SEND as its own step);
- *  - optimized handlers hoist the NextMsgIp read to the top of the
- *    handler so the off-chip load latency is overlapped with
- *    processing (the paper's Section 2.2.3 overlap);
- *  - basic handlers inline the poll-and-dispatch tail (Figure 5,
- *    lines 1-6) at the end of each handler;
- *  - basic Send-kind messages keep the generic reply id in a register
- *    (+1 instruction vs optimized); basic memory-op requests generate
- *    a fresh id per message (+2 on cache-mapped, +1 register-mapped).
+ *   source              register-mapped       cache-mapped
+ *   add  rD, iN, r0     (as written)          ldi  rD, r10, NI_IN
+ *   addi rD, iN, X      (as written)          ldi rD, NI_IN; addi rD, rD, X
+ *   add  oN, rS, r0     (as written)          sti  rS, r10, NI_ON
+ *   addi oN, r0, 0      (as written)          sti  r0, r10, NI_ON
+ *   ld/ldi oN, rA, X    (as written)          ld/ldi $s, rA, X; sti $s, NI_ON
+ *   next                (as written)          ldi  r0, r10, NI_NEXT
+ *   send T     opt:     send T                ldi  r0, r10, NI_SEND|NI_TYPE*T
+ *              basic:   addi o4, r0, T; send  addi $s, r0, T; sti $s, NI_O4|NI_SEND
+ *   msgid T    opt:     (nothing)             (nothing)
+ *              basic:   addi o4, r0, T        addi $s, r0, T; sti $s, NI_O4
+ *   send T, held        as send T; basic: `send` / ldi r0, r10, NI_SEND
+ *   jmp  msgip opt:     jmp  msgip            .region dispatching; ldi r15,
+ *                                             r10, NI_MSGIP; jmp r15
+ *              basic:   br   disp_coll        br   disp_coll
+ *
+ * An id of 0 (T_SEND) is stored from the spelling's zero-id register.
+ * A line led by `[tags]` (reg, cache, opt, basic, hpu, host) appears
+ * only in spellings matching every tag.
  */
 
 #ifndef TCPNI_MSG_KERNELS_HH
@@ -96,11 +112,10 @@ const std::map<std::string, uint64_t> &kernelSymbols();
  *
  * @param collectives  when true the program also installs the
  *   collective handlers (BARUP/BARDN/MCAST/REDUCE) that fan out
- *   statically-hop-bounded FORWARD trees over the per-node combine
- *   frame (msg/protocol.hh).  Adds labels `h_barup`/`hb_barup` etc.;
- *   the static verifier keys the extra required types off them.  On
- *   On-NI models the collective handlers run entirely on the HPU and
- *   only the root's completion escapes through the host-proxy ring.
+ *   statically-hop-bounded trees over the per-node combine frame
+ *   (msg/protocol.hh): bodies `hb_barup` etc., plus dispatch slots
+ *   `h_barup` etc. on optimized models.  The static verifier keys the
+ *   extra required types off `h_barup` (optimized) / `hb_barup`.
  */
 std::string handlerProgram(const ni::Model &model,
                            bool basic_sw_checks = false,
@@ -176,6 +191,25 @@ std::vector<CorpusJob> kernelCorpus(const ni::Model &model);
 
 /** Assemble a kernel program with the kernel symbol table. */
 isa::Program assembleKernel(const std::string &src);
+
+/** One spelling of the NI pseudo-ops (see the file comment). */
+struct NiSpelling
+{
+    bool registerMapped;        //!< the placement row's registerMapped
+    bool optimized;             //!< the model's optimized bit
+    bool hpu = false;           //!< handlers on the interface's HPU
+    const char *scratch = "r3"; //!< cache-mapped staging register
+    const char *zeroIdReg = "r0";   //!< holds id 0 (T_SEND), basic cache
+};
+
+/**
+ * Lower @p src's NI pseudo-ops and [guard] lines to @p sp's spelling
+ * (table in the file comment).  Every other line passes through
+ * unchanged.  fatal()s, naming the source line, on an unknown NI
+ * pseudo-op, a word index outside 0..4, an NI access no rule spells,
+ * or an unknown guard tag.
+ */
+std::string lowerNiAccess(const std::string &src, const NiSpelling &sp);
 
 } // namespace msg
 } // namespace tcpni

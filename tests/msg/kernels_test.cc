@@ -318,3 +318,103 @@ TEST(EscapeType, Section221EscapeDispatch)
     rig.run();
     EXPECT_EQ(rig.mem1.read(0x2400), 0xfeedu);
 }
+
+namespace
+{
+
+const NiSpelling regOpt{true, true}, regBasic{true, false};
+const NiSpelling cacheOpt{false, true}, cacheBasic{false, false};
+
+/** fatal()'s message for lowering @p src in @p sp, or "" if none. */
+std::string
+lowerError(const std::string &src, const NiSpelling &sp)
+{
+    try {
+        lowerNiAccess(src, sp);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(NiLowering, SpellsEachPlacementAndBit)
+{
+    // Register-mapped: NI words are general registers.
+    EXPECT_EQ(lowerNiAccess("    add  r5, i0, r0\n", regOpt),
+              "    add  r5, i0, r0\n");
+    EXPECT_EQ(lowerNiAccess("    send T_BARDN\n", regOpt),
+              "    send T_BARDN\n");
+    EXPECT_EQ(lowerNiAccess("    send T_BARDN\n", regBasic),
+              "    addi o4, r0, T_BARDN\n    send\n");
+    // Cache-mapped: loads and stores to the command window.
+    EXPECT_EQ(lowerNiAccess("    add  r5, i0, r0\n", cacheOpt),
+              "    ldi  r5, r10, NI_I0\n");
+    EXPECT_EQ(lowerNiAccess("    ld   o0, r2, r0\n", cacheOpt),
+              "    ld   r3, r2, r0\n    sti  r3, r10, NI_O0\n");
+    EXPECT_EQ(lowerNiAccess("    send T_BARDN\n", cacheOpt),
+              "    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARDN\n");
+    EXPECT_EQ(lowerNiAccess("    send T_BARUP\n", cacheBasic),
+              "    addi r3, r0, T_BARUP\n"
+              "    sti  r3, r10, NI_O4 | NI_SEND\n");
+    // The dispatch exit; msgid vanishes where the SEND carries the type.
+    EXPECT_EQ(lowerNiAccess("    jmp  msgip\n", regBasic),
+              "    br   disp_coll\n");
+    EXPECT_EQ(lowerNiAccess("    jmp  msgip\n", cacheOpt),
+              "    .region dispatching\n"
+              "    ldi  r15, r10, NI_MSGIP\n    jmp  r15\n");
+    EXPECT_EQ(lowerNiAccess("    msgid T_MCAST\n", cacheOpt), "");
+    // Guards keep a line only where every tag holds.
+    EXPECT_EQ(lowerNiAccess("[cache opt]\n[reg]  nop\n", cacheOpt), "\n");
+}
+
+TEST(NiLowering, CollectiveSourceLowersForEveryModel)
+{
+    for (const auto &mi : ni::registeredModels()) {
+        isa::Program p = assembleKernel(
+            handlerProgram(mi.model, false, false, true));
+        EXPECT_GT(p.symbols.count(mi.model.optimized ? "h_barup"
+                                                     : "hb_barup"), 0u)
+            << mi.shortName;
+    }
+}
+
+TEST(NiLowering, RejectsUnknownPseudoOp)
+{
+    std::string err = lowerError("    nop\n    forward 0\n", cacheOpt);
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown NI pseudo-op"), std::string::npos) << err;
+    EXPECT_NE(lowerError("    send\n", regOpt), "");
+}
+
+TEST(NiLowering, RejectsWordIndexOutsideZeroToFour)
+{
+    std::string err = lowerError("    add  r5, i5, r0\n", regOpt);
+    EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+    EXPECT_NE(err.find("outside 0..4"), std::string::npos) << err;
+    EXPECT_NE(lowerError("    add  o7, r5, r0\n", cacheBasic), "");
+}
+
+TEST(NiLowering, RejectsAccessWithoutRule)
+{
+    // Register mapping could execute these, the command window cannot
+    // spell them: every spelling refuses them.
+    for (const char *src : {"    add  o1, r6, r5\n", "    st   i1, i0, r0\n",
+                            "    jmp  nextmsgip\n"}) {
+        for (const NiSpelling &sp : {regOpt, cacheBasic}) {
+            std::string err = lowerError(src, sp);
+            EXPECT_NE(err.find("line 1"), std::string::npos) << src << err;
+        }
+    }
+    EXPECT_NE(lowerError("    ld   r5, i0, r0 !next\n", regOpt)
+                  .find("instruction-bit"),
+              std::string::npos);
+}
+
+TEST(NiLowering, RejectsUnknownGuard)
+{
+    std::string err = lowerError("    nop\n\n[fast] nop\n", regOpt);
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("guard"), std::string::npos) << err;
+}
