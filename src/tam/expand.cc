@@ -29,12 +29,13 @@ WorkCostModel::default88100()
 }
 
 CommCosts
-measureCommCosts(const ni::Model &model, bool basic_sw_checks)
+measureCommCosts(const ni::Model &model)
 {
     using cost::ProcCase;
     using msg::Kind;
 
-    cost::Table1Harness h(model, basic_sw_checks);
+    // Basic models pay the software queue-threshold checks.
+    cost::Table1Harness h(model, /*basic_sw_checks=*/true);
 
     auto send_cost = [&](Kind k) {
         double copy = h.sendingCost(k);

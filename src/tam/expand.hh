@@ -76,14 +76,14 @@ struct CommCosts
  * Measure CommCosts for @p model by running the Table-1 kernel
  * harness.  Register-mapped sending costs use the midpoint of the
  * paper's range ("typically in the low to middle part of this range",
- * Section 4.1).  Basic models' dispatch includes the software
+ * Section 4.1).  Basic models' dispatch always includes the software
  * queue-threshold checks a deployed basic interface performs
- * (Section 2.2.4); pass @p basic_sw_checks = false for the raw
- * Table-1 dispatch costs.  The off-chip load-use delay comes from the
- * model itself (Model::withOffchipDelay for the Section 4.2.3 sweep).
+ * (Section 2.2.4); the raw Table-1 dispatch costs come from
+ * cost::Table1Harness directly.  The off-chip load-use delay comes
+ * from the model itself (Model::withOffchipDelay for the Section 4.2.3
+ * sweep).
  */
-CommCosts measureCommCosts(const ni::Model &model,
-                           bool basic_sw_checks = true);
+CommCosts measureCommCosts(const ni::Model &model);
 
 /** One bar of Figure 12, in cycles. */
 struct Figure12Bar
