@@ -98,20 +98,21 @@ trim(const std::string &s)
     return s.substr(b, s.find_last_not_of(" \t") - b + 1);
 }
 
-/** Word index of an operand `iN` (@p bank 'i') or `oN`, else -1. */
+/** The N of an operand `<bank>N` (`i2`, `o4`, `r10`), capped at 99;
+ *  -1 for any other operand. */
 int
-niWord(const std::string &op, char bank)
+operandIndex(const std::string &op, char bank)
 {
     if (op.size() < 2 || op[0] != bank ||
         op.find_first_not_of("0123456789", 1) != std::string::npos)
         return -1;
-    return std::stoi(op.substr(1));
+    return op.size() > 3 ? 99 : std::stoi(op.substr(1));
 }
 
 bool
 isNiReg(const std::string &op)
 {
-    return niWord(op, 'i') >= 0 || niWord(op, 'o') >= 0 ||
+    return operandIndex(op, 'i') >= 0 || operandIndex(op, 'o') >= 0 ||
            op == "status" || op == "control" || op == "msgip" ||
            op == "nextmsgip" || op == "ipbase";
 }
@@ -178,14 +179,6 @@ const NiRule niRules[] = {
       "br   disp_coll"}},
 };
 
-bool
-isGpr(const std::string &op)
-{
-    return op.size() >= 2 && op[0] == 'r' &&
-           op.find_first_not_of("0123456789", 1) == std::string::npos &&
-           std::stoi(op.substr(1)) < 16;
-}
-
 /** Match @p insn against the split form @p pat, binding placeholders. */
 bool
 matchForm(const std::vector<std::string> &insn,
@@ -204,11 +197,11 @@ matchForm(const std::vector<std::string> &insn,
             continue;
         }
         char key = p[open + 1];
-        bool ok;
+        bool ok = false;
         if (key == 'n') {
-            ok = niWord(o, p[0]) >= 0;
+            ok = operandIndex(o, p[0]) >= 0;
         } else if (key == 'd' || key == 's') {
-            ok = isGpr(o);
+            ok = operandIndex(o, 'r') >= 0 && operandIndex(o, 'r') < 16;
         } else if (key == 'z') {
             auto sym = kernelSymbols().find(o);
             ok = o == "0" ||
@@ -231,8 +224,7 @@ lowerNiAccess(const std::string &src, const NiSpelling &sp)
     const int column = (sp.registerMapped ? 0 : 2) + (sp.optimized ? 0 : 1);
     const std::map<std::string, bool> facts = {
         {"reg", sp.registerMapped}, {"cache", !sp.registerMapped},
-        {"opt", sp.optimized}, {"basic", !sp.optimized},
-        {"hpu", sp.hpu}, {"host", !sp.hpu}};
+        {"opt", sp.optimized}, {"hpu", sp.hpu}, {"host", !sp.hpu}};
     std::istringstream in(src);
     std::ostringstream out;
     unsigned lineno = 0;
@@ -274,7 +266,7 @@ lowerNiAccess(const std::string &src, const NiSpelling &sp)
             reject("instruction-bit NI command has no portable spelling");
         std::vector<std::string> insn = splitInsn(code);
         for (size_t i = 1; i < insn.size(); ++i) {
-            if (std::max(niWord(insn[i], 'i'), niWord(insn[i], 'o')) > 4)
+            if (std::max(operandIndex(insn[i], 'i'), operandIndex(insn[i], 'o')) > 4)
                 reject("NI word index outside 0..4");
         }
 
@@ -448,6 +440,8 @@ optMiddleSlots(bool collectives, unsigned last)
  * -- one store to r3 = HPU_PROXY before NEXT, while the joining
  * message is still current -- and the host proxy publishes the
  * completion SEND (hp_coll); interior hops cost zero host cycles.
+ * The cache-mapped exit re-reads MsgIp after NEXT, which is correct
+ * with and without the NextMsgIp overlap, so both sets share it.
  * The [opt] comment and [cache opt] blank lines keep the cache-mapped
  * listings line for line with the lint golden; the [reg ...] o2
  * writes are redundant (output words persist across sends) but are
@@ -894,8 +888,9 @@ entry:
 )";
 
 /**
- * The optimized cache-mapped handler set (on- and off-chip share the
- * code; only the access latency differs).  Canonical schedule: the
+ * Hand-scheduled (the paper's Table-1 schedule, loads hoisted to hide
+ * the load-use delay): the optimized cache-mapped handler set (on- and
+ * off-chip share the code; only the access latency differs).  The
  * NextMsgIp load is hoisted to the top of each handler so the off-chip
  * latency overlaps with processing; NEXT is folded into the handler's
  * final NI access; the jmp delay slot holds a processing instruction.
@@ -1065,7 +1060,8 @@ h_send2:
 }
 
 /**
- * The optimized cache-mapped handlers *without* the NextMsgIp
+ * Hand-scheduled (the Table-1 `--no-overlap` ablation): the optimized
+ * cache-mapped handlers *without* the NextMsgIp
  * overlap: every handler finishes its processing (NEXT folded into
  * the final NI access), then reads MsgIp and jumps.  The MsgIp read
  * happens after NEXT, so it reflects the new current message --

@@ -48,8 +48,8 @@
  *              basic:   br   disp_coll        br   disp_coll
  *
  * An id of 0 (T_SEND) is stored from the spelling's zero-id register.
- * A line led by `[tags]` (reg, cache, opt, basic, hpu, host) appears
- * only in spellings matching every tag.
+ * A line led by `[tags]` (reg, cache, opt, hpu, host) appears only in
+ * spellings matching every tag.
  */
 
 #ifndef TCPNI_MSG_KERNELS_HH

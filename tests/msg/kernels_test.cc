@@ -369,17 +369,6 @@ TEST(NiLowering, SpellsEachPlacementAndBit)
     EXPECT_EQ(lowerNiAccess("[cache opt]\n[reg]  nop\n", cacheOpt), "\n");
 }
 
-TEST(NiLowering, CollectiveSourceLowersForEveryModel)
-{
-    for (const auto &mi : ni::registeredModels()) {
-        isa::Program p = assembleKernel(
-            handlerProgram(mi.model, false, false, true));
-        EXPECT_GT(p.symbols.count(mi.model.optimized ? "h_barup"
-                                                     : "hb_barup"), 0u)
-            << mi.shortName;
-    }
-}
-
 TEST(NiLowering, RejectsUnknownPseudoOp)
 {
     std::string err = lowerError("    nop\n    forward 0\n", cacheOpt);
