@@ -11,9 +11,10 @@
  *  - registerMapped: are the NI registers aliased into the processor's
  *    register file (Section 3.3), or reached through a memory-mapped
  *    command window?  Register mapping also folds SEND / NEXT /
- *    REPLY / FORWARD into instruction bits (`!send`, `!next`), and it
- *    is msg/kernels.cc's selector between the register-operand and
- *    the load/store handler and sender sequences.
+ *    REPLY / FORWARD into instruction bits (`!send`, `!next`).  With
+ *    the optimized bit it selects every kernel spelling in one place:
+ *    msg/kernels.cc's hand-scheduled Table-1 sets, and the lowering of
+ *    the shared sources' NI pseudo-ops (msg::lowerNiAccess).
  *  - offChip: does a load from the interface cross the chip boundary
  *    and pay NiConfig::offChipLoadUseDelay (Section 3.1)?
  *  - escapeTable: does the optimized handler set dispatch >4-bit
