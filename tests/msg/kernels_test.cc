@@ -10,6 +10,7 @@
 #include "msg/protocol.hh"
 #include "ni/network_interface.hh"
 #include "noc/network.hh"
+#include "../ni/model_print.hh"
 
 using namespace tcpni;
 using namespace tcpni::msg;

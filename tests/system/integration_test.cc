@@ -6,6 +6,7 @@
 #include "ni/model_registry.hh"
 #include "msg/protocol.hh"
 #include "system/system.hh"
+#include "../ni/model_print.hh"
 
 using namespace tcpni;
 using namespace tcpni::sys;
