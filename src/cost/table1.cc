@@ -36,6 +36,21 @@ elemAddr(unsigned k)
     return elemBase + k * msg::istructElemSize;
 }
 
+/**
+ * The node memory of every run on this thread, cleared for the run
+ * that takes it.  A run writes a few pages of it, so clearing those
+ * costs far less than zero-filling a fresh 1 MB memory per run.  It
+ * is per thread, not per harness, so that building a harness stays
+ * free of it; runs never nest, so one memory per thread suffices.
+ */
+Memory &
+runMemory()
+{
+    thread_local Memory mem(1 << 20);
+    mem.clear();
+    return mem;
+}
+
 } // namespace
 
 std::string
@@ -58,12 +73,12 @@ procCaseName(ProcCase c)
 
 Table1Harness::Table1Harness(ni::Model model, bool basic_sw_checks,
                              bool no_overlap)
-    : model_(model)
+    : model_(model),
+      handlerProg_(&msg::cachedKernel(
+          msg::handlerProgram(model_, basic_sw_checks, no_overlap)))
 {
-    handlerProg_ = msg::assembleKernel(
-        msg::handlerProgram(model_, basic_sw_checks, no_overlap));
     if (model_.policy().handlersOnNi)
-        hostProg_ = msg::assembleKernel(msg::hostProxyProgram(model_));
+        hostProg_ = &msg::cachedKernel(msg::hostProxyProgram(model_));
 }
 
 ni::NiConfig
@@ -202,7 +217,7 @@ Table1Harness::runServer(const std::vector<Message> &msgs,
 {
     EventQueue eq;
     IdealNetwork net("net", eq, 2, 1);
-    Memory mem1(1 << 20);
+    Memory &mem1 = runMemory();
     ni::NiConfig cfg = config();
     ni::NiConfig client_cfg = cfg;
     client_cfg.inputQueueDepth = 1024;
@@ -261,7 +276,7 @@ Table1Harness::runSender(Kind kind, unsigned count)
 {
     EventQueue eq;
     IdealNetwork net("net", eq, 2, 1);
-    Memory mem0(1 << 20);
+    Memory &mem0 = runMemory();
     ni::NiConfig cfg = config();
     ni::NiConfig sink_cfg = cfg;
     sink_cfg.inputQueueDepth = 1024;
@@ -269,8 +284,8 @@ Table1Harness::runSender(Kind kind, unsigned count)
     ni::NetworkInterface ni1("ni1", eq, 1, net, sink_cfg);
     Cpu cpu0("cpu0", eq, mem0, &ni0);
 
-    isa::Program prog = msg::assembleKernel(
-        msg::senderProgram(model_, kind, count));
+    const isa::Program &prog =
+        msg::cachedKernel(msg::senderProgram(model_, kind, count));
     cpu0.loadProgram(prog);
     cpu0.reset(prog.addrOf("entry"));
     cpu0.start();

@@ -22,7 +22,6 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,9 +122,10 @@ class Table1Harness
     ni::NiConfig config() const;
 
     ni::Model model_;
-    std::optional<isa::Program> handlerProg_;
+    /** Both programs live in msg::cachedKernel's process-wide cache. */
+    const isa::Program *handlerProg_;
     /** The host proxy service loop (on-NI models only). */
-    std::optional<isa::Program> hostProg_;
+    const isa::Program *hostProg_ = nullptr;
 };
 
 /** One cell of the paper's published Table 1. */

@@ -1,8 +1,10 @@
 #include "msg/kernels.hh"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "msg/protocol.hh"
@@ -84,6 +86,26 @@ isa::Program
 assembleKernel(const std::string &src)
 {
     return isa::assemble(src, kernelSymbols());
+}
+
+const isa::Program &
+cachedKernel(const std::string &src)
+{
+    // Node-based, so a returned reference survives later insertions.
+    static std::mutex mutex;
+    static std::unordered_map<std::string, const isa::Program> cache;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = cache.find(src);
+        if (it != cache.end())
+            return it->second;
+    }
+    // Assemble outside the lock so workers fetching other kernels do
+    // not wait; a thread that loses the race to insert the same text
+    // drops its (identical) copy.
+    isa::Program prog = assembleKernel(src);
+    std::lock_guard<std::mutex> lock(mutex);
+    return cache.try_emplace(src, std::move(prog)).first->second;
 }
 
 namespace

@@ -192,6 +192,15 @@ std::vector<CorpusJob> kernelCorpus(const ni::Model &model);
 /** Assemble a kernel program with the kernel symbol table. */
 isa::Program assembleKernel(const std::string &src);
 
+/**
+ * assembleKernel(@p src), assembled once per process: the first call
+ * for a source text assembles it into a process-wide, mutex-guarded
+ * cache keyed by that text, and every later call (from any thread)
+ * returns the same immutable program.  Assembly is a pure function of
+ * the text and kernelSymbols(), so the cache never needs evicting.
+ */
+const isa::Program &cachedKernel(const std::string &src);
+
 /** One spelling of the NI pseudo-ops (see the file comment). */
 struct NiSpelling
 {

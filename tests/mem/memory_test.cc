@@ -51,3 +51,35 @@ TEST(Memory, Clear)
     m.clear();
     EXPECT_EQ(m.read(8), 0u);
 }
+
+TEST(Memory, ClearZeroesEveryWrittenWord)
+{
+    // clear() zeroes only the pages written since the last clear, so
+    // write where a page-tracking slip would show: the first and last
+    // word, both sides of a page boundary, and one word in every page
+    // (memory size not a whole number of pages).
+    constexpr Addr page = 4096;
+    Memory m(5 * page + 8);
+    const Addr last = m.size() - 4;
+    Word v = 1;
+    for (Addr a : {Addr(0), last, page - 4, page, 3 * page - 4,
+                   3 * page})
+        m.write(a, v++);
+    for (Addr a = 12; a < m.size(); a += page)
+        m.write(a, v++);
+
+    m.clear();
+    for (Addr a = 0; a < m.size(); a += 4)
+        ASSERT_EQ(m.read(a), 0u) << "word at 0x" << std::hex << a;
+
+    // A second clear finds nothing to do and leaves memory zero.
+    m.clear();
+    for (Addr a = 0; a < m.size(); a += 4)
+        ASSERT_EQ(m.read(a), 0u) << "word at 0x" << std::hex << a;
+
+    // Memory stays writable and clearable after a clear.
+    m.write(2 * page + 4, 7);
+    EXPECT_EQ(m.read(2 * page + 4), 7u);
+    m.clear();
+    EXPECT_EQ(m.read(2 * page + 4), 0u);
+}

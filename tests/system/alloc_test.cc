@@ -16,7 +16,9 @@
  * The AllocBudget tests bound the setup path the same way: building
  * an EventQueue or a MeshNetwork, loading a kernel, and delivering TAM
  * messages must cost allocations per object, per region or per frame
- * -- never per bucket, per router, per program word or per message.
+ * -- never per bucket, per router, per program word or per message --
+ * and a second Table-1 harness for a model must reuse the cached
+ * kernels and the thread's node memory.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "apps/matmul.hh"
+#include "cost/table1.hh"
 #include "cpu/cpu.hh"
 #include "hpu/hpu.hh"
 #include "msg/kernels.hh"
@@ -47,12 +50,16 @@ namespace
 
 std::atomic<bool> g_counting{false};
 std::atomic<uint64_t> g_allocs{0};
+/** Allocations of at least 1 MB (a node memory's size). */
+std::atomic<uint64_t> g_mbAllocs{0};
 
 void
-noteAlloc()
+noteAlloc(std::size_t size)
 {
     if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        if (size >= (std::size_t(1) << 20))
+            g_mbAllocs.fetch_add(1, std::memory_order_relaxed);
 #ifdef TCPNI_ALLOC_BACKTRACE
         g_counting.store(false, std::memory_order_relaxed);
         void *frames[32];
@@ -70,12 +77,17 @@ struct CountScope
     CountScope()
     {
         g_allocs.store(0, std::memory_order_relaxed);
+        g_mbAllocs.store(0, std::memory_order_relaxed);
         g_counting.store(true, std::memory_order_relaxed);
     }
     ~CountScope() { g_counting.store(false, std::memory_order_relaxed); }
     uint64_t count() const
     {
         return g_allocs.load(std::memory_order_relaxed);
+    }
+    uint64_t mbCount() const
+    {
+        return g_mbAllocs.load(std::memory_order_relaxed);
     }
 };
 
@@ -86,7 +98,7 @@ struct CountScope
 void *
 operator new(std::size_t size)
 {
-    noteAlloc();
+    noteAlloc(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -101,7 +113,7 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, std::align_val_t align)
 {
-    noteAlloc();
+    noteAlloc(size);
     void *p = nullptr;
     if (posix_memalign(&p, static_cast<std::size_t>(align),
                        size ? size : 1) != 0)
@@ -359,4 +371,40 @@ TEST(AllocBudget, TamDeliveryDoesNotAllocatePerMessage)
     EXPECT_LT(count * 2, delivered)
         << count << " allocations for " << delivered
         << " delivered messages";
+}
+
+TEST(AllocBudget, SecondHarnessReusesKernelsAndMemory)
+{
+    // The first harness for a model on this thread assembles its
+    // kernels into the process-wide cache, and its first run makes
+    // the thread's 1 MB node memory.  A second harness for the same
+    // model, and a run of it, must do neither.
+    const ni::Model &model = ni::paperModels().front();
+    cost::Table1Harness(model).processingCost(cost::ProcCase::read);
+
+    const std::string src = msg::handlerProgram(model);
+    uint64_t assemble;
+    {
+        CountScope scope;
+        (void)msg::assembleKernel(src);
+        assemble = scope.count();
+    }
+    uint64_t count, mb;
+    {
+        CountScope scope;
+        cost::Table1Harness(model).processingCost(cost::ProcCase::read);
+        count = scope.count();
+        mb = scope.mbCount();
+    }
+    EXPECT_EQ(mb, 0u) << mb << " allocations of 1 MB or more";
+    // Building the harness generates the kernel's source text (13
+    // allocations); each of the K=4 and K=12 runs builds a queue, two
+    // NIs and a core and returns its region map (about 40).  One
+    // assembly of the handler alone costs several hundred.
+    EXPECT_LE(count, 16u + 2 * 48u)
+        << count << " allocations for a second harness and one "
+        << "processingCost";
+    EXPECT_LT(count, assemble)
+        << count << " allocations, more than the " << assemble
+        << " of one handler assembly";
 }
