@@ -5,9 +5,12 @@
  * the SweepRunner thread pool, the setup layer (host time per queue
  * construction, kernel assembly, program load and Table-1 cell), raw
  * event-kernel throughput (events/second) at several pending-event
- * populations, a per-event-type self-profile of where the
- * simulator's own wall-time goes, and the sweep pool's work-stealing
- * balance.
+ * populations and for one schedule-then-drain burst, a
+ * per-event-type self-profile of where the simulator's own wall-time
+ * goes, the sweep pool's work-stealing balance, and the hot paths of
+ * message handling (the CPU interpreter's loop rate, an NI
+ * send/receive, a MsgIp read and the two-instruction remote-read
+ * server loop).
  * Results go to stdout and to a JSON file for CI tracking.
  *
  * The JSON leads with the host's hardware concurrency; a machine with
@@ -32,7 +35,10 @@
 #include "cpu/cpu.hh"
 #include "experiments.hh"
 #include "msg/kernels.hh"
+#include "msg/protocol.hh"
 #include "ni/model_registry.hh"
+#include "ni/network_interface.hh"
+#include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/sweep.hh"
 #include "tam/expand.hh"
@@ -212,6 +218,157 @@ timeEventKernel(uint64_t total_events, unsigned population)
 /** Pending-event populations of the kernel throughput sweep. */
 constexpr unsigned churnPops[] = {64, 512, 4096};
 
+/** Event-kernel events/second for one burst: @p total_events events
+ *  scheduled one tick apart into a fresh queue, then drained.  All but
+ *  the first calendar ring's worth wait in the overflow heap, as the
+ *  pending events of a 64k-node `scale` run do. */
+double
+timeScheduleDrain(uint64_t total_events)
+{
+    struct Nop : Event
+    {
+        void process() override {}
+    };
+    std::vector<Nop> events(total_events);
+    double us = usPerCall(1, [&] {
+        EventQueue eq;
+        return timed([&] {
+            Tick t = 0;
+            for (Nop &ev : events)
+                eq.schedule(&ev, ++t);
+            eq.run();
+        });
+    });
+    return total_events / (us * 1e-6);
+}
+
+/** Host rates of the message-handling hot paths, each timed alone. */
+struct HotPath
+{
+    double cpuInstsPerSec = 0;    //!< interpreter on a tight loop
+    double niSendReceiveNs = 0;   //!< SEND on one NI, NEXT on the other
+    double msgIpReadNs = 0;       //!< one MsgIp register read
+    double serverMsgsPerSec = 0;  //!< the two-instruction server loop
+};
+
+HotPath
+timeHotPath()
+{
+    HotPath h;
+    Memory mem(1 << 20);
+
+    // The interpreter alone: no NI, no harness, only the run is timed.
+    const isa::Program loop = isa::assemble(R"(
+        entry:
+            li   r1, 100000
+        loop:
+            addi r2, r2, 3
+            xor  r3, r2, r1
+            addi r1, r1, -1
+            bnez r1, loop
+            nop
+            halt
+    )");
+    uint64_t insts = 0;
+    double loop_us = usPerCall(1, [&] {
+        EventQueue eq;
+        Cpu cpu("cpu", eq, mem, nullptr);
+        cpu.loadProgram(loop);
+        cpu.reset(loop.addrOf("entry"));
+        cpu.start();
+        double sec = timed([&] { eq.run(); });
+        insts = cpu.instructions();
+        return sec;
+    });
+    h.cpuInstsPerSec = insts / (loop_us * 1e-6);
+
+    // NI to NI over the ideal network, one message in flight.  The
+    // default queue depths keep the rings in cache, as in a run.
+    {
+        constexpr unsigned reps = 10000;
+        EventQueue eq;
+        IdealNetwork net("net", eq, 2, 1);
+        ni::NetworkInterface ni0("ni0", eq, 0, net, ni::NiConfig{});
+        ni::NetworkInterface ni1("ni1", eq, 1, net, ni::NiConfig{});
+        ni0.writeReg(ni::regO0, globalWord(1, 0));
+        isa::NiCommand send;
+        send.mode = isa::SendMode::send;
+        send.type = 2;
+        isa::NiCommand next;
+        next.next = true;
+        h.niSendReceiveNs = 1e3 * usPerCall(1, [&] {
+            return timed([&] {
+                for (unsigned i = 0; i < reps; ++i) {
+                    ni0.command(send);
+                    eq.run();
+                    ni1.command(next);
+                }
+            }) / reps;
+        });
+
+        constexpr unsigned reads = 1000000;
+        ni1.writeReg(ni::regIpBase, 0x4000);
+        volatile Word sink = 0;
+        h.msgIpReadNs = 1e3 * usPerCall(1, [&] {
+            return timed([&] {
+                for (unsigned i = 0; i < reads; ++i)
+                    sink = ni1.readReg(ni::regMsgIp);
+            }) / reads;
+        });
+    }
+
+    // Claim E's kernel: the optimized register-mapped server answers
+    // a batch of READs (below the 8-bit iafull threshold), then STOP
+    // halts it.  Their arrival and serving are timed; building the
+    // machine is setup, not the loop.
+    const ni::Model model{ni::Placement::registerFile, true};
+    const isa::Program &server =
+        msg::cachedKernel(msg::handlerProgram(model));
+    constexpr unsigned batch = 192;
+    double serve_us = usPerCall(1, [&] {
+        EventQueue eq;
+        IdealNetwork net("net", eq, 2, 1);
+        ni::NiConfig cfg;
+        cfg.inputQueueDepth = 2 * batch;
+        cfg.outputQueueDepth = 2 * batch;
+        cfg.inputThreshold = 255;
+        cfg.outputThreshold = 255;
+        ni::NetworkInterface ni0("ni0", eq, 0, net, cfg);
+        ni::NetworkInterface ni1("ni1", eq, 1, net, cfg);
+        mem.clear();
+        mem.write(0x2100, 7);
+        Cpu cpu("cpu", eq, mem, &ni1);
+        cpu.loadProgram(server);
+        double sec = timed([&] {
+            for (unsigned k = 0; k < batch; ++k) {
+                Message m;
+                m.words = {globalWord(1, 0x2100), globalWord(0, 0), 0, 0,
+                           0};
+                m.type = msg::typeRead;
+                m.setDestFromWord0();
+                ni1.acceptFromNetwork(m);
+            }
+            Message stop;
+            stop.words = {globalWord(1, 0), 0, 0, 0, 0};
+            stop.type = msg::typeStop;
+            stop.setDestFromWord0();
+            ni1.acceptFromNetwork(stop);
+            cpu.reset(server.addrOf("entry"));
+            cpu.start();
+            eq.run();
+        });
+        if (!cpu.halted() || ni0.numReceived() != batch)
+            fatal("host_perf: the server loop %s with %llu of %u "
+                  "replies delivered",
+                  cpu.halted() ? "halted" : "did not halt",
+                  static_cast<unsigned long long>(ni0.numReceived()),
+                  batch);
+        return sec;
+    });
+    h.serverMsgsPerSec = batch / (serve_us * 1e-6);
+    return h;
+}
+
 int
 runHostPerf(const exp::Context &ctx)
 {
@@ -301,6 +458,16 @@ runHostPerf(const exp::Context &ctx)
                     static_cast<unsigned long long>(events),
                     churnPops[i], cal[i] / 1e6);
     }
+    double drain = timeScheduleDrain(events);
+    std::printf("Event kernel (%llu events scheduled, then drained): "
+                "%.2fM ev/s\n",
+                static_cast<unsigned long long>(events), drain / 1e6);
+
+    HotPath hot = timeHotPath();
+    std::printf("\nHot paths: CPU loop %.1fM inst/s, NI send->receive "
+                "%.0f ns, MsgIp read %.1f ns, server loop %.2fM msgs/s\n",
+                hot.cpuInstsPerSec / 1e6, hot.niSendReceiveNs,
+                hot.msgIpReadNs, hot.serverMsgsPerSec / 1e6);
 
     // Splice our sections into --out, preserving anything another
     // producer (the scale experiment) owns there.
@@ -363,8 +530,16 @@ runHostPerf(const exp::Context &ctx)
         sec << (i ? ",\n" : "\n") << "{\"pending\":" << churnPops[i]
             << ",\"calendarEventsPerSec\":" << cal[i] << "}";
     }
-    sec << "]}";
+    sec << "],\n\"scheduleDrain\":{\"pending\":" << events
+        << ",\"eventsPerSec\":" << drain << "}}";
     jsonio::upsert(out, "eventKernel", sec.str());
+
+    sec.str("");
+    sec << "{\"cpuLoopInstsPerSec\":" << hot.cpuInstsPerSec
+        << ",\"niSendReceiveNs\":" << hot.niSendReceiveNs
+        << ",\"msgIpReadNs\":" << hot.msgIpReadNs
+        << ",\"serverLoopMsgsPerSec\":" << hot.serverMsgsPerSec << "}";
+    jsonio::upsert(out, "hotPath", sec.str());
 
     std::ofstream os(out_file);
     if (!os)
@@ -381,8 +556,8 @@ registerHostPerf(exp::ExperimentRegistry &reg)
 {
     reg.add({
         "host_perf",
-        "Host wall-time: sweep-pool speedup and event-kernel "
-        "throughput",
+        "Host wall-time: sweep-pool speedup, setup, event-kernel "
+        "and message hot-path throughput",
         {
             {"--events", "N", "events per kernel-throughput "
              "measurement", "1000000", false},

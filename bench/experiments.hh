@@ -1,11 +1,10 @@
 /**
  * @file
  * The benchmark experiment definitions (Table 1, Figure 12, the
- * optimization ablation, the off-chip latency sensitivity, and the
- * host-side performance bench), registered into the shared
- * exp::ExperimentRegistry.  The `tcpni_bench` driver and the thin
- * compatibility binaries (`table1`, `figure12`, ...) all dispatch
- * through this registry.
+ * optimization ablation, the off-chip latency sensitivity, the
+ * host-side performance bench, On-NI occupancy, collectives, scale
+ * and serving), registered into the shared exp::ExperimentRegistry.
+ * The `tcpni_bench` driver dispatches through this registry.
  */
 
 #ifndef TCPNI_BENCH_EXPERIMENTS_HH

@@ -2,8 +2,10 @@
  * @file
  * Minimal JSON section splicing for shared result files.
  *
- * BENCH_host.json is written by more than one experiment (host_perf
- * owns the host/eventKernel sections, scale owns the "scale" section).
+ * BENCH_host.json is written by more than one experiment: host_perf
+ * owns the host, table1Sweep, setup, sweepRunner, selfProfile,
+ * eventKernel and hotPath sections, scale owns "scale" and serve
+ * owns "serve".
  * Rather than have each producer clobber the whole file, these helpers
  * parse the file's top-level object into ordered (key, raw value)
  * pairs and write it back with one section replaced or appended.  The

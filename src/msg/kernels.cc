@@ -464,8 +464,10 @@ optMiddleSlots(bool collectives, unsigned last)
  * completion SEND (hp_coll); interior hops cost zero host cycles.
  * The cache-mapped exit re-reads MsgIp after NEXT, which is correct
  * with and without the NextMsgIp overlap, so both sets share it.
- * The [opt] comment and [cache opt] blank lines keep the cache-mapped
- * listings line for line with the lint golden; the [reg ...] o2
+ * The cache-mapped `jmp msgip` opens the dispatching region, so a
+ * label it falls into reopens processing with a [cache opt] directive.
+ * Those lines and the [opt] comment keep the cache-mapped listings
+ * line for line with the lint golden; the [reg ...] o2
  * writes are redundant (output words persist across sends) but are
  * the register-mapped schedules' words.
  */
@@ -514,7 +516,7 @@ coll_barup_done:
 [host]      send T_SEND
     jmp  msgip
     nop
-[cache opt]
+[cache opt] .region processing
 coll_barup_up:
     ; interior join: forward the arrival to the parent frame
     next
@@ -523,7 +525,7 @@ coll_barup_up:
     send T_BARUP
     jmp  msgip
     nop
-[cache opt]
+[cache opt] .region processing
 coll_out:
     next
     jmp  msgip
@@ -653,7 +655,7 @@ coll_red_done:
 [host]      send T_SEND
     jmp  msgip
     nop
-[cache opt]
+[cache opt] .region processing
 coll_red_up:
     ; interior join: forward the partial reduction to the parent
     next
