@@ -38,6 +38,12 @@ Hpu::Hpu(std::string name, EventQueue &eq, Memory &mem,
     }
 }
 
+Hpu::~Hpu()
+{
+    if (mgroup_)
+        mgroup_->retire();
+}
+
 void
 Hpu::reset(Addr pc)
 {

@@ -64,6 +64,10 @@ class Hpu : public Cpu
     Hpu(std::string name, EventQueue &eq, Memory &mem,
         ni::NetworkInterface &ni, CpuConfig config = {});
 
+    /** Retires the metrics group while the members its readers read
+     *  still exist (~Cpu retires it too late for them). */
+    ~Hpu() override;
+
     /** Reset architectural state and set the PC. */
     void reset(Addr pc);
 

@@ -2003,18 +2003,20 @@ kernelCorpus(const ni::Model &model)
     std::vector<CorpusJob> jobs;
 
     if (model.optimized) {
-        jobs.push_back({"handlers", handlerProgram(model), true});
+        jobs.push_back({"handlers", handlerProgram(model), true, ""});
         // The no-overlap variant exists only for the cache-mapped
         // host kernels; On-NI handlers are register-coupled.
         if (!model.policy().registerMapped &&
             !model.policy().handlersOnNi) {
             jobs.push_back({"handlers-no-overlap",
-                            handlerProgram(model, false, true), true});
+                            handlerProgram(model, false, true), true,
+                            ""});
         }
     } else {
-        jobs.push_back({"handlers", handlerProgram(model, false), true});
+        jobs.push_back(
+            {"handlers", handlerProgram(model, false), true, ""});
         jobs.push_back({"handlers-sw-checks",
-                        handlerProgram(model, true), true});
+                        handlerProgram(model, true), true, ""});
     }
 
     // The collective kernel set rides in its own pairing group: the
@@ -2035,7 +2037,7 @@ kernelCorpus(const ni::Model &model)
     };
     for (Kind k : kinds) {
         jobs.push_back({"send-" + kindName(k),
-                        senderProgram(model, k, 4), false});
+                        senderProgram(model, k, 4), false, ""});
     }
     return jobs;
 }

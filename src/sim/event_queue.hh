@@ -10,10 +10,14 @@
  * The queue is a two-tier calendar queue.  A ring of per-tick buckets
  * covers the near future [curTick, curTick + ringSize); events beyond
  * the window go to an overflow binary heap and migrate into the ring
- * as time advances.  Most simulator events are scheduled a handful of
- * ticks ahead, so scheduling and firing are O(1) amortized instead of
- * O(log n).  The differential fuzz (tests/sim/event_kernel_fuzz_test.cc)
- * checks its firing order against a test-only binary-heap reference.
+ * as time advances.  A bucket is an intrusive list threaded through
+ * the Events themselves, so scheduling, descheduling and firing in
+ * the window are O(1) and allocate nothing; a bucket is put in
+ * (priority, sequence) order once, at its tick's first pop.  Most
+ * simulator events are scheduled a handful of ticks ahead, so
+ * scheduling and firing are O(1) amortized instead of O(log n).  The
+ * differential fuzz (tests/sim/event_kernel_fuzz_test.cc) checks its
+ * firing order against a test-only binary-heap reference.
  *
  * Each EventQueue also allocates the message trace ids for its
  * simulation (see nextTraceId()), so independent simulations -- e.g.
@@ -24,11 +28,9 @@
 #ifndef TCPNI_SIM_EVENT_QUEUE_HH
 #define TCPNI_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory_resource>
 #include <queue>
 #include <string>
 #include <vector>
@@ -116,11 +118,18 @@ class Event
     friend class EventQueue;
 
     Tick when_ = 0;
-    /** Sequence number of the latest schedule() of this event; queue
-     *  entries carrying an older number are stale and skipped. */
+    /** Sequence number of the latest schedule() of this event; orders
+     *  same-tick, same-priority events, and overflow-heap entries
+     *  carrying an older number are stale and skipped. */
     uint64_t seq_ = 0;
     int priority_;
     bool scheduled_ = false;
+    /** Linked into a ring bucket (else in the overflow heap, or not
+     *  scheduled). */
+    bool inRing_ = false;
+    /** Neighbours in the ring bucket, while inRing_. */
+    Event *prev_ = nullptr;
+    Event *next_ = nullptr;
 };
 
 /** A convenience Event wrapping a std::function callback. */
@@ -200,13 +209,6 @@ class EventQueue
     /** Process exactly one event, if any. @return true if one fired. */
     bool step();
 
-    /**
-     * Tick of the earliest live event, or maxTick when empty.  May
-     * prune stale entries and migrate overflow entries (both
-     * order-preserving).
-     */
-    Tick nextEventTick();
-
     /** Total number of events processed so far. */
     uint64_t numProcessed() const { return numProcessed_; }
 
@@ -233,6 +235,8 @@ class EventQueue
     uint64_t queueId() const { return queueId_; }
 
   private:
+    /** An overflow-heap entry; stale once its event is descheduled
+     *  or scheduled again (seq mismatch), and then skipped. */
     struct Entry
     {
         Tick when;
@@ -254,23 +258,22 @@ class EventQueue
         }
     };
 
-    /** Min-heap order for same-tick bucket entries. */
-    struct BucketCmp
-    {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** True when a queued entry still refers to a live schedule. */
+    /** True when an overflow entry still refers to a live schedule. */
     static bool
     live(const Entry &e)
     {
         return e.ev->scheduled_ && e.ev->seq_ == e.seq;
     }
+
+    /** The events of one ring tick, linked through Event::prev_/next_. */
+    struct Bucket
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
+        /** The tick the list was last sorted for; maxTick (never a
+         *  ring tick) until the first sort. */
+        Tick sortedAt = maxTick;
+    };
 
     /** Ticks covered by the near-future bucket ring (power of two). */
     static constexpr size_t ringSize_ = 1024;
@@ -285,70 +288,36 @@ class EventQueue
                                               : curTick_ + ringSize_;
     }
 
-    /** Buckets keep their backing store across drains up to this
-     *  capacity.  Larger stores are returned to the spare-store pool
-     *  when the bucket empties and re-acquired when a bucket grows,
-     *  so big same-tick bursts share storage instead of ratcheting
-     *  every bucket's vector up independently -- that sharing is what
-     *  makes the steady-state schedule/fire cycle allocation-free
-     *  (tests/system/alloc_test.cc).  The threshold trades pool
-     *  traffic against stranded capacity: stores at or below it stay
-     *  put across drains (no retire/acquire churn for the common
-     *  population), and the rare growth the quiescent pool cannot
-     *  serve scavenges idle buckets before allocating.  A bucket gets
-     *  its keep-size store on first use, carved from arena_ (see
-     *  DESIGN.md section 13). */
-    static constexpr size_t bucketKeepCap_ = 64;
+    /** Link @p ev into the bucket of its tick (ev->when_ must lie in
+     *  the window). */
+    void ringInsert(Event *ev);
 
-    /** First arena chunk: the keep-size stores of 16 buckets.  Later
-     *  chunks grow geometrically, so a run that touches n buckets
-     *  makes O(log n) upstream allocations. */
-    static constexpr size_t arenaInitialBytes_ =
-        16 * bucketKeepCap_ * sizeof(Entry);
+    /** Unlink ring event @p ev from its bucket. */
+    void ringRemove(Event *ev);
 
-    /** Every bucket store lives in arena_, so stores can move between
-     *  buckets and the pool (pmr vectors swap only within one
-     *  resource). */
-    using Bucket = std::pmr::vector<Entry>;
+    /** Same-tick firing order: (priority, seq). */
+    static bool
+    firesBefore(const Event *a, const Event *b)
+    {
+        return a->priority_ != b->priority_ ? a->priority_ < b->priority_
+                                            : a->seq_ < b->seq_;
+    }
 
-    /** Number of capacity size classes in the spare-store pool. */
-    static constexpr unsigned spareBinCount_ = 34;
-
-    void ringInsert(const Entry &e);
-
-    /** Give full bucket @p b (index @p idx) room for one more entry:
-     *  its keep-size store on first use, else a larger store swapped
-     *  in, reusing a pooled store when one is big enough. */
-    void growBucket(Bucket &b, size_t idx);
-
-    /** Move empty bucket @p b's oversized store into the pool. */
-    void retireStore(Bucket &b, size_t idx);
-
-    /** Return a cleared store to its capacity size class. */
-    void poolStore(Bucket &&s);
-
-    /** Take the smallest pooled store with capacity >= @p target;
-     *  empty vector (capacity 0) when none is pooled. */
-    Bucket acquireStore(size_t target);
-
-    /** Retire every idle bucket's store (except bucket @p keep_idx)
-     *  into the pool.  Called only when a growth would otherwise
-     *  heap-allocate: capacity stranded in buckets whose tick has
-     *  passed becomes available to the bucket that needs it now. */
-    void scavengeStores(size_t keep_idx);
+    /** Put bucket @p b in (priority, seq) order, relinking in place. */
+    static void sortBucket(Bucket &b);
 
     /** Move overflow entries whose tick entered the window into the
      *  ring (dropping stale ones in passing). */
     void migrateOverflow();
 
     /**
-     * Extract the next live entry with when <= @p bound into @p out.
-     * @return false if none exists (events beyond @p bound stay put).
-     * On success curTick_ has been advanced to the entry's tick.
+     * Remove and return the next event with when <= @p bound, or
+     * nullptr if none exists (events beyond @p bound stay put).  On
+     * success curTick_ has been advanced to the event's tick.
      */
-    bool popNext(Tick bound, Entry &out);
+    Event *popNext(Tick bound);
 
-    void fire(const Entry &e);
+    void fire(Event *ev);
 
     /** Observe every pending boundary before @p t, each with the
      *  clock set to the boundary; the clock is restored after. */
@@ -371,44 +340,20 @@ class EventQueue
     Tick observedAt_ = maxTick;
     size_t nscheduled_ = 0;
 
-    // Bucket t & ringMask_ holds the entries of tick t; all ring
-    // entries satisfy curTick_ <= when < windowEnd().  ringCount_
-    // counts physical ring entries, stale included.
+    // Bucket t & ringMask_ links exactly the scheduled events of tick
+    // t that are in the ring; every ring event satisfies curTick_ <=
+    // when < windowEnd(), so a bucket never mixes ticks.  An event is
+    // linked iff its inRing_ is set, and deschedule() unlinks it, so
+    // the ring holds no stale events; ringCount_ counts them.
     //
-    // Buckets fill as cheap unsorted push_backs and are sorted once,
-    // lazily, on the first pop at their tick (descending BucketCmp,
-    // so the minimum pops from the back in O(1)).  ringSortedAt_
-    // remembers the tick a bucket was last sorted for: while the
-    // drain of tick t is in progress, a same-tick insert (rare --
-    // e.g. an interrupt wakeup scheduled at the current tick) keeps
-    // the order with a binary-search insertion instead of a resort.
-    // Ticks never repeat, so a marker matching the entry's tick
-    // always means "sorted for this very drain".  This replaces the
-    // per-entry push_heap/pop_heap of the original design, whose
-    // cost grew noticeably with bucket population (the 512 -> 4096
-    // pending-event regression in BENCH_host.json).
-    //
-    // arena_ backs every bucket store, so it is declared before the
-    // buckets and the pool and outlives them.  It frees nothing
-    // before the queue dies, and need not: a store, once carved, is
-    // in a bucket or in the pool for the rest of the queue's life.
-    // Its chunks come from, and at the queue's death go back to, a
-    // process-wide chunk cache (event_queue.cc), so building and
-    // destroying queues run after run returns nothing to malloc.
-    std::pmr::monotonic_buffer_resource arena_;
+    // A bucket fills by appending at its tail and is sorted once, on
+    // the first pop at its tick (sortedAt records that tick).  While
+    // the drain of tick t is in progress, a same-tick insert goes
+    // straight to its sorted place instead.  Ticks never repeat, so
+    // a marker matching the event's tick always means "sorted for
+    // this very drain".
     std::vector<Bucket> ring_;
-    std::vector<Tick> ringSortedAt_;
     size_t ringCount_ = 0;
-    /** Retired bucket stores, binned by floor(log2(capacity)) so
-     *  every pool operation is an O(1) push/pop at a bin's back (a
-     *  flat sorted pool would memmove O(pool) vector headers per
-     *  retire/acquire, which dominated the event kernel when many
-     *  buckets cycle through the pool every tick). */
-    std::array<std::vector<Bucket>, spareBinCount_> spareBins_;
-    /** Last store capacity per bucket: a hot bucket re-acquires its
-     *  working size in one step instead of doubling up to it.  0
-     *  until the bucket's first use. */
-    std::vector<uint32_t> ringCapHint_;
     std::priority_queue<Entry, std::vector<Entry>, Cmp> overflow_;
 };
 

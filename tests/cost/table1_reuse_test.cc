@@ -164,8 +164,9 @@ TEST(Table1Reuse, KernelCacheMatchesDirectAssemblyOnEveryThread)
             EXPECT_EQ(cached.symbols, direct.symbols);
             // One program per source, whichever thread assembled it.
             EXPECT_EQ(&msg::cachedKernel(sources[t][i]), got[t][i]);
-            if (i < shared.size())
+            if (i < shared.size()) {
                 EXPECT_EQ(got[t][i], got[0][i]);
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * The Handler Processing Unit: dispatch cost, the host-proxy escape
- * ring, the handler-time budget, and the CPU-offload property.
+ * ring, the handler-time budget, the CPU-offload property, and the
+ * final metrics a destroyed HPU reports.
  *
  * The HpuDispatch tests also pin the registry's onni-basic and
  * onni-opt Table-1 cells that leave the host CPU: dispatch, PRead
@@ -10,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "cost/table1.hh"
+#include "metrics/metrics.hh"
 #include "msg/kernels.hh"
 #include "msg/protocol.hh"
 #include "ni/model_registry.hh"
@@ -283,4 +288,34 @@ TEST(HpuSystem, BasicOnNiAlsoCompletes)
     ASSERT_TRUE(m.sys.run(200000));
     EXPECT_EQ(m.sys.node(0).mem().read(0x100), 0x77u);
     EXPECT_GT(m.sys.node(1).hpu()->handlersRun(), 0u);
+}
+
+// ---- metrics ---------------------------------------------------------
+
+TEST(HpuMetrics, DestroyedHpuReportsFinalCounters)
+{
+    // The Hpu's metric readers read its own members, so its group must
+    // be retired before they are destroyed: finalize() then reports
+    // the counters the Hpu held when it died.
+    metrics::Registry registry(0);
+    metrics::setRegistry(&registry);
+    uint64_t handlers = 0, busy = 0;
+    {
+        Machine m(onniOpt);
+        EXPECT_TRUE(m.sys.run(100000));
+        handlers = m.sys.node(1).hpu()->handlersRun();
+        busy = m.sys.node(1).hpu()->handlerBusyCycles();
+    }
+    metrics::setRegistry(nullptr);
+    ASSERT_GT(handlers, 0u);
+    ASSERT_GT(busy, 0u);
+
+    const metrics::TaskMetrics tm = registry.finalize("");
+    std::map<std::string, uint64_t> hpu;
+    for (const auto &g : tm.groups)
+        if (g.name.ends_with(".hpu"))
+            for (const auto &s : g.series)
+                hpu[s.name] = s.value;
+    EXPECT_EQ(hpu["handlers_run"], handlers);
+    EXPECT_EQ(hpu["handler_busy_cycles"], busy);
 }

@@ -253,8 +253,9 @@ TEST_P(KernelModels, PWriteSendsAck)
 
     Message ack = rig.reply();
     EXPECT_EQ(ack.words[0], globalWord(0, 0x300));
-    if (rig.optimized)
+    if (rig.optimized) {
         EXPECT_EQ(ack.type, typeAck);
+    }
 }
 
 TEST_P(KernelModels, AckDecrementsCounter)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -290,6 +291,112 @@ ringBoundaryTies()
     EXPECT_EQ(order, expect);
 }
 
+/** Firing log of the edge cases below: (event id, tick). */
+using FireLog = std::vector<std::pair<int, Tick>>;
+
+/** An event body that logs @p id at the queue's current tick. */
+template <class Queue>
+std::function<void()>
+logAs(FireLog &log, const Queue &eq, int id)
+{
+    return [&log, &eq, id] { log.emplace_back(id, eq.curTick()); };
+}
+
+template <class Queue>
+void
+overflowEventRescheduledBeforeMigration()
+{
+    // x, z and w sit in the overflow heap (beyond the first window).
+    // While a fires at 600, their ticks lie inside the window but they
+    // have not migrated yet: x is rescheduled to its own tick (behind
+    // y, scheduled there first), z is descheduled for good and w is
+    // pulled in to 700.  Their old heap entries must never fire.
+    Queue eq;
+    FireLog log;
+    auto logger = [&](int id) { return logAs(log, eq, id); };
+    LambdaEvent x(logger(1)), z(logger(2)), w(logger(3)), y(logger(4));
+    LambdaEvent a([&] {
+        log.emplace_back(0, eq.curTick());
+        eq.schedule(&y, 1500);
+        eq.reschedule(&x, 1500);
+        eq.deschedule(&z);
+        eq.reschedule(&w, 700);
+        EXPECT_EQ(eq.size(), 3u);
+    });
+    eq.schedule(&x, 1500);
+    eq.schedule(&z, 1500);
+    eq.schedule(&w, 1600);
+    eq.schedule(&a, 600);
+    eq.run();
+    EXPECT_EQ(log, (FireLog{{0, 600}, {3, 700}, {4, 1500}, {1, 1500}}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.numProcessed(), 4u);
+}
+
+template <class Queue>
+void
+sameTickSchedulesDuringDrain()
+{
+    // Events scheduled for the tick being drained take their (priority,
+    // seq) place among the events still waiting there: b (20) adds e
+    // (10, before everything left) and f (50, after everything); c (30)
+    // adds h (20, ahead of c's own band) and g (30, behind d).
+    Queue eq;
+    FireLog log;
+    auto logger = [&](int id) { return logAs(log, eq, id); };
+    LambdaEvent e(logger(4), 10), f(logger(5), 50), g(logger(6), 30),
+        h(logger(7), 20), d(logger(3), 30);
+    LambdaEvent b([&] {
+        log.emplace_back(1, eq.curTick());
+        eq.schedule(&e, eq.curTick());
+        eq.schedule(&f, eq.curTick());
+    }, 20);
+    LambdaEvent c([&] {
+        log.emplace_back(2, eq.curTick());
+        eq.schedule(&h, eq.curTick());
+        eq.schedule(&g, eq.curTick());
+    }, 30);
+    eq.schedule(&c, 5);
+    eq.schedule(&d, 5);
+    eq.schedule(&b, 5);
+    eq.run();
+    EXPECT_EQ(log, (FireLog{{1, 5}, {4, 5}, {2, 5}, {7, 5}, {3, 5},
+                            {6, 5}, {5, 5}}));
+}
+
+template <class Queue>
+void
+bucketReusedAfterSortedDrain()
+{
+    // Tick 3 is drained from a sorted bucket; tick 1027 maps to the
+    // same bucket, which then fills again in reverse priority order:
+    // two events scheduled at tick 10 (in the window, appended) and u,
+    // parked in the overflow heap at tick 0 and migrated later.  Tick
+    // 1027 must be sorted afresh, and v, scheduled while it drains,
+    // takes its sorted place.
+    Queue eq;
+    FireLog log;
+    auto logger = [&](int id) { return logAs(log, eq, id); };
+    LambdaEvent p(logger(0), 50), q(logger(1), 10), r(logger(3), 50),
+        u(logger(5), 30), v(logger(6), 40);
+    LambdaEvent s([&] {
+        log.emplace_back(4, eq.curTick());
+        eq.schedule(&v, eq.curTick());
+    }, 10);
+    LambdaEvent t([&] {
+        log.emplace_back(2, eq.curTick());
+        eq.schedule(&r, 1027);
+        eq.schedule(&s, 1027);
+    });
+    eq.schedule(&p, 3);
+    eq.schedule(&q, 3);
+    eq.schedule(&u, 1027);
+    eq.schedule(&t, 10);
+    eq.run();
+    EXPECT_EQ(log, (FireLog{{1, 3}, {0, 3}, {2, 10}, {4, 1027},
+                            {5, 1027}, {6, 1027}, {3, 1027}}));
+}
+
 } // namespace
 
 // Each edge runs on the calendar queue and on the reference, so the
@@ -310,4 +417,22 @@ TEST(EventKernelEdge, RingBoundaryTies)
 {
     ringBoundaryTies<EventQueue>();
     ringBoundaryTies<ReferenceQueue>();
+}
+
+TEST(EventKernelEdge, OverflowEventRescheduledBeforeMigration)
+{
+    overflowEventRescheduledBeforeMigration<EventQueue>();
+    overflowEventRescheduledBeforeMigration<ReferenceQueue>();
+}
+
+TEST(EventKernelEdge, SameTickSchedulesDuringDrain)
+{
+    sameTickSchedulesDuringDrain<EventQueue>();
+    sameTickSchedulesDuringDrain<ReferenceQueue>();
+}
+
+TEST(EventKernelEdge, BucketReusedAfterSortedDrain)
+{
+    bucketReusedAfterSortedDrain<EventQueue>();
+    bucketReusedAfterSortedDrain<ReferenceQueue>();
 }
