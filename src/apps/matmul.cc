@@ -212,7 +212,7 @@ runMatMul(unsigned n, unsigned block, tam::MachineConfig cfg)
             double ref = 0;
             for (unsigned k = 0; k < n; ++k)
                 ref += aVal(i, k) * bVal(k, j);
-            if (m.arrayState(array_c, i * n + j) != Presence::full ||
+            if (m.arrayState(array_c, i * n + j) != tam::Presence::full ||
                 m.arrayPeek(array_c, i * n + j) != ref) {
                 ok = false;
             }

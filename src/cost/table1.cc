@@ -95,7 +95,7 @@ Table1Harness::config() const
 }
 
 std::vector<Message>
-Table1Harness::makeMsgs(ProcCase c, unsigned n, unsigned k)
+Table1Harness::makeMsgs(ProcCase c, unsigned k)
 {
     const bool opt = model_.optimized;
     std::vector<Message> msgs;
@@ -160,7 +160,6 @@ Table1Harness::makeMsgs(ProcCase c, unsigned n, unsigned k)
     // The STOP message halts the server.
     msgs.push_back(craft(msg::typeStop, msg::typeStop,
                          globalWord(1, 0), 0, 0, 0));
-    (void)n;
     return msgs;
 }
 
@@ -316,9 +315,9 @@ Table1Harness::processingCost(ProcCase c, unsigned n)
         return it == r.regionCycles.end() ? 0 : it->second;
     };
 
-    RunResult small = runServer(makeMsgs(c, n, kSmall),
+    RunResult small = runServer(makeMsgs(c, kSmall),
                                 memPrep(c, n, kSmall));
-    RunResult large = runServer(makeMsgs(c, n, kLarge),
+    RunResult large = runServer(makeMsgs(c, kLarge),
                                 memPrep(c, n, kLarge));
 
     double denom = kLarge - kSmall;

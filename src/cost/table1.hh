@@ -112,7 +112,7 @@ class Table1Harness
     RunResult runSender(msg::Kind kind, unsigned count);
 
     /** Craft the K-message stream (plus STOP) for a processing case. */
-    std::vector<Message> makeMsgs(ProcCase c, unsigned n, unsigned k);
+    std::vector<Message> makeMsgs(ProcCase c, unsigned k);
 
     /** Memory initializer for a processing case sized for @p k
      *  messages with @p n deferred readers each. */

@@ -94,9 +94,7 @@ Machine::falloc(const CodeBlock *cb)
 {
     count(Op::falloc);
     uint32_t id = static_cast<uint32_t>(frames_.size());
-    NodeId node = nextNode_;
-    nextNode_ = (nextNode_ + 1) % config_.numNodes;
-    frames_.push_back(std::make_unique<Frame>(id, cb, node));
+    frames_.push_back(std::make_unique<Frame>(id, cb));
     ++liveFrames_;
     return *frames_.back();
 }
@@ -149,6 +147,25 @@ Machine::syncDec(Frame &f, unsigned slot, unsigned thread)
         fork(f, thread);
 }
 
+Machine::Elem &
+Machine::elem(ArrayRef array, size_t idx, const char *op)
+{
+    return const_cast<Elem &>(
+        static_cast<const Machine *>(this)->elem(array, idx, op));
+}
+
+const Machine::Elem &
+Machine::elem(ArrayRef array, size_t idx, const char *op) const
+{
+    if (array.id >= arrays_.size())
+        panic("%s of unknown array %u", op, array.id);
+    const std::vector<Elem> &elems = arrays_[array.id];
+    if (idx >= elems.size())
+        panic("%s of I-structure index %zu out of range (array %u, "
+              "size %zu)", op, idx, array.id, elems.size());
+    return elems[idx];
+}
+
 void
 Machine::deliver(Continuation c, const Payload &vals)
 {
@@ -199,12 +216,10 @@ Machine::remoteWrite(CellRef cell, Value v)
 void
 Machine::ifetch(ArrayRef array, size_t idx, Continuation c)
 {
-    if (array.id >= arrays_.size())
-        panic("ifetch of unknown array %u", array.id);
-    IStructMemory &mem = *arrays_[array.id];
+    Elem &e = elem(array, idx, "ifetch");
 
     // Classify the access the way Mint classified the paper's PReads.
-    Presence before = mem.state(idx);
+    const Presence before = e.state;
     MsgKind kind = before == Presence::full     ? MsgKind::preadFull
                    : before == Presence::empty  ? MsgKind::preadEmpty
                                                 : MsgKind::preadDeferred;
@@ -217,42 +232,43 @@ Machine::ifetch(ArrayRef array, size_t idx, Continuation c)
                              ? "EMPTY -> DEFERRED (reader queued)"
                              : "DEFERRED -> reader appended");
 
-    IReadResult r = mem.read(idx, c.frame, c.inlet);
-    if (r.full) {
+    if (before == Presence::full) {
         // Immediate 1-word Send reply from the element's home node.
-        // The exact value lives in the shadow (see istore()).
         ++stats_.replies;
-        deliver(c, {shadow_[array.id][idx]});
+        deliver(c, {e.value});
+        return;
     }
+    e.waiters.push_back(c);
+    e.state = Presence::deferred;
 }
 
 void
 Machine::istore(ArrayRef array, size_t idx, Value v)
 {
-    if (array.id >= arrays_.size())
-        panic("istore of unknown array %u", array.id);
-    IStructMemory &mem = *arrays_[array.id];
+    Elem &e = elem(array, idx, "istore");
 
+    // The PWrite is a message even when it breaks single assignment.
     ++stats_.msgs[static_cast<size_t>(MsgKind::pwrite)];
-
-    // I-structure values are word-encoded; the workloads store either
-    // small integers or scaled fixed-point floats.  We keep the exact
-    // double alongside in a shadow so numeric verification is exact,
-    // while the IStructMemory tracks presence and continuations.
-    IWriteResult w = mem.write(idx, 0);
-    shadow_[array.id][idx] = v;
+    if (e.state == Presence::full)
+        panic("I-structure element %zu of array %u written twice", idx,
+              array.id);
     TCPNI_TRACE_AT(TAM, steps_, "tam", "pwrite array %u[%zu] %s -> "
                    "FULL (releases %zu deferred readers)", array.id,
-                   idx, w.readers.empty() ? "EMPTY" : "DEFERRED",
-                   w.readers.size());
+                   idx, e.waiters.empty() ? "EMPTY" : "DEFERRED",
+                   e.waiters.size());
 
-    if (!w.readers.empty()) {
-        ++stats_.pwriteWithDeferred;
-        stats_.pwriteReleases += w.readers.size();
-    }
-    for (const DeferredReader &reader : w.readers) {
+    e.state = Presence::full;
+    e.value = v;
+    if (e.waiters.empty())
+        return;
+    // Take the list first: the readers' inlets may fetch this element
+    // again (it is FULL now) or allocate arrays.
+    std::vector<Continuation> readers = std::move(e.waiters);
+    ++stats_.pwriteWithDeferred;
+    stats_.pwriteReleases += readers.size();
+    for (Continuation reader : readers) {
         ++stats_.replies;
-        deliver({reader.fp, static_cast<uint16_t>(reader.ip)}, {v});
+        deliver(reader, {v});
     }
 }
 
@@ -260,8 +276,7 @@ ArrayRef
 Machine::heapAlloc(size_t nelems)
 {
     uint32_t id = static_cast<uint32_t>(arrays_.size());
-    arrays_.push_back(std::make_unique<IStructMemory>(nelems));
-    shadow_.emplace_back(nelems, 0.0);
+    arrays_.emplace_back(nelems);
     return {id};
 }
 
@@ -284,19 +299,17 @@ Machine::cellValue(CellRef cell) const
 Value
 Machine::arrayPeek(ArrayRef array, size_t idx) const
 {
-    if (array.id >= arrays_.size())
-        panic("unknown array %u", array.id);
-    if (arrays_[array.id]->state(idx) != Presence::full)
-        panic("arrayPeek of non-full element %zu", idx);
-    return shadow_[array.id][idx];
+    const Elem &e = elem(array, idx, "arrayPeek");
+    if (e.state != Presence::full)
+        panic("arrayPeek of non-full element %zu of array %u", idx,
+              array.id);
+    return e.value;
 }
 
 Presence
 Machine::arrayState(ArrayRef array, size_t idx) const
 {
-    if (array.id >= arrays_.size())
-        panic("unknown array %u", array.id);
-    return arrays_[array.id]->state(idx);
+    return elem(array, idx, "arrayState").state;
 }
 
 void

@@ -1,17 +1,17 @@
 /**
  * @file
- * The TAM interpreter (see tam.hh for the methodology).
+ * The sequential TAM interpreter: activation frames, the LIFO thread
+ * scheduler, message accounting, remote cells and the I-structure
+ * element store (see tam.hh for the methodology).
  */
 
 #ifndef TCPNI_TAM_MACHINE_HH
 #define TCPNI_TAM_MACHINE_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/random.hh"
-#include "mem/istruct_memory.hh"
 #include "tam/tam.hh"
 
 namespace tcpni
@@ -23,15 +23,14 @@ namespace tam
 class Frame
 {
   public:
-    Frame(uint32_t id, const CodeBlock *cb, NodeId node)
-        : locals(cb->numLocals, 0.0), id_(id), cb_(cb), node_(node)
+    Frame(uint32_t id, const CodeBlock *cb)
+        : locals(cb->numLocals, 0.0), id_(id), cb_(cb)
     {}
 
     std::vector<Value> locals;
 
     uint32_t id() const { return id_; }
     const CodeBlock *codeBlock() const { return cb_; }
-    NodeId node() const { return node_; }
     bool freed() const { return freed_; }
 
   private:
@@ -39,14 +38,12 @@ class Frame
 
     uint32_t id_;
     const CodeBlock *cb_;
-    NodeId node_;
     bool freed_ = false;
 };
 
 /** Machine configuration. */
 struct MachineConfig
 {
-    unsigned numNodes = 64;     //!< logical nodes frames round-robin over
     uint64_t rngSeed = 42;
     uint64_t maxSteps = 2'000'000'000;  //!< runaway guard (ops)
 };
@@ -88,7 +85,7 @@ class Machine
     }
     /** @} */
 
-    /** Allocate an activation frame; frames round-robin over nodes. */
+    /** Allocate an activation frame. */
     Frame &falloc(const CodeBlock *cb);
 
     /** Release a frame (it must not be referenced afterwards). */
@@ -125,10 +122,12 @@ class Machine
     void remoteWrite(CellRef cell, Value v);
 
     /** I-structure fetch; the value arrives via @p c (immediately if
-     *  FULL, or when the producing istore executes). */
+     *  FULL, or when the producing istore executes).  One lookup both
+     *  classifies the PRead and reads or queues. */
     void ifetch(ArrayRef array, size_t idx, Continuation c);
 
-    /** I-structure store; releases any deferred readers. */
+    /** I-structure store; releases any deferred readers in arrival
+     *  order.  A second store to an element panics. */
     void istore(ArrayRef array, size_t idx, Value v);
     /** @} */
 
@@ -136,7 +135,8 @@ class Machine
     ArrayRef heapAlloc(size_t nelems);
     CellRef cellAlloc(Value initial = 0);
     Value cellValue(CellRef cell) const;
-    /** Peek a FULL array element (verification only). */
+    /** Peek a FULL array element (verification only); panics on an
+     *  EMPTY or DEFERRED one. */
     Value arrayPeek(ArrayRef array, size_t idx) const;
     Presence arrayState(ArrayRef array, size_t idx) const;
     /** @} */
@@ -174,6 +174,20 @@ class Machine
                                             unsigned slot);
     /** @} */
 
+    /** One I-structure element: its presence, its value once FULL
+     *  and the readers queued on it, in arrival order. */
+    struct Elem
+    {
+        Presence state = Presence::empty;
+        Value value = 0;
+        std::vector<Continuation> waiters;
+    };
+
+    /** The element @p idx of @p array; @p op names the caller in the
+     *  panic for an unknown array or an out-of-range index. */
+    Elem &elem(ArrayRef array, size_t idx, const char *op);
+    const Elem &elem(ArrayRef array, size_t idx, const char *op) const;
+
     void deliver(Continuation c, const Payload &vals);
 
     MachineConfig config_;
@@ -182,12 +196,11 @@ class Machine
 
     std::vector<std::unique_ptr<Frame>> frames_;
     std::vector<WorkItem> stack_;
-    std::vector<std::unique_ptr<IStructMemory>> arrays_;
-    /** Exact double values of stored elements (IStructMemory tracks
-     *  presence and continuations; verification reads this shadow). */
-    std::vector<std::vector<Value>> shadow_;
+    /** The I-structure arrays, indexed by ArrayRef::id: the machine
+     *  is the one store of each element's presence, value and
+     *  deferred readers. */
+    std::vector<std::vector<Elem>> arrays_;
     std::vector<Value> cells_;
-    uint32_t nextNode_ = 0;
     uint32_t liveFrames_ = 0;
     uint64_t steps_ = 0;
 };

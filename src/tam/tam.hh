@@ -35,8 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/types.hh"
-
 namespace tcpni
 {
 namespace tam
@@ -111,12 +109,26 @@ enum class Op : uint8_t
 
 std::string opName(Op op);
 
-/** A continuation: the inlet of a frame on a node (the FP/IP pair the
- *  paper's messages carry). */
+/** A continuation: an inlet of a frame (the FP/IP pair the paper's
+ *  messages carry). */
 struct Continuation
 {
     uint32_t frame = 0;
     uint16_t inlet = 0;
+};
+
+/**
+ * Presence state of an I-structure element (Arvind, Nikhil & Pingali,
+ * TOPLAS 1989).  A PRead of a FULL element replies at once; a PRead of
+ * an EMPTY or DEFERRED one queues the reader's continuation, and the
+ * element's one PWrite forwards the value to every queued reader in
+ * arrival order.  Writing a FULL element is a program error.
+ */
+enum class Presence : uint8_t
+{
+    empty = 0,      //!< not yet written, no reader waiting
+    full = 1,       //!< written; reads reply immediately
+    deferred = 2,   //!< not yet written, readers waiting
 };
 
 /** Handle to a distributed I-structure array. */

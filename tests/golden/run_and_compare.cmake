@@ -10,6 +10,8 @@
 #   build/bench/tcpni_bench table1 --json tests/golden/table1.json
 #   build/bench/tcpni_bench figure12 --n 8 --particles 2 \
 #       --json tests/golden/figure12.json
+#   build/bench/tcpni_bench figure12 --jobs 4 \
+#       --json tests/golden/figure12_paper.json
 
 separate_arguments(ARGS)
 

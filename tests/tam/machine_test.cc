@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "tam/machine.hh"
@@ -193,11 +195,20 @@ TEST(TamIStruct, FullFetchRepliesImmediately)
     Frame &f = m.falloc(cb.get());
 
     m.istore(a, 2, 3.5);
+    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
+    EXPECT_EQ(m.arrayPeek(a, 2), 3.5);
     m.ifetch(a, 2, m.cont(f, 0));
     EXPECT_EQ(f.locals[0], 3.5);
-    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 1u);
+    f.locals[0] = 0;
+    m.ifetch(a, 2, m.cont(f, 0));
+    EXPECT_EQ(f.locals[0], 3.5);
+    // A fetch leaves the element FULL, and its neighbours are untouched.
+    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
+    EXPECT_EQ(m.arrayState(a, 1), Presence::empty);
+    EXPECT_EQ(m.arrayState(a, 3), Presence::empty);
+    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 2u);
     EXPECT_EQ(m.stats().msg(MsgKind::pwrite), 1u);
-    EXPECT_EQ(m.stats().replies, 1u);
+    EXPECT_EQ(m.stats().replies, 2u);
 }
 
 TEST(TamIStruct, EmptyFetchDefersUntilStore)
@@ -214,15 +225,26 @@ TEST(TamIStruct, EmptyFetchDefersUntilStore)
         });
     Frame &f = m.falloc(cb.get());
 
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(m.arrayState(a, i), Presence::empty);
     m.ifetch(a, 0, m.cont(f, 0));
     EXPECT_EQ(f.locals[1], 0.0);
+    EXPECT_EQ(m.arrayState(a, 0), Presence::deferred);
     EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), 1u);
 
     m.istore(a, 0, 9.25);
     EXPECT_EQ(f.locals[0], 9.25);
     EXPECT_EQ(f.locals[1], 1.0);
+    EXPECT_EQ(m.arrayState(a, 0), Presence::full);
     EXPECT_EQ(m.stats().pwriteWithDeferred, 1u);
     EXPECT_EQ(m.stats().pwriteReleases, 1u);
+
+    // Once stored, a fetch replies at once.
+    f.locals[0] = 0;
+    m.ifetch(a, 0, m.cont(f, 0));
+    EXPECT_EQ(f.locals[0], 9.25);
+    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 1u);
+    EXPECT_EQ(m.stats().replies, 2u);
 }
 
 TEST(TamIStruct, DeferredClassification)
@@ -244,6 +266,138 @@ TEST(TamIStruct, DeferredClassification)
 
     m.istore(a, 0, 1);
     EXPECT_EQ(m.stats().pwriteReleases, 3u);
+    EXPECT_EQ(m.stats().replies, 3u);
+}
+
+TEST(TamIStruct, DoubleStorePanicsAfterCountingThePWrite)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(2);
+    m.istore(a, 0, 1);
+    EXPECT_THROW(m.istore(a, 0, 2), PanicError);
+    EXPECT_EQ(m.stats().msg(MsgKind::pwrite), 2u);
+    EXPECT_EQ(m.arrayPeek(a, 0), 1.0);
+}
+
+TEST(TamIStruct, OutOfRangeIndexPanics)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(2);
+    auto cb = simpleBlock([](Machine &, Frame &) {});
+    Frame &f = m.falloc(cb.get());
+    EXPECT_THROW(m.ifetch(a, 2, m.cont(f, 0)), PanicError);
+    EXPECT_THROW(m.istore(a, 5, 0), PanicError);
+    EXPECT_THROW(m.arrayState(a, 99), PanicError);
+    EXPECT_THROW(m.arrayPeek(a, 2), PanicError);
+    // An empty array has no index at all.
+    ArrayRef none = m.heapAlloc(0);
+    EXPECT_THROW(m.arrayState(none, 0), PanicError);
+}
+
+TEST(TamIStruct, UnknownArrayPanics)
+{
+    Machine m;
+    m.heapAlloc(2);
+    auto cb = simpleBlock([](Machine &, Frame &) {});
+    Frame &f = m.falloc(cb.get());
+    const ArrayRef unknown{1};
+    EXPECT_THROW(m.ifetch(unknown, 0, m.cont(f, 0)), PanicError);
+    EXPECT_THROW(m.istore(unknown, 0, 0), PanicError);
+    EXPECT_THROW(m.arrayState(unknown, 0), PanicError);
+    EXPECT_THROW(m.arrayPeek(unknown, 0), PanicError);
+}
+
+TEST(TamIStruct, PeekOfNonFullElementPanics)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(2);
+    auto cb = std::make_unique<CodeBlock>();
+    cb->name = "reader";
+    cb->numLocals = 1;
+    cb->inlets.push_back([](Machine &, Frame &, const Payload &) {});
+    Frame &f = m.falloc(cb.get());
+
+    EXPECT_THROW(m.arrayPeek(a, 0), PanicError);    // EMPTY
+    m.ifetch(a, 0, m.cont(f, 0));
+    ASSERT_EQ(m.arrayState(a, 0), Presence::deferred);
+    EXPECT_THROW(m.arrayPeek(a, 0), PanicError);    // DEFERRED
+}
+
+// One store releases n deferred readers, each on its own inlet, in the
+// order they arrived: the PWrite(deferred) handler's n-iteration
+// forwarding loop.
+TEST(TamIStruct, DeferredReadersReleasedInArrivalOrder)
+{
+    for (unsigned n : {0u, 1u, 2u, 5u, 16u, 100u}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        Machine m;
+        ArrayRef a = m.heapAlloc(1);
+        std::vector<unsigned> order;
+        std::vector<Value> got;
+        auto cb = std::make_unique<CodeBlock>();
+        cb->name = "readers";
+        cb->numLocals = 1;
+        for (unsigned i = 0; i < n; ++i) {
+            cb->inlets.push_back(
+                [&order, &got, i](Machine &, Frame &,
+                                  const Payload &vals) {
+                    order.push_back(i);
+                    got.push_back(vals.at(0));
+                });
+        }
+        Frame &f = m.falloc(cb.get());
+
+        for (unsigned i = 0; i < n; ++i)
+            m.ifetch(a, 0, m.cont(f, i));
+        EXPECT_TRUE(order.empty());
+        EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), n ? 1u : 0u);
+        EXPECT_EQ(m.stats().msg(MsgKind::preadDeferred), n ? n - 1 : 0u);
+
+        m.istore(a, 0, 42.5);
+        std::vector<unsigned> arrival(n);
+        for (unsigned i = 0; i < n; ++i)
+            arrival[i] = i;
+        EXPECT_EQ(order, arrival);
+        EXPECT_EQ(got, std::vector<Value>(n, 42.5));
+        EXPECT_EQ(m.stats().replies, n);
+        EXPECT_EQ(m.stats().pwriteReleases, n);
+        EXPECT_EQ(m.stats().pwriteWithDeferred, n ? 1u : 0u);
+        EXPECT_EQ(m.arrayState(a, 0), Presence::full);
+    }
+}
+
+// A released reader may fetch the element it was waiting on (FULL by
+// then) and allocate new arrays; the readers queued after it are still
+// released, once each.
+TEST(TamIStruct, ReleasedReaderMayFetchAgainAndAllocate)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(1);
+    std::vector<unsigned> order;
+    auto cb = std::make_unique<CodeBlock>();
+    cb->name = "readers";
+    cb->numLocals = 1;
+    cb->inlets.push_back(
+        [&order, a](Machine &mm, Frame &f, const Payload &) {
+            order.push_back(0);
+            for (int i = 0; i < 64; ++i)
+                mm.heapAlloc(16);
+            mm.ifetch(a, 0, mm.cont(f, 2));
+        });
+    cb->inlets.push_back([&order](Machine &, Frame &, const Payload &) {
+        order.push_back(1);
+    });
+    cb->inlets.push_back([&order](Machine &, Frame &, const Payload &) {
+        order.push_back(2);
+    });
+    Frame &f = m.falloc(cb.get());
+
+    m.ifetch(a, 0, m.cont(f, 0));
+    m.ifetch(a, 0, m.cont(f, 1));
+    m.istore(a, 0, 3);
+    // Inlet 0's fetch is FULL and replies before inlet 1 is released.
+    EXPECT_EQ(order, (std::vector<unsigned>{0, 2, 1}));
+    EXPECT_EQ(m.stats().pwriteReleases, 2u);
     EXPECT_EQ(m.stats().replies, 3u);
 }
 
