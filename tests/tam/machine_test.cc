@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -21,6 +20,25 @@ simpleBlock(CodeBlock::Thread t, unsigned locals = 4)
     cb->name = "simple";
     cb->numLocals = locals;
     cb->threads.push_back(std::move(t));
+    return cb;
+}
+
+/** A code block with n inlets; inlet i appends i to order and the
+ *  delivered value to got. */
+std::unique_ptr<CodeBlock>
+recordingBlock(unsigned n, std::vector<unsigned> &order,
+               std::vector<Value> &got)
+{
+    auto cb = std::make_unique<CodeBlock>();
+    cb->name = "readers";
+    cb->numLocals = 1;
+    for (unsigned i = 0; i < n; ++i) {
+        cb->inlets.push_back(
+            [&order, &got, i](Machine &, Frame &, const Payload &vals) {
+                order.push_back(i);
+                got.push_back(vals.at(0));
+            });
+    }
     return cb;
 }
 
@@ -195,20 +213,11 @@ TEST(TamIStruct, FullFetchRepliesImmediately)
     Frame &f = m.falloc(cb.get());
 
     m.istore(a, 2, 3.5);
-    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
-    EXPECT_EQ(m.arrayPeek(a, 2), 3.5);
     m.ifetch(a, 2, m.cont(f, 0));
     EXPECT_EQ(f.locals[0], 3.5);
-    f.locals[0] = 0;
-    m.ifetch(a, 2, m.cont(f, 0));
-    EXPECT_EQ(f.locals[0], 3.5);
-    // A fetch leaves the element FULL, and its neighbours are untouched.
-    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
-    EXPECT_EQ(m.arrayState(a, 1), Presence::empty);
-    EXPECT_EQ(m.arrayState(a, 3), Presence::empty);
-    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 2u);
+    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 1u);
     EXPECT_EQ(m.stats().msg(MsgKind::pwrite), 1u);
-    EXPECT_EQ(m.stats().replies, 2u);
+    EXPECT_EQ(m.stats().replies, 1u);
 }
 
 TEST(TamIStruct, EmptyFetchDefersUntilStore)
@@ -225,26 +234,15 @@ TEST(TamIStruct, EmptyFetchDefersUntilStore)
         });
     Frame &f = m.falloc(cb.get());
 
-    for (size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(m.arrayState(a, i), Presence::empty);
     m.ifetch(a, 0, m.cont(f, 0));
     EXPECT_EQ(f.locals[1], 0.0);
-    EXPECT_EQ(m.arrayState(a, 0), Presence::deferred);
     EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), 1u);
 
     m.istore(a, 0, 9.25);
     EXPECT_EQ(f.locals[0], 9.25);
     EXPECT_EQ(f.locals[1], 1.0);
-    EXPECT_EQ(m.arrayState(a, 0), Presence::full);
     EXPECT_EQ(m.stats().pwriteWithDeferred, 1u);
     EXPECT_EQ(m.stats().pwriteReleases, 1u);
-
-    // Once stored, a fetch replies at once.
-    f.locals[0] = 0;
-    m.ifetch(a, 0, m.cont(f, 0));
-    EXPECT_EQ(f.locals[0], 9.25);
-    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 1u);
-    EXPECT_EQ(m.stats().replies, 2u);
 }
 
 TEST(TamIStruct, DeferredClassification)
@@ -323,48 +321,132 @@ TEST(TamIStruct, PeekOfNonFullElementPanics)
     EXPECT_THROW(m.arrayPeek(a, 0), PanicError);    // DEFERRED
 }
 
-// One store releases n deferred readers, each on its own inlet, in the
-// order they arrived: the PWrite(deferred) handler's n-iteration
-// forwarding loop.
-TEST(TamIStruct, DeferredReadersReleasedInArrivalOrder)
+// The I-structure presence protocol (Section 4.2.1) on the machine's
+// element store: EMPTY -> DEFERRED on a fetch, FULL on the store, and
+// the deferred readers released in arrival order.
+
+TEST(IStruct, StartsEmpty)
 {
-    for (unsigned n : {0u, 1u, 2u, 5u, 16u, 100u}) {
-        SCOPED_TRACE("n = " + std::to_string(n));
-        Machine m;
-        ArrayRef a = m.heapAlloc(1);
-        std::vector<unsigned> order;
-        std::vector<Value> got;
-        auto cb = std::make_unique<CodeBlock>();
-        cb->name = "readers";
-        cb->numLocals = 1;
-        for (unsigned i = 0; i < n; ++i) {
-            cb->inlets.push_back(
-                [&order, &got, i](Machine &, Frame &,
-                                  const Payload &vals) {
-                    order.push_back(i);
-                    got.push_back(vals.at(0));
-                });
-        }
-        Frame &f = m.falloc(cb.get());
-
-        for (unsigned i = 0; i < n; ++i)
-            m.ifetch(a, 0, m.cont(f, i));
-        EXPECT_TRUE(order.empty());
-        EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), n ? 1u : 0u);
-        EXPECT_EQ(m.stats().msg(MsgKind::preadDeferred), n ? n - 1 : 0u);
-
-        m.istore(a, 0, 42.5);
-        std::vector<unsigned> arrival(n);
-        for (unsigned i = 0; i < n; ++i)
-            arrival[i] = i;
-        EXPECT_EQ(order, arrival);
-        EXPECT_EQ(got, std::vector<Value>(n, 42.5));
-        EXPECT_EQ(m.stats().replies, n);
-        EXPECT_EQ(m.stats().pwriteReleases, n);
-        EXPECT_EQ(m.stats().pwriteWithDeferred, n ? 1u : 0u);
-        EXPECT_EQ(m.arrayState(a, 0), Presence::full);
-    }
+    Machine m;
+    ArrayRef a = m.heapAlloc(8);
+    for (size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(m.arrayState(a, i), Presence::empty);
 }
+
+TEST(IStruct, WriteThenReadIsFull)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(4);
+    std::vector<unsigned> order;
+    std::vector<Value> got;
+    auto cb = recordingBlock(1, order, got);
+    Frame &f = m.falloc(cb.get());
+
+    m.istore(a, 2, 99);
+    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
+    EXPECT_EQ(m.arrayPeek(a, 2), 99.0);
+
+    m.ifetch(a, 2, m.cont(f, 0));
+    EXPECT_EQ(got, std::vector<Value>{99.0});
+    // Reading a full element leaves it full, and its neighbours empty.
+    EXPECT_EQ(m.arrayState(a, 2), Presence::full);
+    EXPECT_EQ(m.arrayState(a, 1), Presence::empty);
+    EXPECT_EQ(m.arrayState(a, 3), Presence::empty);
+}
+
+TEST(IStruct, ReadOfEmptyDefers)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(4);
+    std::vector<unsigned> order;
+    std::vector<Value> got;
+    auto cb = recordingBlock(1, order, got);
+    Frame &f = m.falloc(cb.get());
+
+    m.ifetch(a, 1, m.cont(f, 0));
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(m.arrayState(a, 1), Presence::deferred);
+    EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), 1u);
+    EXPECT_EQ(m.stats().replies, 0u);
+}
+
+TEST(IStruct, WriteReleasesDeferredInArrivalOrder)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(4);
+    std::vector<unsigned> order;
+    std::vector<Value> got;
+    auto cb = recordingBlock(3, order, got);
+    Frame &f = m.falloc(cb.get());
+
+    // Arrival order differs from inlet order.
+    m.ifetch(a, 0, m.cont(f, 2));
+    m.ifetch(a, 0, m.cont(f, 0));
+    m.ifetch(a, 0, m.cont(f, 1));
+    EXPECT_TRUE(order.empty());
+
+    m.istore(a, 0, 555);
+    EXPECT_EQ(order, (std::vector<unsigned>{2, 0, 1}));
+    EXPECT_EQ(got, std::vector<Value>(3, 555.0));
+    EXPECT_EQ(m.arrayState(a, 0), Presence::full);
+    EXPECT_EQ(m.arrayPeek(a, 0), 555.0);
+}
+
+TEST(IStruct, ReadAfterDeferredWriteIsImmediate)
+{
+    Machine m;
+    ArrayRef a = m.heapAlloc(2);
+    std::vector<unsigned> order;
+    std::vector<Value> got;
+    auto cb = recordingBlock(2, order, got);
+    Frame &f = m.falloc(cb.get());
+
+    m.ifetch(a, 0, m.cont(f, 0));
+    m.istore(a, 0, 7);
+    m.ifetch(a, 0, m.cont(f, 1));
+    EXPECT_EQ(order, (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(got, (std::vector<Value>{7.0, 7.0}));
+    EXPECT_EQ(m.stats().msg(MsgKind::preadFull), 1u);
+    EXPECT_EQ(m.stats().replies, 2u);
+}
+
+// Property sweep: one store releases n deferred readers, each on its
+// own inlet, in the order they arrived: the PWrite(deferred) handler's
+// n-iteration forwarding loop.
+class DeferredSweep : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(DeferredSweep, AllReadersReleased)
+{
+    const unsigned n = static_cast<unsigned>(GetParam());
+    Machine m;
+    ArrayRef a = m.heapAlloc(1);
+    std::vector<unsigned> order;
+    std::vector<Value> got;
+    auto cb = recordingBlock(n, order, got);
+    Frame &f = m.falloc(cb.get());
+
+    for (unsigned i = 0; i < n; ++i)
+        m.ifetch(a, 0, m.cont(f, i));
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(m.stats().msg(MsgKind::preadEmpty), n ? 1u : 0u);
+    EXPECT_EQ(m.stats().msg(MsgKind::preadDeferred), n ? n - 1 : 0u);
+
+    m.istore(a, 0, 42.5);
+    std::vector<unsigned> arrival(n);
+    for (unsigned i = 0; i < n; ++i)
+        arrival[i] = i;
+    EXPECT_EQ(order, arrival);
+    EXPECT_EQ(got, std::vector<Value>(n, 42.5));
+    EXPECT_EQ(m.stats().replies, n);
+    EXPECT_EQ(m.stats().pwriteReleases, n);
+    EXPECT_EQ(m.stats().pwriteWithDeferred, n ? 1u : 0u);
+    EXPECT_EQ(m.arrayState(a, 0), Presence::full);
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, DeferredSweep,
+                         ::testing::Values(0, 1, 2, 5, 16, 100));
 
 // A released reader may fetch the element it was waiting on (FULL by
 // then) and allocate new arrays; the readers queued after it are still
