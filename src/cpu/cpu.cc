@@ -256,7 +256,7 @@ Cpu::execute(const Instruction &inst)
         if (!regMappedNi_)
             panic("NI instruction bits require the register-file "
                   "coupling (pc=0x%08x)", pc_);
-        if (ni_->sendWouldStall(inst.ni.mode, port_))
+        if (ni_->sendWouldStall())
             return false;
     }
     if (inst.ni.next && !regMappedNi_)
@@ -266,8 +266,8 @@ Cpu::execute(const Instruction &inst)
     // Compute the next PC.  The instruction after a branch (its delay
     // slot) always executes; branchTarget_ holds the redirect that
     // applies after the delay slot.  The entry value is kept so a
-    // stall discovered after this point (a transport-policy hold
-    // against a destination the instruction itself just wrote) can
+    // stall discovered after this point (the instruction itself just
+    // set CONTROL's stall-on-full bit over a full output queue) can
     // rewind the consumed delay slot and retry cleanly.
     const std::optional<Addr> resumed_branch = branchTarget_;
     std::optional<Addr> new_target;
@@ -356,14 +356,11 @@ Cpu::execute(const Instruction &inst)
             auto mode = static_cast<isa::SendMode>(
                 bits(vaddr, ni::cmdaddr::modeShift + 1,
                      ni::cmdaddr::modeShift));
-            if (mode != isa::SendMode::none && ni_->sendWouldStall(mode))
+            if (mode != isa::SendMode::none && ni_->sendWouldStall())
                 return false;
+            // A load changes no NI state, so the pre-check is exact.
             Word result = 0;
             ni::CmdResult res = ni_->access(vaddr, 0, false, result);
-            if (res == ni::CmdResult::stall) {
-                branchTarget_ = resumed_branch;
-                return false;
-            }
             tcpni_assert(res == ni::CmdResult::ok);
             writeGpr(inst.rd, result,
                      now + 1 + ni_->config().loadUseDelay());
@@ -390,15 +387,15 @@ Cpu::execute(const Instruction &inst)
             auto mode = static_cast<isa::SendMode>(
                 bits(vaddr, ni::cmdaddr::modeShift + 1,
                      ni::cmdaddr::modeShift));
-            if (mode != isa::SendMode::none && ni_->sendWouldStall(mode))
+            if (mode != isa::SendMode::none && ni_->sendWouldStall())
                 return false;
             Word dummy = 0;
             ni::CmdResult res = ni_->access(vaddr, data, true, dummy);
             if (res == ni::CmdResult::stall) {
-                // The store may have rewritten the very register the
-                // SEND composes its destination from, so the pre-check
-                // above can be stale.  The store is idempotent; rewind
-                // the delay slot and retry the whole instruction.
+                // The store may have set CONTROL's stall-on-full bit
+                // over a full output queue, so the pre-check above can
+                // be stale.  The store is idempotent; rewind the delay
+                // slot and retry the whole instruction.
                 branchTarget_ = resumed_branch;
                 return false;
             }
@@ -460,10 +457,10 @@ Cpu::execute(const Instruction &inst)
     if (inst.ni.any()) {
         ni::CmdResult res = ni_->command(inst.ni, port_);
         if (res == ni::CmdResult::stall) {
-            // The instruction body may have rewritten the o-register
-            // the SEND addresses with, making the pre-check stale; a
-            // transport-policy hold then only surfaces here.  The ALU
-            // write is idempotent; rewind the delay slot and retry.
+            // The instruction body may have set CONTROL's
+            // stall-on-full bit over a full output queue, making the
+            // pre-check stale.  The ALU write is idempotent; rewind
+            // the delay slot and retry.
             branchTarget_ = resumed_branch;
             return false;
         }

@@ -315,7 +315,7 @@ regName(unsigned reg)
     };
     if (reg >= niRegBase && reg < niRegBase + 15)
         return aliases[reg - niRegBase];
-    return "r" + std::to_string(reg);
+    return std::to_string(reg).insert(0, 1, 'r');
 }
 
 std::optional<unsigned>

@@ -54,7 +54,8 @@ struct NiConfig
     /** Output-side transport policy and its knobs (src/transport).
      *  The default "naive" policy is the paper's interface verbatim:
      *  the System installs no policy object and the NI output path is
-     *  untouched. */
+     *  untouched.  Any other policy gates harness senders only; a
+     *  node that boots a program rejects it. */
     transport::TransportConfig transport;
 
     /** Capacity of the privileged escrow queue (Section 2.1.3).

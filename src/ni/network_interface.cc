@@ -125,7 +125,7 @@ uint64_t
 NetworkInterface::oqStallCycles() const
 {
     const Tick now = curTick();
-    if (!sendWaiter_ || now <= waitFrom_ || !outputStalls())
+    if (!sendWaiter_ || now <= waitFrom_ || !sendWouldStall())
         return oqStallCycles_;
     // A parked sender's retries not accounted yet: each one the
     // transport gate let through stalled on the full queue.
@@ -351,27 +351,10 @@ NetworkInterface::compose(isa::SendMode mode, uint8_t type,
 }
 
 bool
-NetworkInterface::outputStalls() const
+NetworkInterface::sendWouldStall() const
 {
     return outputQueue_.size() >= config_.outputQueueDepth &&
            bits(control_, control::stallOnFullBit) != 0;
-}
-
-bool
-NetworkInterface::sendWouldStall(isa::SendMode mode, Port port) const
-{
-    if (outputStalls())
-        return true;
-    if (tpolicy_) {
-        // The destination the SEND would compose: REPLY substitutes
-        // i1 for o0 (Section 2.2.2); every other mode addresses with
-        // the port's o0.
-        Word w0 = mode == isa::SendMode::reply
-                      ? inputRegs_[1]
-                      : outputRegs_[static_cast<unsigned>(port)][0];
-        return tpolicy_->wouldHold(nodeOf(w0), curTick());
-    }
-    return false;
 }
 
 CmdResult
@@ -468,7 +451,7 @@ NetworkInterface::catchUpSender()
     // Each retry the transport gate let through stalled on the full
     // output queue (policy hold first, then the queue).
     if (through) {
-        tcpni_assert(outputStalls());
+        tcpni_assert(sendWouldStall());
         oqStallCycles_ += through;
     }
     waitFrom_ = to;
@@ -490,7 +473,7 @@ NetworkInterface::armSendWake()
     if (sendWaiter_->scheduled())
         eventq().deschedule(sendWaiter_);
     // A full queue reopens only when the pump pops it.
-    if (outputStalls())
+    if (sendWouldStall())
         return;
     // Otherwise the transport gate holds it: the first tick the gate
     // would admit, or -- maxTick -- only a credit or an oafull edge
@@ -659,15 +642,12 @@ NetworkInterface::access(Word addr, Word data, bool is_store,
     else
         result = readReg(reg, port);
 
-    // A transport-policy hold must surface before scrollOut banks the
-    // pending words, or a retried access would scroll twice.  The
-    // register access above already took effect -- it is idempotent
-    // under retry -- so the destination the SEND would compose from
-    // is exact at this point.
-    if (tpolicy_ && cmd.mode != isa::SendMode::none &&
-        sendWouldStall(cmd.mode, port)) {
+    // A SEND stall must surface before scrollOut banks the pending
+    // words, or the retried access would bank them twice.  The store
+    // above may just have set CONTROL's stall-on-full bit over a full
+    // output queue; repeating it on the retry is idempotent.
+    if (cmd.mode != isa::SendMode::none && sendWouldStall())
         return CmdResult::stall;
-    }
 
     if (scroll_out)
         scrollOut(port);
@@ -788,7 +768,7 @@ NetworkInterface::pump()
         }
         // The pop changes what a parked sender's retry would see.
         catchUpSender();
-        const bool was_stalling = outputStalls();
+        const bool was_stalling = sendWouldStall();
         const bool was_oafull = oafull();
         bool edge = false;
         TCPNI_TRACE(NI, "inject id=%llu into the fabric",

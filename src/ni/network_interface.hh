@@ -195,20 +195,17 @@ class NetworkInterface : public SimObject
     /** @} */
 
     /**
-     * True if a SEND issued now would stall -- because the output
-     * queue is full under the stall-on-full policy, or because the
-     * transport policy would hold the destination the composed
-     * message is addressed to (@p mode selects where that address
-     * comes from: REPLY takes it from i1, everything else from
-     * @p port 's o0).  Used by the processors to hold the instruction
-     * at issue, so a retried SEND has no double side effects.
+     * True if a SEND issued now would stall: the output queue is full
+     * under the stall-on-full policy (Section 2.1.1).  Used by the
+     * processors to hold the instruction at issue, so a retried SEND
+     * has no double side effects.
      */
-    bool sendWouldStall(isa::SendMode mode = isa::SendMode::send,
-                        Port port = Port::cpu) const;
+    bool sendWouldStall() const;
 
     /** @{ Output-side transport policy hookup (src/transport); both
      *     default to null, leaving the paper's behavior untouched.
-     *     Installed by the System at construction. */
+     *     Installed by the System at construction, on nodes whose
+     *     only sender is the harness's (sys::TrafficGen). */
     void setTransportPolicy(transport::Policy *p) { tpolicy_ = p; }
     void setCreditFabric(transport::CreditFabric *f)
     {
@@ -274,9 +271,6 @@ class NetworkInterface : public SimObject
     /** Offer queued output messages to the network. */
     void pump();
     void schedulePump();
-
-    /** True when a SEND would stall on the output queue. */
-    bool outputStalls() const;
 
     /** SEND stall cycles on a full output queue, a parked sender's
      *  span up to now included. */

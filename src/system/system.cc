@@ -16,8 +16,8 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
     mem_ = std::make_unique<Memory>(cfg.memBytes);
     ni_ = std::make_unique<ni::NetworkInterface>(name + ".ni", eq, id,
                                                  net, cfg.ni);
-    if (cfg.ni.transport.policy != "naive") {
-        tpolicy_ = transport::makePolicy(cfg.ni.transport);
+    tpolicy_ = transport::makePolicy(cfg.ni.transport);
+    if (tpolicy_) {
         tpolicy_->attachMetrics(name + ".transport", eq);
         ni_->setTransportPolicy(tpolicy_.get());
     }
@@ -30,8 +30,16 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
 }
 
 void
-Node::checkAddressable() const
+Node::checkBootable() const
 {
+    // A transport policy gates harness senders (sys::TrafficGen),
+    // which park on a hold; a processor's SEND stalls only on a full
+    // output queue (Section 2.1.1) and has no hold to wait out.
+    if (tpolicy_) {
+        fatal("cannot boot a program on node %u: its transport policy "
+              "'%s' gates harness senders only; use 'naive'",
+              id_, tpolicy_->name());
+    }
     // Kernels name nodes through global words, whose node field holds
     // nodeBits bits: on a larger machine node ids would silently wrap
     // (node 300 reads back as node 44).
@@ -45,7 +53,7 @@ Node::checkAddressable() const
 void
 Node::boot(const isa::Program &prog, Addr entry)
 {
-    checkAddressable();
+    checkBootable();
     if (hpu_) {
         hpu_->loadProgram(prog);
         hpu_->reset(entry);
@@ -60,7 +68,7 @@ Node::boot(const isa::Program &prog, Addr entry)
 void
 Node::bootHost(const isa::Program &prog, Addr entry)
 {
-    checkAddressable();
+    checkBootable();
     cpu_->loadProgram(prog);
     cpu_->reset(entry);
     cpu_->start();

@@ -74,7 +74,8 @@ class Node
     Hpu *hpu() { return hpu_.get(); }
 
     /** The node's transport policy; null under the default "naive"
-     *  (the NI output path is then the paper's, untouched). */
+     *  (the NI output path is then the paper's, untouched).  Only a
+     *  node that boots no program may have one. */
     transport::Policy *transportPolicy() { return tpolicy_.get(); }
 
     /**
@@ -82,7 +83,9 @@ class Node
      * from @p entry: the CPU normally, the HPU on On-NI nodes (where
      * the handler loop belongs to the interface; use bootHost() for
      * the CPU-side program).  Fatal on a machine of more than
-     * maxAddressableNodes nodes, whose ids a global word cannot carry.
+     * maxAddressableNodes nodes, whose ids a global word cannot carry,
+     * and on a node with a transport policy, which gates harness
+     * senders only.
      */
     void boot(const isa::Program &prog, Addr entry);
 
@@ -92,7 +95,7 @@ class Node
     void bootHost(const isa::Program &prog, Addr entry);
 
   private:
-    void checkAddressable() const;
+    void checkBootable() const;
 
     NodeId id_;
     unsigned machineNodes_;

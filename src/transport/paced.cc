@@ -28,9 +28,8 @@
  * the minimum observed baseline.
  *
  * All state is integer and lazily settled: project() computes the
- * bucket and rate as of `now` without mutating anything (so the CPU's
- * side-effect-free wouldHold() pre-check agrees exactly with the
- * subsequent gate()), and gate()/onOafull() commit the projection.
+ * bucket and rate as of `now` without mutating anything, and
+ * gate()/onOafull() commit the projection.
  * A sleeping sender's deemed per-tick gates are replayed in closed
  * form by replay(), which is what a tick-by-tick gate() loop would
  * have settled.
@@ -75,12 +74,6 @@ class PacedPolicy : public Policy
             return Verdict::hold;
         }
         return Verdict::proceed;
-    }
-
-    bool
-    wouldHold(NodeId, Tick now) const override
-    {
-        return project(st_, now).tokens < rateOne;
     }
 
     void

@@ -66,21 +66,9 @@ Policy::firstProceed() const
 }
 
 uint64_t
-Policy::heldInSpan(NodeId dst, Tick from, Tick to) const
-{
-    return to > from && wouldHold(dst, to) ? to - from : 0;
-}
-
-uint64_t
 Policy::settleSpan(NodeId dst, Tick from, Tick to)
 {
     return heldInSpan(dst, from, to);
-}
-
-Tick
-Policy::firstProceedAfter(NodeId dst, Tick from) const
-{
-    return wouldHold(dst, from + 1) ? maxTick : from + 1;
 }
 
 uint64_t
@@ -115,37 +103,6 @@ Policy::attachMetrics(const std::string &name, EventQueue &eq)
     addMetrics(*mgroup_, eq);
 }
 
-namespace
-{
-
-/** The paper's behavior: never hold.  Selecting "naive" explicitly
- *  behaves identically to the System's fast path of installing no
- *  policy at all; the class exists so the table is total and unit
- *  tests can exercise the interface uniformly. */
-class NaivePolicy : public Policy
-{
-  public:
-    using Policy::Policy;
-
-    const char *name() const override { return "naive"; }
-
-    Verdict
-    gate(NodeId, Tick) override
-    {
-        return Verdict::proceed;
-    }
-
-    bool wouldHold(NodeId, Tick) const override { return false; }
-};
-
-std::unique_ptr<Policy>
-makeNaivePolicy(const TransportConfig &cfg)
-{
-    return std::make_unique<NaivePolicy>(cfg);
-}
-
-} // namespace
-
 std::unique_ptr<Policy> makeWindowPolicy(const TransportConfig &cfg);
 std::unique_ptr<Policy> makePacedPolicy(const TransportConfig &cfg);
 
@@ -154,7 +111,7 @@ registeredPolicies()
 {
     static constexpr std::array<PolicyInfo, 3> policies = {{
         {"naive", "the paper's interface: no output-side flow control",
-         makeNaivePolicy},
+         nullptr},
         {"window",
          "static per-destination credit window, credits returned on "
          "delivery",
@@ -197,7 +154,7 @@ makePolicy(const TransportConfig &cfg)
         fatal("transport: unknown policy '%s' (registered: %s)",
               cfg.policy.c_str(), policyNames().c_str());
     }
-    return info->make(cfg);
+    return info->make ? info->make(cfg) : nullptr;
 }
 
 } // namespace transport

@@ -13,8 +13,11 @@
  * constant table of policies, the same shape as the model table
  * (ni/model_registry.hh) and, in spirit, FreeBSD's pluggable TCP
  * stacks: named implementations behind one virtual interface,
- * selected per configuration by TransportConfig::policy.  The
- * NetworkInterface consults its policy instance
+ * selected per configuration by TransportConfig::policy.  A policy
+ * gates the serving harness's senders (sys::TrafficGen) only: a node
+ * that boots a program rejects one (sys::Node::boot), so a
+ * processor's SEND stalls on a full output queue and nothing else.
+ * The NetworkInterface consults its policy instance
  *
  *  - on every send attempt (gate(): proceed or hold, where hold
  *    surfaces as the architectural SEND stall, exactly like a full
@@ -31,9 +34,9 @@
  *
  * Three policies ship:
  *
- *  - naive: the paper's behavior, bit-for-bit.  The default; when it
- *    is selected the NI carries a null policy pointer and every hook
- *    reduces to one null test, so the paper goldens cannot move.
+ *  - naive: the paper's behavior, bit-for-bit.  The default, and no
+ *    policy object: the NI carries a null policy pointer and every
+ *    hook reduces to one null test, so the paper goldens cannot move.
  *  - window: a static credit window per destination.  At most
  *    `window` messages may be in flight to any one destination;
  *    credits return when the destination's interface accepts the
@@ -128,14 +131,6 @@ class Policy
      *  state (token refill, hold accounting). */
     virtual Verdict gate(NodeId dst, Tick now) = 0;
 
-    /**
-     * Side-effect-free preview of gate(): true iff gate() would hold.
-     * The CPU's SEND pre-check uses this so a stalled instruction
-     * retries without double side effects; wouldHold(d, t) == false
-     * must imply gate(d, t) == proceed.
-     */
-    virtual bool wouldHold(NodeId dst, Tick now) const = 0;
-
     /** A message to @p dst was admitted to the output queue. */
     virtual void onAdmit(NodeId dst, Tick now);
 
@@ -192,18 +187,15 @@ class Policy
     virtual void addMetrics(metrics::Group &, EventQueue &) {}
 
     /** @{ Closed-form replay of the deemed gates of ticks
-     *     (@p from, @p to] for a sender blocked on @p dst.  The
-     *     defaults are exact for a policy whose verdict does not
-     *     depend on time (hold iff wouldHold()) and whose gate() has
-     *     no side effect besides countHold(); a policy whose gate()
-     *     evolves state over time overrides all three. */
+     *     (@p from, @p to] for a sender blocked on @p dst. */
     /** How many of the deemed gates hold; pure. */
-    virtual uint64_t heldInSpan(NodeId dst, Tick from, Tick to) const;
+    virtual uint64_t heldInSpan(NodeId dst, Tick from, Tick to) const = 0;
     /** Apply the deemed gates' effects other than counting holds;
-     *  @return how many of them hold. */
+     *  @return how many of them hold.  The default suits a policy
+     *  whose gate() has no side effect besides countHold(). */
     virtual uint64_t settleSpan(NodeId dst, Tick from, Tick to);
     /** First t > @p from whose deemed gate proceeds, or maxTick. */
-    virtual Tick firstProceedAfter(NodeId dst, Tick from) const;
+    virtual Tick firstProceedAfter(NodeId dst, Tick from) const = 0;
     /** @} */
 
     /** The blocked sender's destination and last applied tick, for
@@ -245,6 +237,7 @@ struct PolicyInfo
 {
     const char *name;
     const char *description;
+    /** Null for naive, which installs no policy object. */
     std::unique_ptr<Policy> (*make)(const TransportConfig &);
 };
 
@@ -257,8 +250,8 @@ const PolicyInfo *findPolicy(const std::string &name);
 /** "naive, window, paced" -- for diagnostics. */
 std::string policyNames();
 
-/** Instantiate @p cfg.policy from the table; fatal()s on an unknown
- *  name, listing the table's. */
+/** Instantiate @p cfg.policy from the table: null for naive.
+ *  fatal()s on an unknown name, listing the table's. */
 std::unique_ptr<Policy> makePolicy(const TransportConfig &cfg);
 
 } // namespace transport

@@ -48,20 +48,13 @@ class WindowPolicy : public Policy
     const char *name() const override { return "window"; }
 
     Verdict
-    gate(NodeId dst, Tick now) override
+    gate(NodeId dst, Tick) override
     {
-        if (wouldHold(dst, now)) {
+        if (exhausted(dst)) {
             countHold();
             return Verdict::hold;
         }
         return Verdict::proceed;
-    }
-
-    bool
-    wouldHold(NodeId dst, Tick) const override
-    {
-        auto it = inFlight_.find(dst);
-        return it != inFlight_.end() && it->second >= cfg_.window;
     }
 
     void
@@ -103,7 +96,28 @@ class WindowPolicy : public Policy
                    "most destinations simultaneously at the limit");
     }
 
+    // The verdict does not change with time, only on a credit: a
+    // blocked sender's deemed gates all hold or all proceed.
+    uint64_t
+    heldInSpan(NodeId dst, Tick from, Tick to) const override
+    {
+        return to > from && exhausted(dst) ? to - from : 0;
+    }
+
+    Tick
+    firstProceedAfter(NodeId dst, Tick from) const override
+    {
+        return exhausted(dst) ? maxTick : from + 1;
+    }
+
   private:
+    bool
+    exhausted(NodeId dst) const
+    {
+        auto it = inFlight_.find(dst);
+        return it != inFlight_.end() && it->second >= cfg_.window;
+    }
+
     void
     setExhausted(int delta, Tick now)
     {

@@ -178,3 +178,41 @@ TEST_F(NiScroll, LongMessagePreservedThroughQueue)
     ni1->scrollIn();
     EXPECT_EQ(ni1->readReg(regI0), 0x51u);
 }
+
+TEST_F(NiScroll, StalledAccessBanksItsWordsOnce)
+{
+    // A cache-mapped store that sets CONTROL's stall-on-full bit over
+    // a full output queue, with SCROLL-OUT and SEND in its address,
+    // stalls.  The processor retries the whole access, so the stall
+    // must surface before SCROLL-OUT banks the output words: the
+    // message carries them once, not once per attempt.
+    const Word ctl =
+        ni0->readReg(regControl) & ~(1u << control::stallOnFullBit);
+    ni0->writeReg(regControl, ctl);
+    const unsigned depth = cfg().outputQueueDepth;
+    for (unsigned i = 0; i < depth; ++i)
+        ASSERT_EQ(send(*ni0, 1, 2), CmdResult::ok);
+    setOut(*ni0, globalWord(1, 0), 0x11, 0x12, 0x13, 0x14);
+    const Word addr =
+        cmdaddr::niAddrBase |
+        cmdaddr::offset(regControl,
+                        static_cast<unsigned>(isa::SendMode::send), 2,
+                        false, false, true);
+    const Word stall_ctl = ctl | 1u << control::stallOnFullBit;
+    Word unused = 0;
+    EXPECT_EQ(ni0->access(addr, stall_ctl, true, unused), CmdResult::stall);
+    drain();
+    EXPECT_EQ(ni0->access(addr, stall_ctl, true, unused), CmdResult::ok);
+    drain();
+
+    for (unsigned i = 0; i < depth; ++i)
+        ni1->command(nextCmd());
+    drain();
+    ASSERT_TRUE(ni1->msgValid());
+    EXPECT_EQ(ni1->readReg(regI1), 0x11u);
+    ni1->scrollIn();  // the SEND-time o-registers: five more words
+    EXPECT_EQ(ni1->readReg(regI4), 0x14u);
+    EXPECT_EQ(ni1->pendingException(), ExcCode::none);
+    ni1->scrollIn();  // past the end
+    EXPECT_EQ(ni1->pendingException(), ExcCode::inputPortError);
+}

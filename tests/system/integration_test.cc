@@ -369,6 +369,33 @@ TEST(SystemIntegration, BootRejectsNodeIdsBeyondGlobalWords)
                         .boot(prog, prog.addrOf("entry")));
 }
 
+TEST(SystemIntegration, BootRejectsATransportPolicy)
+{
+    // A transport policy gates harness senders, which park on a hold;
+    // a processor's SEND stalls only on a full output queue.  Booting
+    // a program on a node with a policy must fail loudly.
+    isa::Program prog = msg::assembleKernel("entry:\n    halt\n");
+    for (ni::Placement p :
+         {ni::Placement::registerFile, ni::Placement::onNi}) {
+        for (const char *policy : {"window", "paced"}) {
+            NodeConfig cfg = nodeCfg(p, true);
+            cfg.memBytes = 1 << 12;
+            cfg.ni.transport.policy = policy;
+            System m("tp", 2, 1, cfg);
+            EXPECT_THROW(m.node(0).boot(prog, prog.addrOf("entry")),
+                         FatalError) << policy;
+            EXPECT_THROW(m.node(0).bootHost(prog, prog.addrOf("entry")),
+                         FatalError) << policy;
+        }
+        NodeConfig cfg = nodeCfg(p, true);
+        cfg.memBytes = 1 << 12;
+        cfg.ni.transport.policy = "naive";
+        System m("tp", 2, 1, cfg);
+        EXPECT_NO_THROW(m.node(0).boot(prog, prog.addrOf("entry")));
+        EXPECT_NO_THROW(m.node(1).bootHost(prog, prog.addrOf("entry")));
+    }
+}
+
 TEST(SystemIntegration, GangTimeSliceWithNetworkDrain)
 {
     // Section 2.1.3's first multi-user mechanism: "if all processors

@@ -118,6 +118,27 @@ TEST(Expand, ModelOrderingOnMixedTraffic)
     EXPECT_GT(basic_reg.dispatch + basic_reg.otherComm, opt_off * 0.9);
 }
 
+TEST(Expand, SendDominatedTrafficFavorsDispatchOptimization)
+{
+    // A pure-Send mix (a call tree's one- and two-value Sends): the
+    // optimized/basic gap is dominated by dispatch -- the largest
+    // single ratio in Table 1.
+    TamStats s{};
+    s.ops[static_cast<size_t>(Op::iop)] = 2000;
+    s.ops[static_cast<size_t>(Op::move)] = 1500;
+    s.msgs[static_cast<size_t>(MsgKind::send1)] = 600;
+    s.msgs[static_cast<size_t>(MsgKind::send2)] = 600;
+    CommCosts reg_opt = measureCommCosts({ni::Placement::registerFile, true});
+    CommCosts off_bas =
+        measureCommCosts({ni::Placement::offChipCache, false});
+    Figure12Bar opt = expand(s, reg_opt);
+    Figure12Bar bas = expand(s, off_bas);
+    double ratio = (bas.sending + bas.dispatch) /
+                   (opt.sending + opt.dispatch);
+    EXPECT_GT(ratio, 4.0);
+    EXPECT_LT(opt.total(), bas.total());
+}
+
 TEST(Expand, WorkCostModelDefaultsPositive)
 {
     WorkCostModel w = WorkCostModel::default88100();

@@ -509,7 +509,7 @@ TEST(TamStatsTest, TotalMessagesIncludesReplies)
     Machine m;
     ArrayRef a = m.heapAlloc(1);
     auto cb = std::make_unique<CodeBlock>();
-    cb->name = "x";
+    cb->name = "totals";
     cb->numLocals = 1;
     cb->inlets.push_back(
         [](Machine &, Frame &, const Payload &) {});

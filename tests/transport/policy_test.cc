@@ -1,9 +1,7 @@
 /**
  * @file
- * Unit tests for the transport-policy layer: the policy table, the
- * wouldHold()/gate() agreement contract every policy must keep (the
- * CPU's stall pre-check depends on it), and the window / paced
- * gating semantics in isolation.
+ * Unit tests for the transport-policy layer: the policy table and the
+ * window / paced gating semantics in isolation.
  */
 
 #include <gtest/gtest.h>
@@ -30,26 +28,17 @@ TEST(PolicyTable, ListsTheThreeBuiltins)
         EXPECT_EQ(transport::findPolicy(names[i]), &table[i]);
         TransportConfig cfg;
         cfg.policy = names[i];
+        if (i == 0) {
+            // naive is the absence of a policy object.
+            EXPECT_EQ(table[i].make, nullptr);
+            EXPECT_EQ(transport::makePolicy(cfg), nullptr);
+            continue;
+        }
         EXPECT_STREQ(table[i].make(cfg)->name(), names[i]);
         EXPECT_STREQ(transport::makePolicy(cfg)->name(), names[i]);
     }
     EXPECT_EQ(transport::findPolicy("carrier-pigeon"), nullptr);
     EXPECT_EQ(transport::policyNames(), "naive, window, paced");
-}
-
-TEST(NaivePolicy, NeverHolds)
-{
-    TransportConfig cfg;
-    cfg.policy = "naive";
-    auto p = transport::makePolicy(cfg);
-    EXPECT_FALSE(p->wantsCredits());
-    for (Tick t = 0; t < 64; ++t) {
-        EXPECT_FALSE(p->wouldHold(3, t));
-        EXPECT_EQ(p->gate(3, t), Verdict::proceed);
-        p->onAdmit(3, t);
-    }
-    EXPECT_EQ(p->holds(), 0);
-    EXPECT_EQ(p->admits(), 64);
 }
 
 TEST(WindowPolicy, HoldsAtTheWindowPerDestination)
@@ -62,24 +51,19 @@ TEST(WindowPolicy, HoldsAtTheWindowPerDestination)
 
     // Two in flight to dst 5: admitted; the third holds.
     for (int i = 0; i < 2; ++i) {
-        EXPECT_FALSE(p->wouldHold(5, 10));
         EXPECT_EQ(p->gate(5, 10), Verdict::proceed);
         p->onAdmit(5, 10);
     }
-    EXPECT_TRUE(p->wouldHold(5, 11));
     EXPECT_EQ(p->gate(5, 11), Verdict::hold);
 
     // Destinations are independent.
-    EXPECT_FALSE(p->wouldHold(6, 11));
     EXPECT_EQ(p->gate(6, 11), Verdict::proceed);
     p->onAdmit(6, 11);
 
     // A returned credit reopens dst 5, one message's worth.
     p->onCredit(5, 1, 20);
-    EXPECT_FALSE(p->wouldHold(5, 20));
     EXPECT_EQ(p->gate(5, 20), Verdict::proceed);
     p->onAdmit(5, 20);
-    EXPECT_TRUE(p->wouldHold(5, 21));
     EXPECT_EQ(p->gate(5, 21), Verdict::hold);
 
     EXPECT_EQ(p->admits(), 4);
@@ -98,33 +82,13 @@ TEST(PacedPolicy, BucketDrainsAndRefillsAtTheConfiguredRate)
     EXPECT_TRUE(p->wantsCredits());
 
     // The bucket starts full (paceBurst messages).
-    EXPECT_FALSE(p->wouldHold(1, 0));
     EXPECT_EQ(p->gate(1, 0), Verdict::proceed);
     p->onAdmit(1, 0);
 
     // Empty: holds until the rate refills one whole message.
-    EXPECT_TRUE(p->wouldHold(1, 0));
     EXPECT_EQ(p->gate(1, 0), Verdict::hold);
-    EXPECT_TRUE(p->wouldHold(1, 1));
     EXPECT_EQ(p->gate(1, 1), Verdict::hold);
-    EXPECT_FALSE(p->wouldHold(1, 2));
     EXPECT_EQ(p->gate(1, 2), Verdict::proceed);
-}
-
-TEST(PacedPolicy, WouldHoldAgreesWithGateTickByTick)
-{
-    TransportConfig cfg;
-    cfg.policy = "paced";
-    cfg.paceBurst = 2;
-    cfg.paceRate = 300;  // deliberately not a divisor of rateOne
-    auto p = transport::makePolicy(cfg);
-    for (Tick t = 0; t < 200; ++t) {
-        const bool preview = p->wouldHold(7, t);
-        const Verdict v = p->gate(7, t);
-        EXPECT_EQ(preview, v == Verdict::hold) << "tick " << t;
-        if (v == Verdict::proceed)
-            p->onAdmit(7, t);
-    }
 }
 
 TEST(PacedPolicy, OafullHalvesTheRate)
@@ -135,11 +99,11 @@ TEST(PacedPolicy, OafullHalvesTheRate)
     cfg.paceRate = transport::rateOne / 2;  // one message per 2 ticks
     auto p = transport::makePolicy(cfg);
 
-    p->onAdmit(1, 0);                       // drain the bucket
-    p->onOafull(true, 0);                   // MD: rate now 1/4 msg/tick
-    EXPECT_TRUE(p->wouldHold(1, 2));        // 2 ticks no longer enough
-    EXPECT_TRUE(p->wouldHold(1, 3));
-    EXPECT_FALSE(p->wouldHold(1, 4));       // 4 ticks at rate/2 = 1 msg
+    p->onAdmit(1, 0);                          // drain the bucket
+    p->onOafull(true, 0);                      // MD: 1/4 msg/tick
+    EXPECT_EQ(p->gate(1, 2), Verdict::hold);   // 2 ticks: not enough
+    EXPECT_EQ(p->gate(1, 3), Verdict::hold);
+    EXPECT_EQ(p->gate(1, 4), Verdict::proceed);  // 4 ticks = 1 msg
     EXPECT_EQ(p->oafullEdges(), 1);
 }
 
@@ -164,9 +128,9 @@ TEST(PacedPolicy, SlowDeliveriesHalveTheRate)
     p->onCredit(1, 1, 200);
     EXPECT_EQ(p->gate(1, 200), Verdict::proceed);
     p->onAdmit(1, 200);
-    EXPECT_TRUE(p->wouldHold(1, 202));
-    EXPECT_TRUE(p->wouldHold(1, 203));
-    EXPECT_FALSE(p->wouldHold(1, 204));
+    EXPECT_EQ(p->gate(1, 202), Verdict::hold);
+    EXPECT_EQ(p->gate(1, 203), Verdict::hold);
+    EXPECT_EQ(p->gate(1, 204), Verdict::proceed);
 }
 
 TEST(PacedPolicy, AdditiveIncreaseRecoversWhenClear)
@@ -183,10 +147,9 @@ TEST(PacedPolicy, AdditiveIncreaseRecoversWhenClear)
     p->onAdmit(1, 0);  // empty the bucket at rate 8
     // By tick 4096 AI has long since driven the rate to the max (one
     // message per tick); a full refill is immediate thereafter.
-    EXPECT_FALSE(p->wouldHold(1, 4096));
     EXPECT_EQ(p->gate(1, 4096), Verdict::proceed);
     p->onAdmit(1, 4096);
-    EXPECT_FALSE(p->wouldHold(1, 4097));
+    EXPECT_EQ(p->gate(1, 4097), Verdict::proceed);
 }
 
 TEST(PolicyMetrics, RetireOutlivesTheDerivedPolicy)
@@ -202,7 +165,7 @@ TEST(PolicyMetrics, RetireOutlivesTheDerivedPolicy)
     metrics::setRegistry(&reg);
     {
         EventQueue eq;
-        for (const char *name : {"naive", "window", "paced"}) {
+        for (const char *name : {"window", "paced"}) {
             TransportConfig cfg;
             cfg.policy = name;
             cfg.window = 1;
@@ -220,7 +183,7 @@ TEST(PolicyMetrics, RetireOutlivesTheDerivedPolicy)
     }
     metrics::setRegistry(nullptr);
     metrics::TaskMetrics tm = reg.finalize("t");
-    ASSERT_EQ(tm.groups.size(), 3u);
+    ASSERT_EQ(tm.groups.size(), 2u);
     for (const auto &g : tm.groups)
         EXPECT_GE(g.series.size(), 4u) << g.name;
 }
