@@ -173,19 +173,6 @@ driverProgram(unsigned participants, unsigned hops, Phase phase,
     return os.str();
 }
 
-uint64_t
-regionSum(const std::map<std::string, uint64_t> &regions,
-          std::initializer_list<const char *> keys)
-{
-    uint64_t sum = 0;
-    for (const char *k : keys) {
-        auto it = regions.find(k);
-        if (it != regions.end())
-            sum += it->second;
-    }
-    return sum;
-}
-
 CollResult
 runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
          Phase phase)
@@ -299,31 +286,13 @@ runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
     return r;
 }
 
-std::vector<unsigned>
-parseSizes(const std::string &csv)
-{
-    std::vector<unsigned> sizes;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        long v = std::stol(item);
-        if (v < 2)
-            fatal("exp_collective: --sizes entries must be >= 2 "
-                  "(driver + participants), got %ld", v);
-        sizes.push_back(static_cast<unsigned>(v));
-    }
-    if (sizes.empty())
-        fatal("exp_collective: --sizes parsed empty");
-    return sizes;
-}
-
 int
 runCollective(const exp::Context &ctx)
 {
+    // A global word carries at most maxAddressableNodes node ids.
     const std::vector<unsigned> sizes =
-        parseSizes(ctx.str("--sizes"));
+        parseSizes(ctx.str("--sizes"), "exp_collective",
+                   maxAddressableNodes);
     const unsigned arity = static_cast<unsigned>(ctx.num("--arity"));
     if (arity < 1)
         fatal("exp_collective: --arity must be >= 1");
@@ -429,7 +398,8 @@ registerCollective(exp::ExperimentRegistry &reg)
         "tree per model and node count",
         {
             {"--sizes", "N,N,...",
-             "node counts to sweep (driver + participants)",
+             "node counts to sweep (driver + participants), each in "
+             "[2, 256]",
              "4,64,256", false},
             {"--arity", "K", "combining-tree arity", "4", false},
         },

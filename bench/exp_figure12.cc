@@ -30,6 +30,9 @@ namespace bench
 namespace
 {
 
+/** Matrix Multiply's block edge (the paper's 4x4 blocks). */
+constexpr unsigned mmBlock = 4;
+
 struct ProgramBars
 {
     std::string name;
@@ -181,6 +184,12 @@ runFigure12(const exp::Context &ctx)
     unsigned n = static_cast<unsigned>(ctx.num("--n"));
     unsigned particles = static_cast<unsigned>(ctx.num("--particles"));
     Cycles offchip = static_cast<Cycles>(ctx.num("--offchip-delay"));
+    if (n == 0 || n % mmBlock != 0) {
+        fatal("figure12: --n must be a positive multiple of the block "
+              "size (%u), got %u", mmBlock, n);
+    }
+    if (particles < 1)
+        fatal("figure12: --particles must be >= 1");
 
     std::vector<ni::Model> models;
     std::vector<std::string> names;
@@ -211,7 +220,7 @@ runFigure12(const exp::Context &ctx)
             auto ms = ctx.taskMetrics(i, "matmul");
             std::fprintf(stderr, "running matrix multiply (%ux%u)...\n",
                          n, n);
-            mm = apps::runMatMul(n, 4);
+            mm = apps::runMatMul(n, mmBlock);
         } else {
             auto ms = ctx.taskMetrics(i, "gamteb");
             std::fprintf(stderr, "running gamteb (%u particles)...\n",

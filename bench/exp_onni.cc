@@ -131,19 +131,6 @@ clientProgram(unsigned flood, unsigned elems, Addr sendip)
     )";
 }
 
-uint64_t
-regionSum(const std::map<std::string, uint64_t> &regions,
-          std::initializer_list<const char *> keys)
-{
-    uint64_t sum = 0;
-    for (const char *k : keys) {
-        auto it = regions.find(k);
-        if (it != regions.end())
-            sum += it->second;
-    }
-    return sum;
-}
-
 OnNiResult
 runModel(const ni::Model &model, unsigned flood, unsigned elems)
 {

@@ -156,41 +156,20 @@ runPoint(unsigned nodes, const sys::TrafficConfig &tc,
 
 /** Largest --sizes entry: the default run's top point, whose 64k-node
  *  hotspot already peaks at ~1.4 GB of host memory. */
-constexpr unsigned long maxScaleNodes = 65536;
-
-/** Parse --sizes: decimal node counts in [2, maxScaleNodes], strictly
- *  ascending (each row's peak RSS is the process high-water mark). */
-std::vector<unsigned>
-parseSizes(const std::string &csv)
-{
-    std::vector<unsigned> sizes;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        // Six digits keep stoul in range and still exceed the cap.
-        unsigned long v = 0;
-        if (item.size() <= 6 &&
-            item.find_first_not_of("0123456789") == std::string::npos)
-            v = std::stoul(item);
-        if (v < 2 || v > maxScaleNodes)
-            fatal("exp_scale: --sizes entries must be node counts in "
-                  "[2, %lu], got '%s'", maxScaleNodes, item.c_str());
-        if (!sizes.empty() && v <= sizes.back())
-            fatal("exp_scale: --sizes must ascend, got %lu after %u", v,
-                  sizes.back());
-        sizes.push_back(static_cast<unsigned>(v));
-    }
-    if (sizes.empty())
-        fatal("exp_scale: --sizes parsed empty");
-    return sizes;
-}
+constexpr unsigned maxScaleNodes = 65536;
 
 int
 runScale(const exp::Context &ctx)
 {
-    const std::vector<unsigned> sizes = parseSizes(ctx.str("--sizes"));
+    const std::vector<unsigned> sizes =
+        parseSizes(ctx.str("--sizes"), "exp_scale", maxScaleNodes);
+    // Strictly ascending: each row's peak RSS is the process high-water
+    // mark.
+    for (size_t i = 1; i < sizes.size(); ++i) {
+        if (sizes[i] <= sizes[i - 1])
+            fatal("exp_scale: --sizes must ascend, got %u after %u",
+                  sizes[i], sizes[i - 1]);
+    }
     const unsigned hotspot =
         static_cast<unsigned>(ctx.num("--hotspot-permille"));
     sys::TrafficConfig tc;

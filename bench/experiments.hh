@@ -10,7 +10,11 @@
 #ifndef TCPNI_BENCH_EXPERIMENTS_HH
 #define TCPNI_BENCH_EXPERIMENTS_HH
 
+#include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "sim/experiment.hh"
 
@@ -36,6 +40,20 @@ void registerServe(exp::ExperimentRegistry &reg);
  */
 std::string provenanceJson(const exp::Context &ctx,
                            const std::string &experiment);
+
+/**
+ * Parse a --sizes list: comma-separated decimal node counts, each in
+ * [2, @p max_nodes].  Empty entries are skipped.  fatal()s, prefixed
+ * with @p who, on a sign, a letter, an out-of-range count or an empty
+ * list, before any machine is built.
+ */
+std::vector<unsigned> parseSizes(const std::string &csv, const char *who,
+                                 unsigned max_nodes);
+
+/** Sum of the cycles of the named cost @p keys in @p regions (absent
+ *  regions count 0). */
+uint64_t regionSum(const std::map<std::string, uint64_t> &regions,
+                   std::initializer_list<const char *> keys);
 
 /** Register every benchmark experiment. */
 inline void

@@ -366,9 +366,10 @@ Cpu::execute(const Instruction &inst)
                      now + 1 + ni_->config().loadUseDelay());
         } else {
             // The node-id bits of a global address to local memory are
-            // this node's own id; the memory system ignores them.
+            // this node's own id; the memory system ignores them.  An
+            // 88100 data-cache load is usable the next cycle.
             Word val = mem_.read(localOf(vaddr));
-            writeGpr(inst.rd, val, now + 1 + config_.memLoadUseDelay);
+            writeGpr(inst.rd, val, now + 1);
         }
         break;
       }

@@ -61,10 +61,6 @@ namespace tcpni
 /** Processor configuration; both cores (Cpu and Hpu) take one. */
 struct CpuConfig
 {
-    /** Extra load-use delay for local memory loads (88100 data cache
-     *  loads are usable the next cycle, so 0). */
-    Cycles memLoadUseDelay = 0;
-
     /** Upper bound on executed instructions; exceeding it panics.
      *  Guards tests and kernels against runaway loops. */
     uint64_t maxInstructions = 100'000'000;

@@ -11,7 +11,8 @@
  * there is no MsgIp/NextMsgIp round-trip through the host CPU and no
  * load-use stall on the dispatch path, whatever the *host's* placement
  * looks like.  Handler memory (the dispatch tables, I-structure state)
- * is the node memory, reached with CpuConfig::memLoadUseDelay.
+ * is the node memory, whose loads are usable the next cycle, as on
+ * the host.
  *
  * What only the HPU does:
  *

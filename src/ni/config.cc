@@ -26,7 +26,7 @@ NiConfig::validate() const
     // Transport knobs (src/transport): the policy name must resolve
     // in the policy table, the window must admit at least one in-flight
     // message, and the pacing rate must sit inside its AIMD bounds
-    // (a rate outside [min, max] would be "corrected" on the first
+    // (a rate outside [1, rateOne] would be "corrected" on the first
     // adaptation, silently ignoring the configuration).
     if (!transport::findPolicy(transport.policy)) {
         fatal("NiConfig: unknown transport policy '%s' (registered: "
@@ -35,17 +35,9 @@ NiConfig::validate() const
     }
     if (transport.window < 1)
         fatal("NiConfig: transport.window must be >= 1");
-    if (transport.paceMinRate < 1)
-        fatal("NiConfig: transport.paceMinRate must be >= 1");
-    if (transport.paceMaxRate < transport.paceMinRate) {
-        fatal("NiConfig: transport.paceMaxRate (%u) below paceMinRate "
-              "(%u)", transport.paceMaxRate, transport.paceMinRate);
-    }
-    if (transport.paceRate < transport.paceMinRate ||
-        transport.paceRate > transport.paceMaxRate) {
-        fatal("NiConfig: transport.paceRate (%u) outside [%u, %u]",
-              transport.paceRate, transport.paceMinRate,
-              transport.paceMaxRate);
+    if (transport.paceRate < 1 || transport.paceRate > transport::rateOne) {
+        fatal("NiConfig: transport.paceRate (%u) outside [1, %u]",
+              transport.paceRate, transport::rateOne);
     }
     if (transport.paceBurst < 1)
         fatal("NiConfig: transport.paceBurst must be >= 1");

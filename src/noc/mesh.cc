@@ -9,12 +9,10 @@ namespace tcpni
 {
 
 MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
-                         unsigned height, unsigned buffer_depth,
-                         unsigned cycles_per_word)
+                         unsigned height, unsigned buffer_depth)
     : Network(std::move(name), eq, width * height), width_(width),
       height_(height), bufferDepth_(buffer_depth),
-      cyclesPerWord_(cycles_per_word), routers_(width * height),
-      coord_(width * height),
+      routers_(width * height), coord_(width * height),
       stride_{0, -static_cast<int>(width), static_cast<int>(width), 1,
               -1},
       active_((width * height + 63) / 64, 0), tickEvent_(*this)
@@ -28,8 +26,6 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
     slots_.assign(static_cast<size_t>(numNodes()) * numPorts *
                       bufferDepth_,
                   nullptr);
-    if (cyclesPerWord_ > 0)
-        busyUntil_.assign(static_cast<size_t>(numNodes()) * numPorts, 0);
     for (NodeId n = 0; n < numNodes(); ++n)
         coord_[n] = {n % width_, n / width_};
     registerMetrics();
@@ -55,7 +51,6 @@ MeshNetwork::registerMetrics()
         // heatmap, one series triple per (router, output port).
         linkStats_ = true;
         linkXfers_.assign(numNodes() * numPorts, 0);
-        linkBusy_.assign(numNodes() * numPorts, 0);
         linkBlocked_.assign(numNodes() * numPorts, 0);
         static const char *const port_names[numPorts] = {
             "local", "north", "south", "east", "west"};
@@ -70,7 +65,7 @@ MeshNetwork::registerMetrics()
                     "messages forwarded over this link");
                 mgroup_->addCounter(
                     base + ".busy_cycles",
-                    [this, li] { return linkBusy_[li]; },
+                    [this, li] { return linkXfers_[li]; },
                     "cycles this link spent transferring");
                 mgroup_->addCounter(
                     base + ".blocked_cycles",
@@ -241,12 +236,6 @@ MeshNetwork::tick()
                 const unsigned out = std::countr_zero(wanted);
                 wanted &= wanted - 1;
                 const size_t li = r * numPorts + out;
-                // Link serialization: a long message holds the port.
-                if (cyclesPerWord_ > 0 && busyUntil_[li] > now) {
-                    if (linkStats_)
-                        ++linkBlocked_[li];
-                    continue;
-                }
                 // A refused hop leaves the downstream queue full for
                 // every other candidate too.
                 NodeId dst = r;
@@ -272,7 +261,6 @@ MeshNetwork::tick()
                         router.headMoved[in] == now)
                         continue;
                     Packet *head = slots_[slot(r, in, router.qHead[in])];
-                    const size_t head_len = head->msg.length();
                     if (eject) {
                         if (!deliver(head->msg))
                             continue;
@@ -309,19 +297,8 @@ MeshNetwork::tick()
                         router.headMoved[in] != now)
                         wanted |= 1u << router.headOut[in];
                     router.rr[out] = in + 1 == numPorts ? 0 : in + 1;
-                    if (cyclesPerWord_ > 0) {
-                        busyUntil_[li] =
-                            now + static_cast<Tick>(cyclesPerWord_) *
-                                      head_len;
-                    }
-                    if (linkStats_) {
+                    if (linkStats_)
                         ++linkXfers_[li];
-                        linkBusy_[li] +=
-                            cyclesPerWord_ > 0
-                                ? static_cast<uint64_t>(
-                                      cyclesPerWord_) * head_len
-                                : 1;
-                    }
                 }
                 // A ready head wanted this output but nothing moved:
                 // charge one contention cycle to the link.

@@ -14,10 +14,13 @@
  * sender output queues.
  *
  * Messages are transferred whole (store-and-forward at message
- * granularity); a hop takes one cycle.  This is coarser than a
+ * granularity): a hop takes one cycle and holds its link for that
+ * cycle only, whatever the message's length.  This is coarser than a
  * flit-level wormhole model but preserves the property the paper's
  * architecture interacts with: finite buffering with backpressure and
- * in-order delivery per source-destination pair.
+ * in-order delivery per source-destination pair.  The paper's cycle
+ * counts leave the network out (DESIGN.md section 2), so the mesh
+ * models no link occupancy beyond that cycle.
  *
  * A message lives in one pooled packet from offer() until it is
  * ejected: router input queues hold packet pointers, so a hop moves a
@@ -64,21 +67,13 @@ class MeshNetwork : public Network
 {
   public:
     /**
-     * @param width,height    mesh dimensions; node n is at
-     *                        (n % width, n / width)
-     * @param buffer_depth    capacity of each router input queue,
-     *                        in [1, maxBufferDepth]
-     * @param cycles_per_word link serialization: a message occupies
-     *                        the link it traverses for
-     *                        length * cycles_per_word cycles (0 =
-     *                        message-granularity transfers, the
-     *                        default).  With serialization on, long
-     *                        SCROLL-OUT messages hold links longer,
-     *                        the way multi-flit wormhole packets do.
+     * @param width,height mesh dimensions; node n is at
+     *                     (n % width, n / width)
+     * @param buffer_depth capacity of each router input queue, in
+     *                     [1, maxBufferDepth]
      */
     MeshNetwork(std::string name, EventQueue &eq, unsigned width,
-                unsigned height, unsigned buffer_depth = 4,
-                unsigned cycles_per_word = 0);
+                unsigned height, unsigned buffer_depth = 4);
 
     ~MeshNetwork() override;
 
@@ -187,14 +182,10 @@ class MeshNetwork : public Network
     void popFront(NodeId r, unsigned in);
 
     unsigned width_, height_, bufferDepth_;
-    unsigned cyclesPerWord_;
     std::vector<RouterState> routers_;
     /** Every router input queue's slots, router-major. */
     std::vector<Packet *> slots_;
     ObjectPool<Packet> packets_;
-    /** Link serialization: output port router * numPorts + port is
-     *  busy until this tick (empty when cyclesPerWord_ == 0). */
-    std::vector<Tick> busyUntil_;
     std::vector<Coord> coord_;
     /** Node id offset of the neighbor through each output port. */
     int stride_[numPorts];
@@ -209,10 +200,10 @@ class MeshNetwork : public Network
 
     /** @{ Per-link accounting (index router * numPorts + port),
      *     maintained only when telemetry is on -- the tick loop is
-     *     the simulator's hottest path. */
+     *     the simulator's hottest path.  A transfer holds its link
+     *     for one cycle, so the busy_cycles series reads the xfers. */
     bool linkStats_ = false;
     std::vector<uint64_t> linkXfers_;    //!< messages moved per link
-    std::vector<uint64_t> linkBusy_;     //!< busy (flit-)cycles
     std::vector<uint64_t> linkBlocked_;  //!< cycles a waiter stalled
     /** @} */
 

@@ -82,8 +82,8 @@ struct Message
     /**
      * Words beyond the first five of a variable-length message
      * (Section 2.1.2).  A long message is composed with SCROLL-OUT and
-     * consumed with SCROLL-IN; it travels the fabric as one unit, the
-     * way a wormhole-routed multi-flit packet would.
+     * consumed with SCROLL-IN; it travels the fabric as one unit, in
+     * one cycle per hop like a five-word message.
      */
     std::vector<Word> extra;
 

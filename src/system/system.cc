@@ -93,30 +93,24 @@ System::System(std::string name, unsigned width, unsigned height,
             cfgs[id]));
     }
 
-    // Wire the credit-return fabric when any node runs a
-    // credit-consuming transport policy.  Every interface reports
+    // Wire the credit-return fabric when any node runs a transport
+    // policy (every policy consumes credits).  Every interface reports
     // deliveries to the fabric (it ignores senders without a slot), so
-    // a mesh can mix windowed and unwindowed nodes freely.
-    bool any_credits = false;
+    // a mesh can mix policy and naive nodes freely.
     for (auto &n : nodes_) {
-        auto *p = n->transportPolicy();
-        if (p && p->wantsCredits())
-            any_credits = true;
+        if (!n->transportPolicy())
+            continue;
+        if (!creditFabric_)
+            creditFabric_ = std::make_unique<transport::CreditFabric>(eq_);
+        ni::NetworkInterface *ni = &n->ni();
+        creditFabric_->addSender(
+            n->id(), [ni](NodeId dst, uint32_t count, Tick now) {
+                ni->returnCredits(dst, count, now);
+            });
     }
-    if (any_credits) {
-        creditFabric_ = std::make_unique<transport::CreditFabric>(eq_);
-        for (auto &n : nodes_) {
-            auto *p = n->transportPolicy();
-            if (p && p->wantsCredits()) {
-                ni::NetworkInterface *ni = &n->ni();
-                creditFabric_->addSender(
-                    n->id(), [ni](NodeId dst, uint32_t count, Tick now) {
-                        ni->returnCredits(dst, count, now);
-                    });
-            }
+    if (creditFabric_)
+        for (auto &n : nodes_)
             n->ni().setCreditFabric(creditFabric_.get());
-        }
-    }
 }
 
 bool

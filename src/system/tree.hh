@@ -46,10 +46,6 @@ class TreeTopology
      *  tree). */
     unsigned depth() const { return depth_; }
 
-    /** Hop budget for collective FORWARDs: the deepest leaf-to-root
-     *  path plus slack for the down sweep's first hop. */
-    unsigned hopBudget() const { return depth_ + 2; }
-
     /** Parent mesh node of @p node, or 0 when @p node is the root. */
     NodeId parentOf(NodeId node) const;
 

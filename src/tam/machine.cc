@@ -55,7 +55,7 @@ TamStats::totalMessages() const
 }
 
 Machine::Machine(MachineConfig config)
-    : config_(config), rng_(config.rngSeed)
+    : config_(config), rng_(rngSeed)
 {
 }
 

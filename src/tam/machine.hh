@@ -44,7 +44,6 @@ class Frame
 /** Machine configuration. */
 struct MachineConfig
 {
-    uint64_t rngSeed = 42;
     uint64_t maxSteps = 2'000'000'000;  //!< runaway guard (ops)
 };
 
@@ -140,6 +139,9 @@ class Machine
     Value arrayPeek(ArrayRef array, size_t idx) const;
     Presence arrayState(ArrayRef array, size_t idx) const;
     /** @} */
+
+    /** Seed of rng(); Figure 12's Gamteb counts are pinned to it. */
+    static constexpr uint64_t rngSeed = 42;
 
     /** Deterministic RNG for stochastic workloads (Gamteb). */
     Random &rng() { return rng_; }

@@ -63,8 +63,6 @@ class CreditFabric
                        std::make_unique<Slot>(std::move(sink), eq_));
     }
 
-    bool hasSender(NodeId node) const { return slots_.count(node); }
-
     /**
      * The interface of @p dst accepted a message from @p src at
      * @p now.  No-op unless @p src registered a credit-consuming

@@ -8,11 +8,11 @@
  * the paper's hardware exposes, the local oafull threshold: a rising
  * edge (the output queue backing up means downstream is not draining
  * us) halves the rate (multiplicative decrease, floored at
- * paceMinRate), and if the level STAYS asserted a whole holdoff later
+ * 1), and if the level STAYS asserted a whole holdoff later
  * it halves again -- oafull is a level, not a pulse, and a queue that
  * stays above threshold is repeated evidence the rate is still too
  * high.  Every paceAiInterval ticks of clear running adds paceAiStep
- * (additive increase, capped at paceMaxRate), EXCEPT during the
+ * (additive increase, capped at rateOne), EXCEPT during the
  * paceAiHoldoff intervals after a decrease: the local queue drains
  * the moment pacing starts working even though the shared bottleneck
  * is still congested, so an AI clock keyed only on the local level
@@ -85,8 +85,6 @@ class PacedPolicy : public Policy
         outstanding_[dst].push_back(now);
     }
 
-    bool wantsCredits() const override { return true; }
-
     /**
      * Delivery-delay congestion detection.  The local oafull level
      * goes quiet the moment pacing binds (the bucket sits before the
@@ -121,7 +119,7 @@ class PacedPolicy : public Policy
         }
         if (congested && now >= lastDelayMd_ + cfg_.paceAiInterval) {
             settle(now);
-            st_.rate = std::max(cfg_.paceMinRate, st_.rate / 2);
+            st_.rate = std::max<uint32_t>(1, st_.rate / 2);
             ++st_.mdEvents;
             lastDelayMd_ = now;
             st_.aiAnchor = holdoffAnchor(now);
@@ -134,7 +132,7 @@ class PacedPolicy : public Policy
         Policy::onOafull(asserted, now);
         settle(now);
         if (asserted) {
-            st_.rate = std::max(cfg_.paceMinRate, st_.rate / 2);
+            st_.rate = std::max<uint32_t>(1, st_.rate / 2);
             ++st_.mdEvents;
             oafullNow_ = true;
             st_.aiAnchor = holdoffAnchor(now);
@@ -228,14 +226,14 @@ class PacedPolicy : public Policy
                     // too high, so halve again and re-arm the holdoff
                     // (TCP would see one loss per RTT).
                     ++s.mdEvents;
-                    s.rate = std::max(cfg_.paceMinRate, s.rate / 2);
+                    s.rate = std::max<uint32_t>(1, s.rate / 2);
                     s.aiAnchor = holdoffAnchor(now);
                 } else {
                     s.aiSteps += steps;
                     s.rate = static_cast<uint32_t>(std::min<uint64_t>(
                         static_cast<uint64_t>(s.rate) +
                             steps * cfg_.paceAiStep,
-                        cfg_.paceMaxRate));
+                        rateOne));
                     s.aiAnchor += steps * cfg_.paceAiInterval;
                 }
             }
@@ -319,12 +317,12 @@ class PacedPolicy : public Policy
             if (end == e) {
                 if (oafullNow_) {
                     ++s.mdEvents;
-                    s.rate = std::max(cfg_.paceMinRate, s.rate / 2);
+                    s.rate = std::max<uint32_t>(1, s.rate / 2);
                     s.aiAnchor = holdoffAnchor(e);
                 } else {
                     ++s.aiSteps;
                     s.rate = std::min(s.rate + cfg_.paceAiStep,
-                                      cfg_.paceMaxRate);
+                                      rateOne);
                     s.aiAnchor = e;
                 }
             }

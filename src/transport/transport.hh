@@ -87,10 +87,9 @@ struct TransportConfig
 
     /** @{ paced: token-bucket knobs.  Rates are in rateOne fixed
      *     point per tick, so rateOne == one message per tick (the
-     *     pump's line rate) and 1 == one message per 1024 ticks. */
+     *     pump's line rate) and 1 == one message per 1024 ticks; AIMD
+     *     keeps the rate within [1, rateOne]. */
     unsigned paceRate = 256;       //!< initial fill rate
-    unsigned paceMinRate = 1;      //!< AIMD floor
-    unsigned paceMaxRate = rateOne;//!< AIMD ceiling
     unsigned paceBurst = 2;        //!< bucket depth, messages
     unsigned paceAiStep = 4;       //!< additive increase per interval
     unsigned paceAiInterval = 256; //!< ticks of clear running per step
@@ -141,10 +140,6 @@ class Policy
     /** @p count messages to @p dst were accepted by the destination
      *  interface (delivered via the CreditFabric). */
     virtual void onCredit(NodeId dst, uint32_t count, Tick now);
-
-    /** Does this policy need delivery notifications?  When false the
-     *  System wires no CreditFabric slot for the node. */
-    virtual bool wantsCredits() const { return false; }
 
     /** @{ Base accounting, maintained by the hook default impls
      *     (overriders must call the base). */

@@ -79,8 +79,6 @@ class WindowPolicy : public Policy
             setExhausted(-1, now);
     }
 
-    bool wantsCredits() const override { return true; }
-
   protected:
     void
     addMetrics(metrics::Group &g, EventQueue &) override

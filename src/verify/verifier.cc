@@ -974,8 +974,7 @@ verify(const isa::Program &prog, const ni::Model &model,
         }
     }
 
-    if (opts.hazardNotes)
-        hazardScan(prog, model, contract, visited, ni_loads, rep);
+    hazardScan(prog, model, contract, visited, ni_loads, rep);
 
     budgetScan(prog, model, contract, rep);
 

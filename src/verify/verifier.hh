@@ -125,7 +125,6 @@ struct KernelSummary
 
 struct VerifyOptions
 {
-    bool hazardNotes = true;        //!< emit load-use stall notes
     KernelSummary *summary = nullptr;   //!< export per-root summaries
 };
 

@@ -4,23 +4,34 @@
 
 #include "cpu/cpu.hh"
 #include "isa/assembler.hh"
+#include "ni/ni_regs.hh"
+#include "noc/network.hh"
 
 using namespace tcpni;
 
 namespace
 {
 
-/** Assemble, load, run to halt; exposes the CPU for inspection. */
+/** Assemble, load, run to halt; exposes the CPU for inspection.  With
+ *  @p ni_cfg the CPU is coupled to an interface of that configuration
+ *  (and the source may use the NI_* symbols). */
 struct Runner
 {
     EventQueue eq;
+    IdealNetwork net{"net", eq, 1};
     Memory mem{64 * 1024};
+    std::unique_ptr<ni::NetworkInterface> ni;
     std::unique_ptr<Cpu> cpu;
 
-    explicit Runner(const std::string &src, CpuConfig cfg = {})
+    explicit Runner(const std::string &src,
+                    const ni::NiConfig *ni_cfg = nullptr)
     {
-        cpu = std::make_unique<Cpu>("cpu", eq, mem, nullptr, cfg);
-        isa::Program p = isa::assemble(src);
+        if (ni_cfg) {
+            ni = std::make_unique<ni::NetworkInterface>("ni", eq, 0, net,
+                                                        *ni_cfg);
+        }
+        cpu = std::make_unique<Cpu>("cpu", eq, mem, ni.get());
+        isa::Program p = isa::assemble(src, ni::asmSymbols());
         cpu->loadProgram(p);
         cpu->reset(p.base);
         cpu->start();
@@ -30,6 +41,17 @@ struct Runner
 
     Word r(unsigned n) const { return cpu->reg(n); }
 };
+
+/** An off-chip cache-mapped interface, whose loaded values are usable
+ *  @p delay cycles late (Section 3.1: 2). */
+ni::NiConfig
+offChip(Cycles delay = 2)
+{
+    ni::NiConfig c;
+    c.placement = ni::Placement::offChipCache;
+    c.offChipLoadUseDelay = delay;
+    return c;
+}
 
 } // namespace
 
@@ -302,41 +324,43 @@ TEST(CpuTiming, LocalLoadNoStall)
 
 TEST(CpuTiming, ConfigurableMemLoadDelayInterlocks)
 {
-    CpuConfig cfg;
-    cfg.memLoadUseDelay = 2;
+    // A memory-mapped load from an off-chip interface configured for a
+    // 3-cycle load-use delay: using the value at once interlocks.
+    const ni::NiConfig cfg = offChip(3);
     Runner run(R"(
-        ldi  r1, r0, 0x100
-        addi r2, r1, 1      ; needs r1: 2 stall cycles
+        li   r10, NI_BASE
+        ldi  r1, r10, NI_STATUS
+        addi r2, r1, 1      ; needs r1: 3 stall cycles
         halt
-    )", cfg);
-    EXPECT_EQ(run.cpu->stallCycles(), 2u);
-    EXPECT_EQ(run.cpu->cycles(), 5u);   // 3 instructions + 2 stalls
+    )", &cfg);
+    EXPECT_EQ(run.cpu->stallCycles(), 3u);
+    EXPECT_EQ(run.cpu->cycles(), 8u);   // 5 instructions + 3 stalls
 }
 
 TEST(CpuTiming, IndependentWorkFillsDelay)
 {
-    CpuConfig cfg;
-    cfg.memLoadUseDelay = 2;
+    const ni::NiConfig cfg = offChip();
     Runner run(R"(
-        ldi  r1, r0, 0x100
+        li   r10, NI_BASE
+        ldi  r1, r10, NI_STATUS
         addi r5, r0, 1      ; independent
         addi r6, r0, 2      ; independent
         addi r2, r1, 1      ; r1 ready by now
         halt
-    )", cfg);
+    )", &cfg);
     EXPECT_EQ(run.cpu->stallCycles(), 0u);
-    EXPECT_EQ(run.cpu->cycles(), 5u);
+    EXPECT_EQ(run.cpu->cycles(), 7u);
 }
 
 TEST(CpuTiming, StoreDataInterlocks)
 {
-    CpuConfig cfg;
-    cfg.memLoadUseDelay = 2;
+    const ni::NiConfig cfg = offChip();
     Runner run(R"(
-        ldi  r1, r0, 0x100
+        li   r10, NI_BASE
+        ldi  r1, r10, NI_STATUS
         sti  r1, r0, 0x200  ; store data depends on the load
         halt
-    )", cfg);
+    )", &cfg);
     EXPECT_EQ(run.cpu->stallCycles(), 2u);
 }
 

@@ -92,35 +92,23 @@ TEST(NiConfigValidate, RejectsZeroTransportWindow)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
-TEST(NiConfigValidate, RejectsZeroPaceMinRate)
-{
-    ni::NiConfig cfg;
-    cfg.transport.paceMinRate = 0;
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
-TEST(NiConfigValidate, RejectsPaceMaxRateBelowMinRate)
-{
-    ni::NiConfig cfg;
-    cfg.transport.paceMinRate = 64;
-    cfg.transport.paceMaxRate = 63;
-    cfg.transport.paceRate = 64;
-    EXPECT_THROW(cfg.validate(), FatalError);
-}
-
 TEST(NiConfigValidate, RejectsPaceRateOutsideAimdBounds)
 {
-    // A rate outside [min, max] would be silently "corrected" by the
+    // A rate outside [1, rateOne] would be silently "corrected" by the
     // first adaptation step; validate() refuses it up front.
     ni::NiConfig below;
-    below.transport.paceMinRate = 8;
-    below.transport.paceRate = 7;
+    below.transport.paceRate = 0;
     EXPECT_THROW(below.validate(), FatalError);
 
     ni::NiConfig above;
-    above.transport.paceMaxRate = 512;
-    above.transport.paceRate = 513;
+    above.transport.paceRate = transport::rateOne + 1;
     EXPECT_THROW(above.validate(), FatalError);
+
+    ni::NiConfig edges;
+    edges.transport.paceRate = 1;
+    EXPECT_NO_THROW(edges.validate());
+    edges.transport.paceRate = transport::rateOne;
+    EXPECT_NO_THROW(edges.validate());
 }
 
 TEST(NiConfigValidate, RejectsZeroPaceBurst)

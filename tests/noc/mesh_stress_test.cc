@@ -137,12 +137,34 @@ sumBlockedCycles(const std::string &fingerprint)
     return sum;
 }
 
+/** Check that every link's busy_cycles equals its xfers: a transfer
+ *  holds its link for exactly one cycle. */
+void
+expectBusyCyclesAreXfers(const std::string &fingerprint)
+{
+    // Link ("storm.node3.east") -> counter value.
+    std::map<std::string, std::string> xfers, busy;
+    std::istringstream is(fingerprint);
+    for (std::string line; std::getline(is, line);) {
+        const size_t sp = line.find(' ');
+        const size_t dot = line.rfind('.', sp);
+        if (sp == std::string::npos || dot == std::string::npos)
+            continue;
+        const std::string series = line.substr(dot + 1, sp - dot - 1);
+        if (series == "xfers")
+            xfers[line.substr(0, dot)] = line.substr(sp + 1);
+        else if (series == "busy_cycles")
+            busy[line.substr(0, dot)] = line.substr(sp + 1);
+    }
+    EXPECT_FALSE(xfers.empty());
+    EXPECT_EQ(busy, xfers);
+}
+
 /** A storm configuration; both use router buffers of 2. */
 struct StormSpec
 {
     const char *name;
     unsigned width, height;
-    unsigned cyclesPerWord;
     double refuseP;         //!< chance a sink refuses a delivery
     unsigned total;         //!< messages injected
     unsigned extraWords;    //!< SCROLL words per message
@@ -150,27 +172,24 @@ struct StormSpec
 };
 
 /** 6x6, sinks refusing 40%. */
-constexpr StormSpec refusingSpec{"storm", 6, 6, 0, 0.4, 1500, 0, 0};
-/** 3x3, 2 cycles/word and 3 extra words (8-word messages), sinks
- *  refusing 25%. */
-constexpr StormSpec serializedSpec{"serstorm", 3, 3, 2, 0.25, 400, 3,
-                                   0x5eedULL};
+constexpr StormSpec refusingSpec{"storm", 6, 6, 0.4, 1500, 0, 0};
+/** 3x3, 3 extra words (8-word messages), sinks refusing 25%. */
+constexpr StormSpec longSpec{"longstorm", 3, 3, 0.25, 400, 3,
+                             0x5eedULL};
 
-/** Run one storm; when @p print is set, with a metrics registry
- *  installed (link statistics on) and its schedule recorded. */
+/** Run one storm with a metrics registry installed (link statistics
+ *  on); when @p print is set, record its schedule. */
 void
 storm(const StormSpec &spec, uint64_t seed, StormPrint *print)
 {
     Random rng(seed ^ spec.seedXor);
     const unsigned n = spec.width * spec.height;
 
-    std::unique_ptr<MetricsFingerprint> metrics;
-    if (print)
-        metrics = std::make_unique<MetricsFingerprint>();
+    MetricsFingerprint metrics;
     std::ostringstream log;
     EventQueue eq;
     MeshNetwork mesh(spec.name, eq, spec.width, spec.height,
-                     /*buffer_depth=*/2, spec.cyclesPerWord);
+                     /*buffer_depth=*/2);
     std::vector<StormSink> sinks(n);
     for (NodeId i = 0; i < n; ++i) {
         sinks[i].rng = &rng;
@@ -182,8 +201,9 @@ storm(const StormSpec &spec, uint64_t seed, StormPrint *print)
         mesh.setSink(i, sinks[i].sink());
     }
     runStorm(mesh, eq, rng, n, spec.total, sinks, spec.extraWords);
+    const std::string fp = metrics.take(eq.curTick());
+    expectBusyCyclesAreXfers(fp);
     if (print) {
-        const std::string fp = metrics->take(eq.curTick());
         *print = {eq.curTick(), fnv1a(log.str()), fnv1a(fp),
                   sumBlockedCycles(fp)};
     }
@@ -203,12 +223,11 @@ TEST_P(MeshStorm, BurstyHotspotStormNoLossPerSourceFifo)
     storm(refusingSpec, GetParam(), nullptr);
 }
 
-TEST_P(MeshStorm, SerializedLongMessageStormKeepsOrder)
+TEST_P(MeshStorm, LongMessageStormKeepsOrder)
 {
-    // Link serialization on (2 cycles/word) with 8-word payloads:
-    // long messages hold links the way multi-flit wormhole packets
-    // do, stretching contention windows.  Same invariants must hold.
-    storm(serializedSpec, GetParam(), nullptr);
+    // 8-word (scrolled) payloads on a 3x3 mesh: a long message moves
+    // as one transfer like a short one.  Same invariants must hold.
+    storm(longSpec, GetParam(), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeshStorm,
@@ -236,13 +255,6 @@ constexpr StormPin refusingPins[] = {
     {7777, 1594, 1210, 0x8c69c723a7dd68c9ULL, 0x03723f022829043eULL},
 };
 
-constexpr StormPin serializedPins[] = {
-    {7, 2730, 22494, 0xf8157fdf697f2786ULL, 0x79472d598aa4b369ULL},
-    {77, 2697, 22863, 0xc62f5ef2218f1a18ULL, 0x1307bf265fdd6b20ULL},
-    {777, 2607, 21874, 0xa0085c5c83424841ULL, 0x5be98a26a1147923ULL},
-    {7777, 3069, 26572, 0x749db32dee8b713fULL, 0xa3229da38a803631ULL},
-};
-
 void
 checkPin(const StormPrint &got, const StormPin &pin)
 {
@@ -255,25 +267,16 @@ checkPin(const StormPrint &got, const StormPin &pin)
 
 } // namespace
 
-// The exact schedule of both storms -- final tick, global delivery
-// order, and every mesh series including per-link xfers, busy_cycles
-// and blocked_cycles -- with link statistics on.  Unlike MeshFuzz
-// (which reaches the mesh through System, without serialization),
-// these pin link-busy arbitration and contention accounting.
+// The exact schedule of the refusing storm -- final tick, global
+// delivery order, and every mesh series including per-link xfers,
+// busy_cycles and blocked_cycles -- with link statistics on.  Unlike
+// MeshFuzz (which reaches the mesh through System), this pins the
+// link contention accounting.
 TEST(MeshStormPinned, RefusingSinkStormSchedule)
 {
     for (const StormPin &pin : refusingPins) {
         StormPrint got;
         storm(refusingSpec, pin.seed, &got);
-        checkPin(got, pin);
-    }
-}
-
-TEST(MeshStormPinned, SerializedStormSchedule)
-{
-    for (const StormPin &pin : serializedPins) {
-        StormPrint got;
-        storm(serializedSpec, pin.seed, &got);
         checkPin(got, pin);
     }
 }

@@ -285,14 +285,14 @@ TEST(IdealNetwork, RetriesRefusedDelivery)
     EXPECT_TRUE(net.idle());
 }
 
-TEST(MeshSerialization, LongMessagesHoldLinks)
+TEST(MeshSerialization, DefaultIsMessageGranularity)
 {
-    // With serialization enabled, two 5-word messages cross a link in
-    // 5-cycle slots; a 20-word (scrolled) message holds it four times
-    // as long.
+    // Transfers are message-granular: a message moves one hop per
+    // cycle regardless of its length, so back-to-back long messages
+    // drain as fast as short ones.
     auto drain_time = [](size_t extra_words) -> Tick {
         EventQueue eq;
-        MeshNetwork mesh("mesh", eq, 2, 1, 8, /*cycles_per_word=*/1);
+        MeshNetwork mesh("mesh", eq, 2, 1, 8);
         mesh.setSink(0, [](const Message &) { return true; });
         mesh.setSink(1, [](const Message &) { return true; });
         for (int k = 0; k < 4; ++k) {
@@ -305,24 +305,8 @@ TEST(MeshSerialization, LongMessagesHoldLinks)
         return eq.curTick();
     };
 
-    Tick short_time = drain_time(0);
-    Tick long_time = drain_time(15);    // 20-word messages
-    EXPECT_GT(long_time, short_time * 2);
-}
-
-TEST(MeshSerialization, DefaultIsMessageGranularity)
-{
-    // cycles_per_word = 0 (the default): back-to-back messages move
-    // one hop per cycle regardless of length.
-    EventQueue eq;
-    MeshNetwork mesh("mesh", eq, 2, 1, 8);
-    mesh.setSink(0, [](const Message &) { return true; });
-    mesh.setSink(1, [](const Message &) { return true; });
-    Message m = makeMsg(1);
-    m.extra.assign(100, 0);
-    mesh.offer(0, m);
-    eq.run();
-    EXPECT_LE(eq.curTick(), 5u);
+    EXPECT_LE(drain_time(100), 5u);
+    EXPECT_EQ(drain_time(100), drain_time(0));
 }
 
 namespace

@@ -45,11 +45,7 @@ drawKnobs(Random &rng)
     static const unsigned intervals[] = {1, 1, 2, 3, 7, 16, 64, 256};
     TransportConfig cfg;
     cfg.policy = "paced";
-    cfg.paceMinRate = 1 + rng.next32() % 48;
-    cfg.paceMaxRate =
-        cfg.paceMinRate + rng.next32() % (2 * transport::rateOne);
-    cfg.paceRate = cfg.paceMinRate +
-                   rng.next32() % (cfg.paceMaxRate - cfg.paceMinRate + 1);
+    cfg.paceRate = 1 + rng.next32() % transport::rateOne;
     cfg.paceBurst = 1 + rng.next32() % 4;
     cfg.paceAiStep = 1 + rng.next32() % 96;
     cfg.paceAiInterval = intervals[rng.next32() % 8];
@@ -91,9 +87,7 @@ runTrial(uint64_t seed, unsigned &spans)
     Random rng(seed);
     const TransportConfig cfg = drawKnobs(rng);
     SCOPED_TRACE("seed " + std::to_string(seed) + " rate " +
-                 std::to_string(cfg.paceRate) + " [" +
-                 std::to_string(cfg.paceMinRate) + "," +
-                 std::to_string(cfg.paceMaxRate) + "] burst " +
+                 std::to_string(cfg.paceRate) + " burst " +
                  std::to_string(cfg.paceBurst) + " step " +
                  std::to_string(cfg.paceAiStep) + " interval " +
                  std::to_string(cfg.paceAiInterval) + " holdoff " +

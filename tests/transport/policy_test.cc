@@ -47,7 +47,6 @@ TEST(WindowPolicy, HoldsAtTheWindowPerDestination)
     cfg.policy = "window";
     cfg.window = 2;
     auto p = transport::makePolicy(cfg);
-    EXPECT_TRUE(p->wantsCredits());
 
     // Two in flight to dst 5: admitted; the third holds.
     for (int i = 0; i < 2; ++i) {
@@ -77,9 +76,7 @@ TEST(PacedPolicy, BucketDrainsAndRefillsAtTheConfiguredRate)
     cfg.policy = "paced";
     cfg.paceBurst = 1;
     cfg.paceRate = transport::rateOne / 2;  // one message per 2 ticks
-    cfg.paceMaxRate = transport::rateOne;
     auto p = transport::makePolicy(cfg);
-    EXPECT_TRUE(p->wantsCredits());
 
     // The bucket starts full (paceBurst messages).
     EXPECT_EQ(p->gate(1, 0), Verdict::proceed);
@@ -141,7 +138,6 @@ TEST(PacedPolicy, AdditiveIncreaseRecoversWhenClear)
     cfg.paceRate = 8;
     cfg.paceAiStep = 8;
     cfg.paceAiInterval = 4;
-    cfg.paceMaxRate = transport::rateOne;
     auto p = transport::makePolicy(cfg);
 
     p->onAdmit(1, 0);  // empty the bucket at rate 8
