@@ -1,9 +1,10 @@
 # Run a bench binary that writes a JSON result file, then compare the
-# file byte-for-byte against the checked-in golden.
+# file byte-for-byte against the checked-in golden.  With -DSTDOUT=ON
+# the binary's stdout is the produced file.
 #
 # Usage:
 #   cmake -DBIN=<binary> -DARGS=<;-separated args> -DOUT=<produced file>
-#         -DGOLDEN=<reference file> -P run_and_compare.cmake
+#         [-DSTDOUT=ON] -DGOLDEN=<reference file> -P run_and_compare.cmake
 #
 # Regenerating goldens (after an intentional change to the measured
 # numbers or the JSON schema):
@@ -12,12 +13,25 @@
 #       --json tests/golden/figure12.json
 #   build/bench/tcpni_bench figure12 --jobs 4 \
 #       --json tests/golden/figure12_paper.json
+#   build/bench/tcpni_bench table1 --no-overlap \
+#       --json tests/golden/table1_no_overlap.json
+#   build/bench/tcpni_bench table1 --offchip-delay 8 \
+#       --json tests/golden/table1_offchip8.json
+#   build/bench/tcpni_bench ablation 2>/dev/null > tests/golden/ablation.txt
+#   build/bench/tcpni_bench offchip_latency 2>/dev/null \
+#       > tests/golden/offchip_latency.txt
 
 separate_arguments(ARGS)
 
-execute_process(COMMAND ${BIN} ${ARGS}
-                RESULT_VARIABLE rc
-                OUTPUT_QUIET ERROR_QUIET)
+if(STDOUT)
+    execute_process(COMMAND ${BIN} ${ARGS}
+                    RESULT_VARIABLE rc
+                    OUTPUT_FILE ${OUT} ERROR_QUIET)
+else()
+    execute_process(COMMAND ${BIN} ${ARGS}
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET ERROR_QUIET)
+endif()
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited with status ${rc}")
 endif()
