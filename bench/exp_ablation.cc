@@ -34,25 +34,13 @@ hybrid(const tam::CommCosts &basic, const tam::CommCosts &opt,
     tam::CommCosts h = basic;
     if (hw_dispatch) {
         h.dispatch = opt.dispatch;
-        h.dispSend0 = opt.dispSend0;
-        h.dispSend1 = opt.dispSend1;
-        h.dispSend2 = opt.dispSend2;
-        h.dispRead = opt.dispRead;
-        h.dispWrite = opt.dispWrite;
-        h.dispPReadFull = opt.dispPReadFull;
-        h.dispPReadEmpty = opt.dispPReadEmpty;
-        h.dispPReadDeferred = opt.dispPReadDeferred;
-        h.dispPWrite = opt.dispPWrite;
+        for (const tam::CommRow &r : tam::commRows)
+            h.*r.dispatch = opt.*r.dispatch;
     }
     if (encoded_types) {
         // Sending without the id generation/store.
-        h.sendSend0 = opt.sendSend0;
-        h.sendSend1 = opt.sendSend1;
-        h.sendSend2 = opt.sendSend2;
-        h.sendRead = opt.sendRead;
-        h.sendWrite = opt.sendWrite;
-        h.sendPRead = opt.sendPRead;
-        h.sendPWrite = opt.sendPWrite;
+        for (double tam::CommCosts::*send : tam::sendCost)
+            h.*send = opt.*send;
     }
     if (reply_forward) {
         // Reply-building handlers get the optimized processing.

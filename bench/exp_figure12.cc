@@ -130,25 +130,18 @@ writeJson(std::ostream &os, unsigned n, unsigned particles,
     for (size_t i = 0; i < costs.size(); ++i) {
         const tam::CommCosts &c = costs[i];
         os << (i ? ",\n" : "\n") << "\""
-           << stats::jsonEscape(names[i]) << "\":{"
-           << "\"send\":{\"send0\":" << jsonNum(c.sendSend0)
-           << ",\"send1\":" << jsonNum(c.sendSend1)
-           << ",\"send2\":" << jsonNum(c.sendSend2)
-           << ",\"read\":" << jsonNum(c.sendRead)
-           << ",\"write\":" << jsonNum(c.sendWrite)
-           << ",\"pread\":" << jsonNum(c.sendPRead)
-           << ",\"pwrite\":" << jsonNum(c.sendPWrite) << "},"
-           << "\"dispatch\":" << jsonNum(c.dispatch) << ","
-           << "\"process\":{\"send0\":" << jsonNum(c.procSend0)
-           << ",\"send1\":" << jsonNum(c.procSend1)
-           << ",\"send2\":" << jsonNum(c.procSend2)
-           << ",\"read\":" << jsonNum(c.procRead)
-           << ",\"write\":" << jsonNum(c.procWrite)
-           << ",\"preadFull\":" << jsonNum(c.procPReadFull)
-           << ",\"preadEmpty\":" << jsonNum(c.procPReadEmpty)
-           << ",\"preadDeferred\":" << jsonNum(c.procPReadDeferred)
-           << ",\"pwriteEmpty\":" << jsonNum(c.procPWriteEmpty)
-           << ",\"pwriteDeferredBase\":" << jsonNum(c.procPWriteDefBase)
+           << stats::jsonEscape(names[i]) << "\":{\"send\":{";
+        for (size_t k = 0; k < std::size(tam::sendCost); ++k) {
+            os << (k ? "," : "") << "\"" << msg::kinds[k].key
+               << "\":" << jsonNum(c.*tam::sendCost[k]);
+        }
+        os << "},\"dispatch\":" << jsonNum(c.dispatch)
+           << ",\"process\":{";
+        for (const tam::CommRow &r : tam::commRows) {
+            os << (&r == tam::commRows ? "" : ",") << "\""
+               << r.processKey << "\":" << jsonNum(c.*r.process);
+        }
+        os << ",\"pwriteDeferredBase\":" << jsonNum(c.procPWriteDefBase)
            << ",\"pwriteDeferredSlope\":"
            << jsonNum(c.procPWriteDefSlope) << "}}";
     }

@@ -65,8 +65,7 @@ clientProgram(unsigned flood, unsigned elems, Addr sendip)
 {
     return ".equ FLOOD, " + std::to_string(flood) +
            "\n.equ ELEMS, " + std::to_string(elems) +
-           "\n.equ SENDIP, " + std::to_string(sendip) +
-           "\n.equ ID_SEND2, 8\n" + R"(
+           "\n.equ SENDIP, " + std::to_string(sendip) + R"(
     entry:
         ; ---- congestion burst: FLOOD four-word Send messages ----
         li   o0, (1 << NODE_SHIFT) | 0x2000

@@ -32,6 +32,11 @@ using msg::Kind;
 namespace
 {
 
+/** Table 1's SENDING rows, in the paper's order. */
+constexpr Kind paperSendOrder[] = {Kind::send0, Kind::send1, Kind::send2,
+                                   Kind::pread, Kind::pwrite, Kind::read,
+                                   Kind::write};
+
 /** One model's column of the table, keyed by row. */
 using ModelCells = std::map<std::string, PaperCell>;
 
@@ -48,11 +53,7 @@ measureModel(const ni::Model &model, bool no_overlap)
     Table1Harness h(model, false, no_overlap);
     std::fprintf(stderr, "  measuring %s...\n", model.name().c_str());
 
-    static const Kind kinds[] = {Kind::send0, Kind::send1,
-                                 Kind::send2, Kind::pread,
-                                 Kind::pwrite, Kind::read,
-                                 Kind::write};
-    for (Kind k : kinds) {
+    for (Kind k : paperSendOrder) {
         double copy_cost = h.sendingCost(k);
         double lo = copy_cost;
         if (model.policy().directCompose())
@@ -66,13 +67,10 @@ measureModel(const ni::Model &model, bool no_overlap)
     cells["dispatch"] = {read_cost.dispatching, read_cost.dispatching,
                          0};
 
-    static const ProcCase cases[] = {
-        ProcCase::send0, ProcCase::send1, ProcCase::send2,
-        ProcCase::read, ProcCase::write, ProcCase::preadFull,
-        ProcCase::preadEmpty, ProcCase::preadDeferred,
-        ProcCase::pwriteEmpty,
-    };
-    for (ProcCase c : cases) {
+    for (size_t i = 0; i < std::size(cost::procCases); ++i) {
+        const ProcCase c = static_cast<ProcCase>(i);
+        if (c == ProcCase::pwriteDeferred)
+            continue;   // fitted below
         ProcCost pc = h.processingCost(c);
         cells[procRowKey(c)] = {pc.processing, pc.processing, 0};
     }
@@ -111,34 +109,25 @@ measureAll(const std::vector<ni::Model> &models, bool no_overlap,
 struct RowSpec
 {
     const char *section;
-    const char *label;
+    std::string label;
     std::string key;
 };
 
 std::vector<RowSpec>
 rowSpecs()
 {
-    return {
-        {"SENDING", "Send (0 words)", sendRowKey(Kind::send0)},
-        {"", "Send (1 word)", sendRowKey(Kind::send1)},
-        {"", "Send (2 words)", sendRowKey(Kind::send2)},
-        {"", "PRead", sendRowKey(Kind::pread)},
-        {"", "PWrite", sendRowKey(Kind::pwrite)},
-        {"", "Read", sendRowKey(Kind::read)},
-        {"", "Write", sendRowKey(Kind::write)},
-        {"DISPATCHING", "-", "dispatch"},
-        {"PROCESSING", "Send (0 words)", procRowKey(ProcCase::send0)},
-        {"", "Send (1 word)", procRowKey(ProcCase::send1)},
-        {"", "Send (2 words)", procRowKey(ProcCase::send2)},
-        {"", "Read", procRowKey(ProcCase::read)},
-        {"", "Write", procRowKey(ProcCase::write)},
-        {"", "PRead (full)", procRowKey(ProcCase::preadFull)},
-        {"", "PRead (empty)", procRowKey(ProcCase::preadEmpty)},
-        {"", "PRead (deferred)", procRowKey(ProcCase::preadDeferred)},
-        {"", "PWrite (empty)", procRowKey(ProcCase::pwriteEmpty)},
-        {"", "PWrite (deferred)",
-         procRowKey(ProcCase::pwriteDeferred)},
-    };
+    std::vector<RowSpec> rows;
+    for (Kind k : paperSendOrder) {
+        rows.push_back({rows.empty() ? "SENDING" : "",
+                        msg::kindInfo(k).name, sendRowKey(k)});
+    }
+    rows.push_back({"DISPATCHING", "-", "dispatch"});
+    for (size_t i = 0; i < std::size(cost::procCases); ++i) {
+        const ProcCase c = static_cast<ProcCase>(i);
+        rows.push_back({i == 0 ? "PROCESSING" : "", procCaseName(c),
+                        procRowKey(c)});
+    }
+    return rows;
 }
 
 template <typename Cells>

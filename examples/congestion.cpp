@@ -62,7 +62,7 @@ floodClient(unsigned flood, Addr sendip)
         sti  r1, r10, NI_O2
         li   r1, 0x22
         sti  r1, r10, NI_O3
-        li   r1, 8                 ; software id of the two-word Send
+        li   r1, ID_SEND2          ; software id of the two-word Send
         sti  r1, r10, NI_O4
         lis  r2, FLOOD
     flood:

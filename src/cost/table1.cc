@@ -56,19 +56,11 @@ runMemory()
 std::string
 procCaseName(ProcCase c)
 {
-    switch (c) {
-      case ProcCase::send0: return "Send (0 words)";
-      case ProcCase::send1: return "Send (1 word)";
-      case ProcCase::send2: return "Send (2 words)";
-      case ProcCase::read: return "Read";
-      case ProcCase::write: return "Write";
-      case ProcCase::preadFull: return "PRead (full)";
-      case ProcCase::preadEmpty: return "PRead (empty)";
-      case ProcCase::preadDeferred: return "PRead (deferred)";
-      case ProcCase::pwriteEmpty: return "PWrite (empty)";
-      case ProcCase::pwriteDeferred: return "PWrite (deferred)";
-    }
-    return "?";
+    const ProcCaseInfo &pc = procCaseInfo(c);
+    std::string name = msg::kindInfo(pc.kind).name;
+    if (pc.state)
+        name = name + " (" + pc.state + ")";
+    return name;
 }
 
 Table1Harness::Table1Harness(ni::Model model, bool basic_sw_checks,
@@ -100,10 +92,10 @@ Table1Harness::makeMsgs(ProcCase c, unsigned k)
     const bool opt = model_.optimized;
     std::vector<Message> msgs;
 
-    auto craft = [&](uint8_t type, unsigned basic_id, Word w0, Word w1,
-                     Word w2, Word w3) {
+    auto craft = [&](uint8_t type, unsigned basic_id,
+                     const std::array<Word, 4> &w) {
         Message m;
-        m.words = {w0, w1, w2, w3, opt ? 0u : basic_id};
+        m.words = {w[0], w[1], w[2], w[3], opt ? 0u : basic_id};
         m.type = opt ? type : 0;
         m.src = 0;
         m.setDestFromWord0();
@@ -114,52 +106,38 @@ Table1Harness::makeMsgs(ProcCase c, unsigned k)
     const Word reply_fp = globalWord(0, 0x50);
     const Word reply_ip = 0x60;
 
+    const msg::KindInfo &kind = msg::kindInfo(procCaseInfo(c).kind);
+    // Basic models dispatch a Send by its id alone.
+    const Word send_ip =
+        opt && kind.inlet ? handlerProg_->addrOf(kind.inlet) : 0x60;
     for (unsigned i = 0; i < k; ++i) {
-        switch (c) {
-          case ProcCase::send0:
-          case ProcCase::send1:
-          case ProcCase::send2: {
-            const char *label = c == ProcCase::send0   ? "h_send0"
-                                : c == ProcCase::send1 ? "h_send1"
-                                                       : "h_send2";
-            unsigned id = c == ProcCase::send0   ? 0
-                          : c == ProcCase::send1 ? 7 : 8;
-            Word ip = opt ? handlerProg_->addrOf(label) : 0x60;
-            msgs.push_back(craft(msg::typeSend, id,
-                                 globalWord(1, frameAddr), ip, 0x1234,
-                                 0x5678));
+        std::array<Word, 4> w{};
+        switch (procCaseInfo(c).kind) {
+          case Kind::send0:
+          case Kind::send1:
+          case Kind::send2:
+            w = {globalWord(1, frameAddr), send_ip, 0x1234, 0x5678};
             break;
-          }
-          case ProcCase::read:
-            msgs.push_back(craft(msg::typeRead, msg::typeRead,
-                                 globalWord(1, readVarAddr), reply_fp,
-                                 reply_ip, 0));
+          case Kind::read:
+            w = {globalWord(1, readVarAddr), reply_fp, reply_ip, 0};
             break;
-          case ProcCase::write:
-            msgs.push_back(craft(msg::typeWrite, msg::typeWrite,
-                                 globalWord(1, readVarAddr), 0xbeef, 0,
-                                 0));
+          case Kind::write:
+            w = {globalWord(1, readVarAddr), 0xbeef, 0, 0};
             break;
-          case ProcCase::preadFull:
-          case ProcCase::preadEmpty:
-          case ProcCase::preadDeferred:
-            msgs.push_back(craft(msg::typePRead, msg::typePRead,
-                                 globalWord(1, elemAddr(i)), reply_fp,
-                                 reply_ip, 0));
+          case Kind::pread:
+            w = {globalWord(1, elemAddr(i)), reply_fp, reply_ip, 0};
             break;
-          case ProcCase::pwriteEmpty:
-          case ProcCase::pwriteDeferred:
+          case Kind::pwrite:
             // w1 = ack word (0: no ack), w2 = value.
-            msgs.push_back(craft(msg::typePWrite, msg::typePWrite,
-                                 globalWord(1, elemAddr(i)), 0, 0x4242,
-                                 0));
+            w = {globalWord(1, elemAddr(i)), 0, 0x4242, 0};
             break;
         }
+        msgs.push_back(craft(kind.type, kind.basicId, w));
     }
 
     // The STOP message halts the server.
     msgs.push_back(craft(msg::typeStop, msg::typeStop,
-                         globalWord(1, 0), 0, 0, 0));
+                         {globalWord(1, 0), 0, 0, 0}));
     return msgs;
 }
 
@@ -345,34 +323,17 @@ Table1Harness::pwriteDeferredCost()
 std::string
 sendRowKey(Kind k)
 {
-    switch (k) {
-      case Kind::send0: return "send:send0";
-      case Kind::send1: return "send:send1";
-      case Kind::send2: return "send:send2";
-      case Kind::read: return "send:read";
-      case Kind::write: return "send:write";
-      case Kind::pread: return "send:pread";
-      case Kind::pwrite: return "send:pwrite";
-    }
-    return "?";
+    return std::string("send:") + msg::kindInfo(k).key;
 }
 
 std::string
 procRowKey(ProcCase c)
 {
-    switch (c) {
-      case ProcCase::send0: return "proc:send0";
-      case ProcCase::send1: return "proc:send1";
-      case ProcCase::send2: return "proc:send2";
-      case ProcCase::read: return "proc:read";
-      case ProcCase::write: return "proc:write";
-      case ProcCase::preadFull: return "proc:pread_full";
-      case ProcCase::preadEmpty: return "proc:pread_empty";
-      case ProcCase::preadDeferred: return "proc:pread_deferred";
-      case ProcCase::pwriteEmpty: return "proc:pwrite_empty";
-      case ProcCase::pwriteDeferred: return "proc:pwrite_deferred";
-    }
-    return "?";
+    const ProcCaseInfo &pc = procCaseInfo(c);
+    std::string key = std::string("proc:") + msg::kindInfo(pc.kind).key;
+    if (pc.state)
+        key = key + "_" + pc.state;
+    return key;
 }
 
 std::map<std::string, std::array<PaperCell, 6>>

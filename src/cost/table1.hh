@@ -50,6 +50,30 @@ enum class ProcCase
     pwriteDeferred,     //!< parameterized by the number of readers n
 };
 
+/** What a processing case measures: the message kind it sends and
+ *  the I-structure element state it finds (nullptr: no element). */
+struct ProcCaseInfo
+{
+    msg::Kind kind;
+    const char *state;
+};
+
+/** The processing cases, in ProcCase order. */
+inline constexpr ProcCaseInfo procCases[] = {
+    {msg::Kind::send0, nullptr}, {msg::Kind::send1, nullptr},
+    {msg::Kind::send2, nullptr}, {msg::Kind::read, nullptr},
+    {msg::Kind::write, nullptr}, {msg::Kind::pread, "full"},
+    {msg::Kind::pread, "empty"}, {msg::Kind::pread, "deferred"},
+    {msg::Kind::pwrite, "empty"}, {msg::Kind::pwrite, "deferred"},
+};
+
+constexpr const ProcCaseInfo &
+procCaseInfo(ProcCase c)
+{
+    return procCases[static_cast<size_t>(c)];
+}
+
+/** "PRead (full)": the kind's name and the element state. */
 std::string procCaseName(ProcCase c);
 
 /** Result of one processing measurement. */
@@ -144,7 +168,7 @@ struct PaperCell
  */
 std::map<std::string, std::array<PaperCell, 6>> paperTable1();
 
-/** Row key helpers. */
+/** Row keys: "send:<kind key>" and "proc:<kind key>[_<state>]". */
 std::string sendRowKey(msg::Kind k);
 std::string procRowKey(ProcCase c);
 

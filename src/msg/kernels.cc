@@ -16,58 +16,6 @@ namespace tcpni
 namespace msg
 {
 
-std::string
-kindName(Kind k)
-{
-    switch (k) {
-      case Kind::send0: return "Send (0 words)";
-      case Kind::send1: return "Send (1 word)";
-      case Kind::send2: return "Send (2 words)";
-      case Kind::read: return "Read";
-      case Kind::write: return "Write";
-      case Kind::pread: return "PRead";
-      case Kind::pwrite: return "PWrite";
-    }
-    return "?";
-}
-
-unsigned
-basicId(Kind k)
-{
-    // The basic models dispatch on the 32-bit id in word 4.  Ids of
-    // the shared request types coincide with the optimized 4-bit type
-    // codes; the Send variants get ids of their own since the basic
-    // table has no word-1 indirection.
-    switch (k) {
-      case Kind::send0: return 0;
-      case Kind::send1: return 7;
-      case Kind::send2: return 8;
-      case Kind::read: return typeRead;
-      case Kind::write: return typeWrite;
-      case Kind::pread: return typePRead;
-      case Kind::pwrite: return typePWrite;
-    }
-    return 0;
-}
-
-unsigned
-directlyComputableWords(Kind k)
-{
-    // How many message values a compiler could compute straight into
-    // the output registers (register-mapped models), giving the lower
-    // bound of the paper's sending-cost ranges.
-    switch (k) {
-      case Kind::send0: return 0;
-      case Kind::send1: return 1;
-      case Kind::send2: return 2;
-      case Kind::read: return 1;
-      case Kind::write: return 2;
-      case Kind::pread: return 2;
-      case Kind::pwrite: return 3;
-    }
-    return 0;
-}
-
 const std::map<std::string, uint64_t> &
 kernelSymbols()
 {
@@ -1261,24 +1209,26 @@ cacheBasicDispTail(const std::string &tag, bool sw_checks)
     return os.str();
 }
 
-/** Emit code to fill the software dispatch table (basic models). */
+/** Emit code to fill the software dispatch table (basic models): the
+ *  Table-1 kinds' handlers at their basic ids, then ACK, STOP and,
+ *  with @p collectives, the tree types. */
 std::string
 basicTableInit(bool collectives)
 {
-    struct Entry { unsigned id; const char *label; bool coll = false; };
-    static const Entry entries[] = {
-        {0, "hb_send0"}, {7, "hb_send1"}, {8, "hb_send2"},
-        {2, "hb_read"}, {3, "hb_write"}, {4, "hb_pread"},
-        {5, "hb_pwrite"}, {6, "hb_ack"}, {15, "hb_stop"},
-        {typeBarUp, "hb_barup", true}, {typeBarDn, "hb_bardn", true},
-        {typeMcast, "hb_mcast", true}, {typeReduce, "hb_reduce", true},
-    };
     std::ostringstream os;
-    for (const auto &e : entries) {
-        if (e.coll && !collectives)
-            continue;
-        os << "    li   r2, " << e.label << "\n"
-           << "    sti  r2, r13, " << e.id * 4 << "\n";
+    auto entry = [&](unsigned id, const char *key) {
+        os << "    li   r2, hb_" << key << "\n"
+           << "    sti  r2, r13, " << id * 4 << "\n";
+    };
+    for (const KindInfo &k : kinds)
+        entry(k.basicId, k.key);
+    entry(typeAck, "ack");
+    entry(typeStop, "stop");
+    if (collectives) {
+        entry(typeBarUp, "barup");
+        entry(typeBarDn, "bardn");
+        entry(typeMcast, "mcast");
+        entry(typeReduce, "reduce");
     }
     return os.str();
 }
@@ -1749,173 +1699,45 @@ hp_next:
 namespace
 {
 
-/** Sender-side message field values (destination is node 1). */
-struct SendFields
-{
-    // Preloaded into r5..r8 by the setup code.
-    uint64_t v5, v6, v7, v8;
-};
-
-SendFields
-fieldsFor(Kind k)
-{
-    const uint64_t dest_frame = (1ull << 24) | 0x2000;  // FP on node 1
-    const uint64_t dest_addr = (1ull << 24) | 0x2100;
-    const uint64_t elem_base = (1ull << 24) | 0x2200;
-    const uint64_t ack_word = 0;    // no ack by default
-    switch (k) {
-      case Kind::send0:
-      case Kind::send1:
-      case Kind::send2:
-        // FP, IP, data, data.
-        return {dest_frame, 0x9000, 0x1234, 0x5678};
-      case Kind::read:
-      case Kind::write:
-        // addr, FP/value, IP.
-        return {dest_addr, dest_frame, 0x9000, 0};
-      case Kind::pread:
-        // element base, offset, FP, IP.
-        return {elem_base, 8, dest_frame, 0x9000};
-      case Kind::pwrite:
-        // element, ack, value.
-        return {elem_base, ack_word, 0x4242, 0};
-    }
-    return {};
-}
-
-/** Per-message composition for the register-mapped models. */
+/**
+ * Per-message composition of kind @p k: the address computation, one
+ * copy per output word, then the id and the SEND.  Register-mapped
+ * basic senders write the id first and optimized ones fold `!send=T`
+ * into the last copy (`!send` is ignored on basic ones); cache-mapped
+ * basic senders store the Send id kept in r14, stage the others
+ * through r2, and issue a separate SEND.
+ */
 std::string
-regSendBody(Kind k, bool basic)
+sendBody(const KindInfo &k, bool reg, bool basic)
 {
     std::ostringstream os;
-    auto id_line = [&]() {
-        if (basic)
-            os << "    addi o4, r0, " << basicId(k) << "\n";
-    };
-    // `!send` carries the type on optimized models and is ignored on
-    // basic ones.
-    auto send_t = [&](unsigned type) {
-        return std::string(" !send=") + std::to_string(basic ? 0 : type);
-    };
-
-    switch (k) {
-      case Kind::send0:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0" << send_t(typeSend) << "\n";
-        break;
-      case Kind::send1:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0\n"
-           << "    add  o2, r7, r0" << send_t(typeSend) << "\n";
-        break;
-      case Kind::send2:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0\n"
-           << "    add  o2, r7, r0\n"
-           << "    add  o3, r8, r0" << send_t(typeSend) << "\n";
-        break;
-      case Kind::read:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0\n"
-           << "    add  o2, r7, r0" << send_t(typeRead) << "\n";
-        break;
-      case Kind::write:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0" << send_t(typeWrite) << "\n";
-        break;
-      case Kind::pread:
-        id_line();
-        os << "    add  r3, r5, r6\n"      // element address compute
-           << "    add  o0, r3, r0\n"
-           << "    add  o1, r7, r0\n"
-           << "    add  o2, r8, r0" << send_t(typePRead) << "\n";
-        break;
-      case Kind::pwrite:
-        id_line();
-        os << "    add  o0, r5, r0\n"
-           << "    add  o1, r6, r0\n"
-           << "    add  o2, r7, r0" << send_t(typePWrite) << "\n";
-        break;
+    if (reg && basic)
+        os << "    addi o4, r0, " << k.basicId << "\n";
+    if (k.compute)
+        os << "    " << k.compute << "\n";
+    for (unsigned i = 0; i < k.words; ++i) {
+        if (!reg) {
+            os << "    sti  " << k.src[i] << ", r10, NI_O" << i << "\n";
+            continue;
+        }
+        os << "    add  o" << i << ", " << k.src[i] << ", r0";
+        if (i + 1 == k.words)
+            os << " !send=" << (basic ? 0u : unsigned{k.type});
+        os << "\n";
     }
-    return os.str();
-}
-
-/** Per-message composition for the cache-mapped models. */
-std::string
-cacheSendBody(Kind k, bool basic)
-{
-    std::ostringstream os;
-    unsigned type = 0;
-    switch (k) {
-      case Kind::send0: case Kind::send1: case Kind::send2:
-        type = typeSend;
-        break;
-      case Kind::read: type = typeRead; break;
-      case Kind::write: type = typeWrite; break;
-      case Kind::pread: type = typePRead; break;
-      case Kind::pwrite: type = typePWrite; break;
-    }
-
-    auto store = [&](const char *src, const char *reg) {
-        os << "    sti  " << src << ", r10, " << reg << "\n";
-    };
-
-    switch (k) {
-      case Kind::send0:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        break;
-      case Kind::send1:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        store("r7", "NI_O2");
-        break;
-      case Kind::send2:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        store("r7", "NI_O2");
-        store("r8", "NI_O3");
-        break;
-      case Kind::read:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        store("r7", "NI_O2");
-        break;
-      case Kind::write:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        break;
-      case Kind::pread:
-        os << "    add  r3, r5, r6\n";     // element address compute
-        store("r3", "NI_O0");
-        store("r7", "NI_O1");
-        store("r8", "NI_O2");
-        break;
-      case Kind::pwrite:
-        store("r5", "NI_O0");
-        store("r6", "NI_O1");
-        store("r7", "NI_O2");
-        break;
-    }
-
-    if (basic) {
-        bool is_send_kind = k == Kind::send0 || k == Kind::send1 ||
-                            k == Kind::send2;
-        if (is_send_kind) {
-            // The generic id stays hot in r14.
+    if (reg)
+        return os.str();
+    if (!basic) {
+        os << "    ldi  r0, r10, NI_SEND | NI_TYPE*" << unsigned{k.type}
+           << "\n";
+    } else {
+        if (k.type == typeSend) {
             os << "    sti  r14, r10, NI_O4\n";
         } else {
-            os << "    addi r2, r0, " << basicId(k) << "\n"
+            os << "    addi r2, r0, " << k.basicId << "\n"
                << "    sti  r2, r10, NI_O4\n";
         }
         os << "    ldi  r0, r10, NI_SEND\n";
-    } else {
-        os << "    ldi  r0, r10, NI_SEND | NI_TYPE*" << type << "\n";
     }
     return os.str();
 }
@@ -1927,7 +1749,7 @@ senderProgram(const ni::Model &model, Kind kind, unsigned count)
 {
     bool reg = model.policy().registerMapped;
     bool basic = !model.optimized;
-    SendFields f = fieldsFor(kind);
+    const KindInfo &k = kindInfo(kind);
 
     std::ostringstream os;
     os << "    .org 0x1000\n"
@@ -1935,16 +1757,17 @@ senderProgram(const ni::Model &model, Kind kind, unsigned count)
        << "entry:\n";
     if (!reg)
         os << "    li   r10, NI_BASE\n";
-    if (basic && !reg)
-        os << "    addi r14, r0, " << basicId(Kind::send0) << "\n";
-    os << "    li   r5, " << f.v5 << "\n"
-       << "    li   r6, " << f.v6 << "\n"
-       << "    li   r7, " << f.v7 << "\n"
-       << "    li   r8, " << f.v8 << "\n"
-       << "    lis  r1, " << count << "\n"
+    if (basic && !reg) {
+        // The generic Send id stays hot in r14.
+        os << "    addi r14, r0, " << kindInfo(Kind::send0).basicId
+           << "\n";
+    }
+    for (unsigned i = 0; i < 4; ++i)
+        os << "    li   r" << 5 + i << ", " << k.preload[i] << "\n";
+    os << "    lis  r1, " << count << "\n"
        << "loop:\n"
        << "    .region sending\n"
-       << (reg ? regSendBody(kind, basic) : cacheSendBody(kind, basic))
+       << sendBody(k, reg, basic)
        << "    .region loop\n"
        << "    addi r1, r1, -1\n"
        << "    bnez r1, loop\n"
@@ -2031,13 +1854,10 @@ kernelCorpus(const ni::Model &model)
                     collectiveDriverProgram(model, 4), false,
                     "collective"});
 
-    static const Kind kinds[] = {
-        Kind::send0, Kind::send1, Kind::send2, Kind::read, Kind::write,
-        Kind::pread, Kind::pwrite,
-    };
-    for (Kind k : kinds) {
-        jobs.push_back({"send-" + kindName(k),
-                        senderProgram(model, k, 4), false, ""});
+    for (size_t k = 0; k < std::size(kinds); ++k) {
+        jobs.push_back({std::string("send-") + kinds[k].name,
+                        senderProgram(model, static_cast<Kind>(k), 4),
+                        false, ""});
     }
     return jobs;
 }

@@ -10,7 +10,13 @@
  *    dispatch through a software table indexed by the 32-bit id in
  *    word 4 (the Figure-5 sequence).
  *  - senderProgram(model, kind, count): a loop composing `count`
- *    messages, the composition tagged `.region sending`.
+ *    messages, the composition tagged `.region sending`.  One
+ *    generator spells all four sender shapes from the kind's row of
+ *    msg::kinds (msg/protocol.hh): the table of the seven Table-1
+ *    kinds, holding each kind's name, wire type, basic id, type-0
+ *    inlet, length and sender registers.  The basic handler sets'
+ *    dispatch tables and the verifier's inlet and id contracts read
+ *    the same rows.
  *
  * Every instruction carries a cost region ("sending", "dispatching",
  * "processing", ...) so the Table-1 harness measures exactly the
@@ -60,26 +66,13 @@
 #include <vector>
 
 #include "isa/assembler.hh"
+#include "msg/protocol.hh"
 #include "ni/config.hh"
 
 namespace tcpni
 {
 namespace msg
 {
-
-/** Message kinds measured in Table 1. */
-enum class Kind
-{
-    send0,      //!< Send, 0 data words
-    send1,      //!< Send, 1 data word
-    send2,      //!< Send, 2 data words
-    read,
-    write,
-    pread,
-    pwrite,
-};
-
-std::string kindName(Kind k);
 
 /** Base address of the handler program (IpBase for optimized models). */
 constexpr Addr handlerBase = 0x4000;
@@ -158,10 +151,11 @@ std::string hostProxyProgram(const ni::Model &model);
  * the output registers for this kind (the paper's range lower bound =
  * measured copy cost minus this, register-mapped models only).
  */
-unsigned directlyComputableWords(Kind k);
-
-/** Message ids used by the basic models' software dispatch (word 4). */
-unsigned basicId(Kind k);
+inline unsigned
+directlyComputableWords(Kind k)
+{
+    return kindInfo(k).direct;
+}
 
 /**
  * One kernel of a model's static-analysis corpus (tcpni_lint and the

@@ -16,6 +16,8 @@ protoSymbols()
     syms["T_PWRITE"] = typePWrite;
     syms["T_ACK"] = typeAck;
     syms["T_STOP"] = typeStop;
+    syms["ID_SEND1"] = kindInfo(Kind::send1).basicId;
+    syms["ID_SEND2"] = kindInfo(Kind::send2).basicId;
 
     syms["T_BARUP"] = typeBarUp;
     syms["T_BARDN"] = typeBarDn;

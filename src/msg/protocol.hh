@@ -14,6 +14,8 @@
  *                the inlet/thread, w2..w3 = 0..2 data words.  Replies
  *                to every other request are SEND messages, which is
  *                why type 0 gets the Figure-7 word-1 dispatch shortcut.
+ *                The basic models' ids of its 1- and 2-word variants
+ *                are ID_SEND1 and ID_SEND2 (the kinds table below).
  *   READ (2)  -- remote read request (Figure 3): w0 = global address,
  *                w1 = reply FP, w2 = reply IP.
  *   WRITE (3) -- remote write: w0 = global address, w1 = value.
@@ -84,6 +86,7 @@
 #include <optional>
 #include <string>
 
+#include "noc/message.hh"
 #include "sim/types.hh"
 
 namespace tcpni
@@ -113,6 +116,81 @@ enum MsgType : uint8_t
     typeEscape = 14,
     typeStop = 15,
 };
+
+/** Message kinds measured in Table 1. */
+enum class Kind
+{
+    send0,      //!< Send, 0 data words
+    send1,      //!< Send, 1 data word
+    send2,      //!< Send, 2 data words
+    read,
+    write,
+    pread,
+    pwrite,
+};
+
+/**
+ * One Table-1 message kind: every fact of it that the kernels, the
+ * Table-1 harness, the cost tables and the verifier use.
+ *
+ * The basic models dispatch on the 32-bit id in word 4.  The request
+ * kinds reuse their 4-bit type codes as ids; the Send variants get
+ * ids of their own, since the basic table has no word-1 indirection
+ * and the id word cannot also carry the length.
+ */
+struct KindInfo
+{
+    const char *name;       //!< Table-1 row label
+    const char *key;        //!< row key ("send:<key>"), hb_<key> label
+    MsgType type;           //!< 4-bit type in SEND (optimized models)
+    unsigned basicId;       //!< 32-bit id in word 4 (basic models)
+    const char *inlet;      //!< type-0 inlet label (Send kinds only)
+    unsigned words;         //!< message length in words, w0 first
+    /** @{ The Table-1 sender: an address computation before the
+     *  copies (or nullptr), the register copied into each output word,
+     *  and the values its setup loads into r5..r8 (node 1). */
+    const char *compute;
+    const char *src[4];
+    Word preload[4];
+    /** @} */
+    /** Values a compiler could compute straight into the output
+     *  registers: the paper's register-mapped lower bound is the copy
+     *  cost minus this. */
+    unsigned direct;
+};
+
+/** The Table-1 kinds, in Kind order. */
+inline constexpr KindInfo kinds[] = {
+    {"Send (0 words)", "send0", typeSend, 0, "h_send0", 2, nullptr,
+     {"r5", "r6"}, {globalWord(1, 0x2000), 0x9000, 0x1234, 0x5678}, 0},
+    {"Send (1 word)", "send1", typeSend, 7, "h_send1", 3, nullptr,
+     {"r5", "r6", "r7"}, {globalWord(1, 0x2000), 0x9000, 0x1234, 0x5678},
+     1},
+    {"Send (2 words)", "send2", typeSend, 8, "h_send2", 4, nullptr,
+     {"r5", "r6", "r7", "r8"},
+     {globalWord(1, 0x2000), 0x9000, 0x1234, 0x5678}, 2},
+    // w0 = address, w1 = reply FP, w2 = reply IP.
+    {"Read", "read", typeRead, typeRead, nullptr, 3, nullptr,
+     {"r5", "r6", "r7"}, {globalWord(1, 0x2100), globalWord(1, 0x2000),
+                          0x9000, 0}, 1},
+    // w0 = address, w1 = value.
+    {"Write", "write", typeWrite, typeWrite, nullptr, 2, nullptr,
+     {"r5", "r6"}, {globalWord(1, 0x2100), globalWord(1, 0x2000),
+                    0x9000, 0}, 2},
+    // w0 = element base + offset, w1 = reply FP, w2 = reply IP.
+    {"PRead", "pread", typePRead, typePRead, nullptr, 3,
+     "add  r3, r5, r6", {"r3", "r7", "r8"},
+     {globalWord(1, 0x2200), 8, globalWord(1, 0x2000), 0x9000}, 2},
+    // w0 = element, w1 = ack word (0: no ack), w2 = value.
+    {"PWrite", "pwrite", typePWrite, typePWrite, nullptr, 3, nullptr,
+     {"r5", "r6", "r7"}, {globalWord(1, 0x2200), 0, 0x4242, 0}, 3},
+};
+
+constexpr const KindInfo &
+kindInfo(Kind k)
+{
+    return kinds[static_cast<size_t>(k)];
+}
 
 /** Local address of the escape-type software dispatch table. */
 constexpr Addr escapeTableAddr = 0x140;
@@ -293,15 +371,18 @@ isControlType(unsigned type)
 }
 
 /**
- * Fold a basic-model 32-bit message id onto its protocol type node.
- * Ids 7 and 8 are the SEND length variants (FP+IP plus one / two data
- * words) the basic senders use because the id word cannot also carry
- * the length; they land on the SEND handler family.
+ * Fold a basic-model 32-bit message id onto its protocol type node:
+ * the ids of the SEND length variants (kinds table) land on the SEND
+ * handler family; every other id is its own type.
  */
 constexpr unsigned
 normalizeBasicId(unsigned id)
 {
-    return (id == 7 || id == 8) ? unsigned{typeSend} : id;
+    for (const KindInfo &k : kinds) {
+        if (k.basicId == id)
+            return k.type;
+    }
+    return id;
 }
 
 /**

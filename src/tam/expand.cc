@@ -31,62 +31,27 @@ WorkCostModel::default88100()
 CommCosts
 measureCommCosts(const ni::Model &model)
 {
-    using cost::ProcCase;
-    using msg::Kind;
-
     // Basic models pay the software queue-threshold checks.
     cost::Table1Harness h(model, /*basic_sw_checks=*/true);
 
-    auto send_cost = [&](Kind k) {
-        double copy = h.sendingCost(k);
+    CommCosts c;
+    c.model = model;
+    for (size_t k = 0; k < std::size(sendCost); ++k) {
+        const msg::Kind kind = static_cast<msg::Kind>(k);
+        double copy = h.sendingCost(kind);
         if (model.policy().directCompose()) {
             // Midpoint of the paper's range: some values are computed
             // directly into the output registers.
-            copy -= msg::directlyComputableWords(k) / 2.0;
+            copy -= msg::directlyComputableWords(kind) / 2.0;
         }
-        return copy;
-    };
-
-    CommCosts c;
-    c.model = model;
-    c.sendSend0 = send_cost(Kind::send0);
-    c.sendSend1 = send_cost(Kind::send1);
-    c.sendSend2 = send_cost(Kind::send2);
-    c.sendRead = send_cost(Kind::read);
-    c.sendWrite = send_cost(Kind::write);
-    c.sendPRead = send_cost(Kind::pread);
-    c.sendPWrite = send_cost(Kind::pwrite);
-
-    auto send0 = h.processingCost(ProcCase::send0);
-    auto send1 = h.processingCost(ProcCase::send1);
-    auto send2 = h.processingCost(ProcCase::send2);
-    auto read = h.processingCost(ProcCase::read);
-    auto write = h.processingCost(ProcCase::write);
-    auto pr_full = h.processingCost(ProcCase::preadFull);
-    auto pr_empty = h.processingCost(ProcCase::preadEmpty);
-    auto pr_def = h.processingCost(ProcCase::preadDeferred);
-    auto pw_empty = h.processingCost(ProcCase::pwriteEmpty);
-
-    c.dispatch = read.dispatching;
-    c.dispSend0 = send0.dispatching;
-    c.dispSend1 = send1.dispatching;
-    c.dispSend2 = send2.dispatching;
-    c.dispRead = read.dispatching;
-    c.dispWrite = write.dispatching;
-    c.dispPReadFull = pr_full.dispatching;
-    c.dispPReadEmpty = pr_empty.dispatching;
-    c.dispPReadDeferred = pr_def.dispatching;
-    c.dispPWrite = pw_empty.dispatching;
-
-    c.procSend0 = send0.processing;
-    c.procSend1 = send1.processing;
-    c.procSend2 = send2.processing;
-    c.procRead = read.processing;
-    c.procWrite = write.processing;
-    c.procPReadFull = pr_full.processing;
-    c.procPReadEmpty = pr_empty.processing;
-    c.procPReadDeferred = pr_def.processing;
-    c.procPWriteEmpty = pw_empty.processing;
+        c.*sendCost[k] = copy;
+    }
+    for (const CommRow &r : commRows) {
+        cost::ProcCost pc = h.processingCost(r.proc);
+        c.*r.dispatch = pc.dispatching;
+        c.*r.process = pc.processing;
+    }
+    c.dispatch = c.dispRead;
 
     cost::LinearCost lin = h.pwriteDeferredCost();
     c.procPWriteDefBase = lin.base;
@@ -102,58 +67,40 @@ expand(const TamStats &s, const CommCosts &c, const WorkCostModel &w)
     for (size_t i = 0; i < static_cast<size_t>(Op::numOps); ++i)
         bar.work += static_cast<double>(s.ops[i]) * w.cost[i];
 
-    auto n = [&](MsgKind k) {
-        return static_cast<double>(s.msg(k));
-    };
+    auto n = [&](size_t row) { return static_cast<double>(s.msgs[row]); };
+    const double replies = static_cast<double>(s.replies);
 
     // Every message reception pays one dispatch (per-case: unhidden
     // load-use stalls surface in short handlers' dispatch at high
     // off-chip latencies); replies are 1-word Send receptions.
-    bar.dispatch += n(MsgKind::send0) * c.dispSend0;
-    bar.dispatch += n(MsgKind::send1) * c.dispSend1;
-    bar.dispatch += n(MsgKind::send2) * c.dispSend2;
-    bar.dispatch += n(MsgKind::read) * c.dispRead;
-    bar.dispatch += n(MsgKind::write) * c.dispWrite;
-    bar.dispatch += n(MsgKind::preadFull) * c.dispPReadFull;
-    bar.dispatch += n(MsgKind::preadEmpty) * c.dispPReadEmpty;
-    bar.dispatch += n(MsgKind::preadDeferred) * c.dispPReadDeferred;
-    bar.dispatch += n(MsgKind::pwrite) * c.dispPWrite;
-    bar.dispatch += static_cast<double>(s.replies) * c.dispSend1;
+    for (size_t i = 0; i < std::size(commRows); ++i)
+        bar.dispatch += n(i) * c.*commRows[i].dispatch;
+    bar.dispatch += replies * c.dispSend1;
 
     // Sending costs (request composition at the source).  Reply
     // composition is already inside the serving handler's processing
     // cost (Table 1's Read/PRead rows include the SEND-reply).
-    bar.sending += n(MsgKind::send0) * c.sendSend0;
-    bar.sending += n(MsgKind::send1) * c.sendSend1;
-    bar.sending += n(MsgKind::send2) * c.sendSend2;
-    bar.sending += n(MsgKind::read) * c.sendRead;
-    bar.sending += n(MsgKind::write) * c.sendWrite;
-    bar.sending += (n(MsgKind::preadFull) + n(MsgKind::preadEmpty) +
-                    n(MsgKind::preadDeferred)) *
-                   c.sendPRead;
-    bar.sending += n(MsgKind::pwrite) * c.sendPWrite;
+    for (size_t i = 0; i < std::size(commRows); ++i) {
+        const msg::Kind kind = cost::procCaseInfo(commRows[i].proc).kind;
+        bar.sending += n(i) * c.*sendCost[static_cast<size_t>(kind)];
+    }
     bar.otherComm += bar.sending;
 
-    // Processing costs at the receiver.
-    bar.otherComm += n(MsgKind::send0) * c.procSend0;
-    bar.otherComm += n(MsgKind::send1) * c.procSend1;
-    bar.otherComm += n(MsgKind::send2) * c.procSend2;
-    bar.otherComm += n(MsgKind::read) * c.procRead;
-    bar.otherComm += n(MsgKind::write) * c.procWrite;
-    bar.otherComm += n(MsgKind::preadFull) * c.procPReadFull;
-    bar.otherComm += n(MsgKind::preadEmpty) * c.procPReadEmpty;
-    bar.otherComm += n(MsgKind::preadDeferred) * c.procPReadDeferred;
-
-    double pwrites = n(MsgKind::pwrite);
-    double pw_deferred = static_cast<double>(s.pwriteWithDeferred);
-    double pw_empty = pwrites - pw_deferred;
-    bar.otherComm += pw_empty * c.procPWriteEmpty;
+    // Processing costs at the receiver.  A PWrite that released
+    // deferred readers costs base + slope * readers instead.
+    const double pw_deferred = static_cast<double>(s.pwriteWithDeferred);
+    for (size_t i = 0; i < std::size(commRows); ++i) {
+        double count = n(i);
+        if (i == static_cast<size_t>(MsgKind::pwrite))
+            count -= pw_deferred;
+        bar.otherComm += count * c.*commRows[i].process;
+    }
     bar.otherComm += pw_deferred * c.procPWriteDefBase;
     bar.otherComm += static_cast<double>(s.pwriteReleases) *
                      c.procPWriteDefSlope;
 
     // Reply receptions process as 1-word Sends.
-    bar.otherComm += static_cast<double>(s.replies) * c.procSend1;
+    bar.otherComm += replies * c.procSend1;
 
     return bar;
 }

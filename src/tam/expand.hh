@@ -18,6 +18,7 @@
 
 #include <array>
 
+#include "cost/table1.hh"
 #include "ni/config.hh"
 #include "tam/tam.hh"
 
@@ -48,7 +49,7 @@ struct CommCosts
 {
     ni::Model model;
 
-    /** Sending cost per request kind (Kind order of msg::Kind). */
+    /** Sending cost per request kind (sendCost). */
     double sendSend0, sendSend1, sendSend2;
     double sendRead, sendWrite, sendPRead, sendPWrite;
 
@@ -65,12 +66,63 @@ struct CommCosts
     double dispPReadFull, dispPReadEmpty, dispPReadDeferred;
     double dispPWrite;
 
-    /** Processing costs. */
+    /** Processing costs (commRows, then the deferred PWrite). */
     double procSend0, procSend1, procSend2;
     double procRead, procWrite;
     double procPReadFull, procPReadEmpty, procPReadDeferred;
     double procPWriteEmpty, procPWriteDefBase, procPWriteDefSlope;
 };
+
+/** The sending field of each Table-1 kind, in msg::Kind order. */
+inline constexpr double CommCosts::*sendCost[] = {
+    &CommCosts::sendSend0, &CommCosts::sendSend1, &CommCosts::sendSend2,
+    &CommCosts::sendRead,  &CommCosts::sendWrite, &CommCosts::sendPRead,
+    &CommCosts::sendPWrite,
+};
+
+/**
+ * One TAM message event and the columns of its costs: the Table-1
+ * case that measures it (whose kind gives the sending cost) and the
+ * CommCosts fields its dispatch and processing land in.  The deferred
+ * PWrite's base and slope have no event of their own; expand() and
+ * its callers handle them after the rows.
+ */
+struct CommRow
+{
+    const char *name;           //!< msgKindName()
+    cost::ProcCase proc;
+    double CommCosts::*dispatch;
+    double CommCosts::*process;
+    const char *processKey;     //!< figure12.json "process" key
+};
+
+/** The rows, in MsgKind order. */
+inline constexpr CommRow commRows[] = {
+    {"send0", cost::ProcCase::send0, &CommCosts::dispSend0,
+     &CommCosts::procSend0, "send0"},
+    {"send1", cost::ProcCase::send1, &CommCosts::dispSend1,
+     &CommCosts::procSend1, "send1"},
+    {"send2", cost::ProcCase::send2, &CommCosts::dispSend2,
+     &CommCosts::procSend2, "send2"},
+    {"read", cost::ProcCase::read, &CommCosts::dispRead,
+     &CommCosts::procRead, "read"},
+    {"write", cost::ProcCase::write, &CommCosts::dispWrite,
+     &CommCosts::procWrite, "write"},
+    {"pread_full", cost::ProcCase::preadFull, &CommCosts::dispPReadFull,
+     &CommCosts::procPReadFull, "preadFull"},
+    {"pread_empty", cost::ProcCase::preadEmpty,
+     &CommCosts::dispPReadEmpty, &CommCosts::procPReadEmpty,
+     "preadEmpty"},
+    {"pread_deferred", cost::ProcCase::preadDeferred,
+     &CommCosts::dispPReadDeferred, &CommCosts::procPReadDeferred,
+     "preadDeferred"},
+    // Processing: a PWrite that finds the element empty; the deferred
+    // ones are the rest.
+    {"pwrite", cost::ProcCase::pwriteEmpty, &CommCosts::dispPWrite,
+     &CommCosts::procPWriteEmpty, "pwriteEmpty"},
+};
+static_assert(std::size(commRows) ==
+              static_cast<size_t>(MsgKind::numKinds));
 
 /**
  * Measure CommCosts for @p model by running the Table-1 kernel

@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "tam/expand.hh"
 
 namespace tcpni
 {
@@ -30,19 +31,7 @@ opName(Op op)
 std::string
 msgKindName(MsgKind k)
 {
-    switch (k) {
-      case MsgKind::send0: return "send0";
-      case MsgKind::send1: return "send1";
-      case MsgKind::send2: return "send2";
-      case MsgKind::read: return "read";
-      case MsgKind::write: return "write";
-      case MsgKind::preadFull: return "pread_full";
-      case MsgKind::preadEmpty: return "pread_empty";
-      case MsgKind::preadDeferred: return "pread_deferred";
-      case MsgKind::pwrite: return "pwrite";
-      case MsgKind::numKinds: break;
-    }
-    return "?";
+    return commRows[static_cast<size_t>(k)].name;
 }
 
 uint64_t

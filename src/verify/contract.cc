@@ -35,34 +35,26 @@ requiredTypes(const ni::Model &model)
 std::set<unsigned>
 requiredBasicIds()
 {
-    // The three Send variants get ids of their own (see msg::basicId);
-    // the request types reuse their optimized type codes.
-    return {0, 7, 8, msg::typeRead, msg::typeWrite, msg::typePRead,
-            msg::typePWrite, msg::typeAck, msg::typeStop};
+    std::set<unsigned> ids = {msg::typeAck, msg::typeStop};
+    for (const msg::KindInfo &k : msg::kinds)
+        ids.insert(k.basicId);
+    return ids;
 }
 
 void
 basicIdContract(unsigned id, unsigned &min_words, unsigned &max_words)
 {
-    switch (id) {
-      case 0:
-        // Generic Send / reply: FP, IP, 0..2 data words.
-        min_words = 2;
-        max_words = 4;
-        return;
-      case 7:
-        min_words = max_words = 3;
-        return;
-      case 8:
-        min_words = max_words = 4;
-        return;
-      default: {
-        msg::TypeContract c = msg::typeContract(id);
-        min_words = c.minWords;
-        max_words = c.maxWords;
-        return;
-      }
+    // An id that is not its kind's type code names a Send length
+    // variant, whose length the id fixes.
+    for (const msg::KindInfo &k : msg::kinds) {
+        if (k.basicId == id && k.basicId != k.type) {
+            min_words = max_words = k.words;
+            return;
+        }
     }
+    msg::TypeContract c = msg::typeContract(id);
+    min_words = c.minWords;
+    max_words = c.maxWords;
 }
 
 using isa::Instruction;
@@ -358,21 +350,19 @@ deriveHandlerContract(const isa::Program &prog, const ni::Model &model)
         }
 
         // The type-0 inlets, reached through message word 1.
-        struct Inlet { const char *label; unsigned words; };
-        static const Inlet inlets[] = {
-            {"h_send0", 2}, {"h_send1", 3}, {"h_send2", 4},
-        };
-        for (const Inlet &in : inlets) {
-            auto it = prog.symbols.find(in.label);
+        for (const msg::KindInfo &in : msg::kinds) {
+            if (!in.inlet)
+                continue;
+            auto it = prog.symbols.find(in.inlet);
             if (it == prog.symbols.end()) {
                 c.diags.add(Severity::error, "dispatch", prog.base, 0,
-                            in.label,
+                            in.inlet,
                             "type-0 inlet label missing from kernel");
                 continue;
             }
             Root r;
             r.entry = static_cast<Addr>(it->second);
-            r.name = in.label;
+            r.name = in.inlet;
             r.kind = RootKind::inlet;
             r.type = msg::typeSend;
             r.minWords = r.maxWords = in.words;
@@ -444,7 +434,7 @@ deriveHandlerContract(const isa::Program &prog, const ni::Model &model)
             // Word 4 carries the id; word 1 of the Send family names
             // the inlet the software table already encodes.
             r.dispatchConsumed = {4};
-            if (id == 0 || id == 7 || id == 8)
+            if (msg::normalizeBasicId(id) == msg::typeSend)
                 r.dispatchConsumed.insert(1);
             c.roots.push_back(r);
         }

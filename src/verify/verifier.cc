@@ -322,7 +322,7 @@ RootRun::doSend(size_t idx, State &st, SendMode mode, unsigned stype,
             return;
         }
         unsigned id = st.oVals[4].value;
-        bool send_family = id == 0 || id == 7 || id == 8;
+        bool send_family = msg::normalizeBasicId(id) == msg::typeSend;
         if (!send_family && !(id < 16 && msg::typeContract(id).live)) {
             diag(Severity::error, "send", idx,
                  "sends unknown message id " + std::to_string(id));

@@ -110,7 +110,7 @@ TEST_P(Table1Sweep, AllCellsWithinTolerance)
     for (Kind k : kinds) {
         double v = h.sendingCost(k);
         const PaperCell &p = paper.at(sendRowKey(k))[mi];
-        EXPECT_NEAR(v, p.hi, 1.01) << "sending " << msg::kindName(k);
+        EXPECT_NEAR(v, p.hi, 1.01) << "sending " << msg::kindInfo(k).name;
     }
 
     static const ProcCase cases[] = {

@@ -117,7 +117,7 @@ TEST_P(KernelModels, SenderProgramsAssemble)
     for (Kind k : {Kind::send0, Kind::send1, Kind::send2, Kind::read,
                    Kind::write, Kind::pread, Kind::pwrite}) {
         isa::Program p = assembleKernel(senderProgram(m, k, 4));
-        EXPECT_GT(p.words.size(), 5u) << kindName(k);
+        EXPECT_GT(p.words.size(), 5u) << kindInfo(k).name;
     }
 }
 
@@ -150,7 +150,7 @@ TEST_P(KernelModels, SendStoresWordsInFrame)
     // Send with 2 data words: handler stores them at FP+0, FP+4.
     // Basic models dispatch Send variants by id (8 = send2).
     rig.inject(typeSend, globalWord(1, 0x2000), rig.sendIp("h_send2"),
-               0x1111, 0x2222, static_cast<int>(basicId(Kind::send2)));
+               0x1111, 0x2222, static_cast<int>(kindInfo(Kind::send2).basicId));
     rig.run();
     EXPECT_EQ(rig.mem1.read(0x2000), 0x1111u);
     EXPECT_EQ(rig.mem1.read(0x2004), 0x2222u);
@@ -282,7 +282,7 @@ TEST_P(KernelModels, MixedStream)
     rig.inject(typePWrite, globalWord(1, elem), 0, 0xd00d);
     rig.inject(typeSend, globalWord(1, 0x2010),
                rig.sendIp("h_send1"), 0x77, 0,
-               static_cast<int>(basicId(Kind::send1)));
+               static_cast<int>(kindInfo(Kind::send1).basicId));
     rig.run();
 
     Message r1 = rig.reply();      // read reply

@@ -125,7 +125,7 @@ TEST(LintShipped, AllKernelsCleanUnderWerror)
             isa::Program prog = asmProg(msg::senderProgram(m, k, 4));
             v::Report rep = v::verifySender(prog, m);
             EXPECT_TRUE(rep.clean(true))
-                << m.shortName() << "/send-" << msg::kindName(k)
+                << m.shortName() << "/send-" << msg::kindInfo(k).name
                 << ":\n" << dump(rep);
         }
     }
