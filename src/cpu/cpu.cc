@@ -151,12 +151,6 @@ Cpu::regionCycles() const
     return regions_.cycles();
 }
 
-std::map<std::string, uint64_t>
-Cpu::regionInstructions() const
-{
-    return regions_.instructions();
-}
-
 Word
 Cpu::reg(unsigned r) const
 {
@@ -231,7 +225,6 @@ Cpu::tick()
     ++instructions_;
     cycles_ += cost;
     regions_.chargeCycles(ipc, cost);
-    regions_.countInstruction(ipc);
 
     if (instructions_ > config_.maxInstructions)
         panic("'%s' exceeded %llu instructions; runaway program?",

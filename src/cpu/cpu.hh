@@ -124,9 +124,6 @@ class Cpu : public SimObject
 
     /** Cycles charged to each named cost region. */
     std::map<std::string, uint64_t> regionCycles() const;
-
-    /** Instructions charged to each named cost region. */
-    std::map<std::string, uint64_t> regionInstructions() const;
     /** @} */
 
   protected:

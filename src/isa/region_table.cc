@@ -7,23 +7,6 @@ namespace tcpni
 namespace isa
 {
 
-namespace
-{
-
-std::map<std::string, uint64_t>
-byName(const std::vector<std::string> &names,
-       const std::vector<uint64_t> &counts)
-{
-    std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (counts[i])
-            out[names[i]] += counts[i];
-    }
-    return out;
-}
-
-} // namespace
-
 void
 RegionTable::load(const Program &prog)
 {
@@ -38,7 +21,6 @@ RegionTable::load(const Program &prog)
         if (it == names_.end()) {
             names_.push_back(prog.regionNames[i]);
             cycles_.push_back(0);
-            insts_.push_back(0);
             it = names_.end() - 1;
         }
         remap[i] = static_cast<uint16_t>(it - names_.begin());
@@ -63,19 +45,17 @@ void
 RegionTable::clearCounts()
 {
     std::fill(cycles_.begin(), cycles_.end(), 0);
-    std::fill(insts_.begin(), insts_.end(), 0);
 }
 
 std::map<std::string, uint64_t>
 RegionTable::cycles() const
 {
-    return byName(names_, cycles_);
-}
-
-std::map<std::string, uint64_t>
-RegionTable::instructions() const
-{
-    return byName(names_, insts_);
+    std::map<std::string, uint64_t> out;
+    for (size_t i = 0; i < names_.size(); ++i) {
+        if (cycles_[i])
+            out[names_[i]] += cycles_[i];
+    }
+    return out;
 }
 
 } // namespace isa

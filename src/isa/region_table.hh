@@ -6,7 +6,7 @@
  * with (Program::regionOf).  A processor model (Cpu, Hpu) keeps one
  * RegionTable: each loadProgram() adopts the program's regions for the
  * program's address range, and each executed instruction charges its
- * cycles and its retirement to the region of its address.  An address
+ * cycles to the region of its address.  An address
  * outside every loaded program belongs to region "" (id 0).
  *
  * The table holds, per loaded program, its base address and a
@@ -55,17 +55,11 @@ class RegionTable
     /** Charge @p n cycles to the region of address @p addr. */
     void chargeCycles(Addr addr, uint64_t n) { cycles_[regionOf(addr)] += n; }
 
-    /** Count one instruction retired at address @p addr. */
-    void countInstruction(Addr addr) { insts_[regionOf(addr)] += 1; }
-
-    /** Zero every region's cycle and instruction counts. */
+    /** Zero every region's cycle count. */
     void clearCounts();
 
     /** Cycles charged to each named region (nonzero ones only). */
     std::map<std::string, uint64_t> cycles() const;
-
-    /** Instructions charged to each named region (nonzero ones). */
-    std::map<std::string, uint64_t> instructions() const;
 
   private:
     /** One loaded program: ids[i] tags the word at base + 4 * i. */
@@ -79,7 +73,6 @@ class RegionTable
     std::vector<Loaded> programs_;
     std::vector<std::string> names_{""};
     std::vector<uint64_t> cycles_{0};
-    std::vector<uint64_t> insts_{0};
 };
 
 } // namespace isa

@@ -588,8 +588,10 @@ NetworkInterface::refill()
     inputValid_ = true;
 
     // Lifecycle: the message is now visible to the handler.
-    e2eLatency_.record(curTick() - m.injectTick);
-    queueLatency_.record(curTick() - m.arriveTick);
+    if (mgroup_) {
+        e2eLatency_.record(curTick() - m.injectTick);
+        queueLatency_.record(curTick() - m.arriveTick);
+    }
     if (m.traceId != 0) {
         if (auto *s = trace::sink())
             s->record(m.traceId, trace::Stage::dispatch, node_,
@@ -702,7 +704,8 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
         m.injectTick = curTick();
     }
     m.arriveTick = curTick();
-    netLatency_.record(curTick() - m.injectTick);
+    if (mgroup_)
+        netLatency_.record(curTick() - m.injectTick);
     if (auto *s = trace::sink())
         s->record(m.traceId, trace::Stage::arrive, node_, curTick(),
                   m.type, eventq().queueId());

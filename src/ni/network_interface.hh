@@ -184,16 +184,6 @@ class NetworkInterface : public SimObject
     uint64_t currentTraceId() const { return currentTraceId_; }
     /** @} */
 
-    /** @{ Latency statistics (see the metric descriptions registered
-     *     in the constructor). */
-    const metrics::Histogram &e2eLatency() const { return e2eLatency_; }
-    const metrics::Histogram &netLatency() const { return netLatency_; }
-    const metrics::Histogram &queueLatency() const
-    {
-        return queueLatency_;
-    }
-    /** @} */
-
     /**
      * True if a SEND issued now would stall: the output queue is full
      * under the stall-on-full policy (Section 2.1.1).  Used by the
@@ -357,8 +347,8 @@ class NetworkInterface : public SimObject
     uint64_t overflowExc_ = 0;
     uint64_t privReceived_ = 0;
 
-    /** @{ Message-latency histograms (cycles), recorded when a
-     *     message advances into the input registers; HDR-bucketed so
+    /** @{ Message-latency histograms (cycles), recorded only into
+     *     an installed metrics registry (mgroup_ set); HDR-bucketed so
      *     tail percentiles (p99/p999) stay exact-to-3% however long
      *     the run. */
     metrics::Histogram e2eLatency_;    //!< send -> dispatch

@@ -8,30 +8,6 @@ namespace tcpni
 namespace sys
 {
 
-Arrival
-arrivalFromName(const std::string &name)
-{
-    if (name == "uniform")
-        return Arrival::uniform;
-    if (name == "poisson")
-        return Arrival::poisson;
-    if (name == "bursty")
-        return Arrival::bursty;
-    fatal("unknown arrival process '%s' (uniform, poisson, bursty)",
-          name.c_str());
-}
-
-Pattern
-patternFromName(const std::string &name)
-{
-    if (name == "random")
-        return Pattern::random;
-    if (name == "incast")
-        return Pattern::incast;
-    fatal("unknown traffic pattern '%s' (random, incast)",
-          name.c_str());
-}
-
 TrafficGen::TrafficGen(System &sys, NodeId node,
                        const TrafficConfig &cfg)
     : sys_(sys), node_(node), cfg_(cfg),

@@ -104,12 +104,6 @@ struct TrafficConfig
     uint64_t burstLen = 8;
 };
 
-/** Parse "uniform" / "poisson" / "bursty"; fatal()s otherwise. */
-Arrival arrivalFromName(const std::string &name);
-
-/** Parse "random" / "incast"; fatal()s otherwise. */
-Pattern patternFromName(const std::string &name);
-
 /** One node's driver; construct one per node, then start() each. */
 class TrafficGen
 {

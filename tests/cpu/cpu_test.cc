@@ -379,6 +379,4 @@ TEST(CpuTiming, RegionAttribution)
     auto cycles = run.cpu->regionCycles();
     EXPECT_EQ(cycles.at("alpha"), 2u);
     EXPECT_EQ(cycles.at("beta"), 1u);
-    auto insts = run.cpu->regionInstructions();
-    EXPECT_EQ(insts.at("alpha"), 2u);
 }

@@ -72,7 +72,6 @@ using Counts = std::map<std::string, uint64_t>;
 struct Result
 {
     Counts cycles;
-    Counts insts;
     Word r1;
 };
 
@@ -116,8 +115,7 @@ run(const std::vector<const char *> &srcs)
     rig.mem.write(0x3000, isa::assemble("halt\n").words.at(0));
     rig.run(0x1000);
     EXPECT_TRUE(rig.proc->halted());
-    return {rig.proc->regionCycles(), rig.proc->regionInstructions(),
-            rig.proc->reg(1)};
+    return {rig.proc->regionCycles(), rig.proc->reg(1)};
 }
 
 /** Assemble @p src (kernel symbols known), run it on a @p Proc and
@@ -157,7 +155,6 @@ TYPED_TEST(RegionAttribution, LaterLoadWinsOnOverlap)
     // halt at 0x3000 lies outside every program.
     Result r = run<TypeParam>({progA, progB, progC});
     const Counts want{{"", 1}, {"alpha", 4}, {"beta", 3}, {"gamma", 2}};
-    EXPECT_EQ(r.insts, want);
     EXPECT_EQ(r.cycles, want);
     EXPECT_EQ(r.r1, 22u);     // C's instructions ran, not A's
 }
@@ -167,7 +164,6 @@ TYPED_TEST(RegionAttribution, FullReloadHidesCoveredProgram)
     // Re-loading A covers all of C: every A word is alpha again.
     Result r = run<TypeParam>({progA, progB, progC, progA});
     const Counts want{{"", 1}, {"alpha", 6}, {"beta", 3}};
-    EXPECT_EQ(r.insts, want);
     EXPECT_EQ(r.cycles, want);
     EXPECT_EQ(r.r1, 4u);
 }

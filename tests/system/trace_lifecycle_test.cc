@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "common/trace.hh"
+#include "metrics/metrics.hh"
 #include "ni/network_interface.hh"
 #include "noc/mesh.hh"
 
@@ -137,30 +139,49 @@ TEST_F(LifecycleTest, PingpongLatencyMatchesMeshTiming)
 
 TEST_F(LifecycleTest, LatencyStatsMatchLifecycle)
 {
-    EventQueue eq;
-    MeshNetwork mesh("mesh", eq, 2, 1);
-    ni::NiConfig cfg;
-    ni::NetworkInterface ni0("node0.ni", eq, 0, mesh, cfg);
-    ni::NetworkInterface ni1("node1.ni", eq, 1, mesh, cfg);
+    // The NIs record their latency histograms only into an installed
+    // registry; it finalizes after they are gone.
+    metrics::Registry reg(0);
+    metrics::setRegistry(&reg);
+    {
+        EventQueue eq;
+        MeshNetwork mesh("mesh", eq, 2, 1);
+        ni::NiConfig cfg;
+        ni::NetworkInterface ni0("node0.ni", eq, 0, mesh, cfg);
+        ni::NetworkInterface ni1("node1.ni", eq, 1, mesh, cfg);
 
-    sendAndConsume(eq, ni0, ni1, 1);
+        sendAndConsume(eq, ni0, ni1, 1);
+
+        // Exact occupancy integrals (messages x ticks): the message
+        // sat one tick in node 0's output queue before the pump
+        // injected it, and advanced into node 1's input registers the
+        // tick it arrived.
+        EXPECT_EQ(ni0.outputOccTicks(), 1u);
+        EXPECT_EQ(ni1.inputOccTicks(), 0u);
+    }
+    metrics::setRegistry(nullptr);
+    const metrics::TaskMetrics tm = reg.finalize("t");
+
+    std::map<std::string, metrics::Histogram> node1;
+    for (const auto &g : tm.groups) {
+        if (g.name != "node1.ni")
+            continue;
+        for (const auto &series : g.series)
+            if (series.kind == metrics::Kind::histogram)
+                node1[series.name] = series.hist;
+    }
+    const metrics::Histogram &e2e = node1["e2e_latency"];
+    const metrics::Histogram &net = node1["net_latency"];
+    const metrics::Histogram &queue = node1["queue_latency"];
 
     // The NI's end-to-end latency distribution must agree with the
     // lifecycle record: one sample of inject -> dispatch cycles.
-    EXPECT_EQ(ni1.e2eLatency().count(), 1);
-    EXPECT_DOUBLE_EQ(ni1.e2eLatency().mean(), 3.0);
-    EXPECT_EQ(ni1.netLatency().count(), 1);
-    EXPECT_EQ(ni1.queueLatency().count(), 1);
+    EXPECT_EQ(e2e.count(), 1u);
+    EXPECT_DOUBLE_EQ(e2e.mean(), 3.0);
+    EXPECT_EQ(net.count(), 1u);
+    EXPECT_EQ(queue.count(), 1u);
     // net + queued = end-to-end.
-    EXPECT_DOUBLE_EQ(ni1.netLatency().mean() +
-                         ni1.queueLatency().mean(),
-                     ni1.e2eLatency().mean());
-
-    // Exact occupancy integrals (messages x ticks): the message sat
-    // one tick in node 0's output queue before the pump injected it,
-    // and advanced into node 1's input registers the tick it arrived.
-    EXPECT_EQ(ni0.outputOccTicks(), 1u);
-    EXPECT_EQ(ni1.inputOccTicks(), 0u);
+    EXPECT_DOUBLE_EQ(net.mean() + queue.mean(), e2e.mean());
 }
 
 /** Every "dur" value of a Chrome trace, as the unsigned number it
