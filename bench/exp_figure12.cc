@@ -137,9 +137,10 @@ writeJson(std::ostream &os, unsigned n, unsigned particles,
         }
         os << "},\"dispatch\":" << jsonNum(c.dispatch)
            << ",\"process\":{";
-        for (const tam::CommRow &r : tam::commRows) {
-            os << (&r == tam::commRows ? "" : ",") << "\""
-               << r.processKey << "\":" << jsonNum(c.*r.process);
+        for (size_t k = 0; k < std::size(tam::commRows); ++k) {
+            const tam::CommRow &r = tam::commRows[k];
+            os << (k ? "," : "") << "\"" << r.processKey
+               << "\":" << jsonNum(c.*r.process);
         }
         os << ",\"pwriteDeferredBase\":" << jsonNum(c.procPWriteDefBase)
            << ",\"pwriteDeferredSlope\":"

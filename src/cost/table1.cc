@@ -106,13 +106,14 @@ Table1Harness::makeMsgs(ProcCase c, unsigned k)
     const Word reply_fp = globalWord(0, 0x50);
     const Word reply_ip = 0x60;
 
-    const msg::KindInfo &kind = msg::kindInfo(procCaseInfo(c).kind);
+    const Kind kind = procCaseInfo(c).kind;
+    const msg::KindInfo &info = msg::kindInfo(kind);
     // Basic models dispatch a Send by its id alone.
     const Word send_ip =
-        opt && kind.inlet ? handlerProg_->addrOf(kind.inlet) : 0x60;
+        opt && info.inlet ? handlerProg_->addrOf(info.inlet) : 0x60;
     for (unsigned i = 0; i < k; ++i) {
         std::array<Word, 4> w{};
-        switch (procCaseInfo(c).kind) {
+        switch (kind) {
           case Kind::send0:
           case Kind::send1:
           case Kind::send2:
@@ -132,7 +133,7 @@ Table1Harness::makeMsgs(ProcCase c, unsigned k)
             w = {globalWord(1, elemAddr(i)), 0, 0x4242, 0};
             break;
         }
-        msgs.push_back(craft(kind.type, kind.basicId, w));
+        msgs.push_back(craft(info.type, info.basicId, w));
     }
 
     // The STOP message halts the server.

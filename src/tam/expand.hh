@@ -79,6 +79,7 @@ inline constexpr double CommCosts::*sendCost[] = {
     &CommCosts::sendRead,  &CommCosts::sendWrite, &CommCosts::sendPRead,
     &CommCosts::sendPWrite,
 };
+static_assert(std::size(sendCost) == std::size(msg::kinds));
 
 /**
  * One TAM message event and the columns of its costs: the Table-1
