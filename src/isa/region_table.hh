@@ -6,8 +6,8 @@
  * with (Program::regionOf).  A processor model (Cpu, Hpu) keeps one
  * RegionTable: each loadProgram() adopts the program's regions for the
  * program's address range, and each executed instruction charges its
- * cycles to the region of its address.  An address
- * outside every loaded program belongs to region "" (id 0).
+ * cycles to the region of its address.  An address outside every
+ * loaded program belongs to region "" (id 0).
  *
  * The table holds, per loaded program, its base address and a
  * per-word region-id array; a lookup scans the programs newest-first,
